@@ -408,8 +408,9 @@ def cmd_ord(args) -> RunReport:
         f"--p {args.p}")
     complex_, h2 = _load_complex(args.complex, report)
     presentations = _load_presentations(args.pres, report)
-    if args.p < 1:
-        raise CliError("--p must be at least 1")
+    top = complex_.max_level
+    if not 1 <= args.p <= top:
+        raise CliError(f"--p must lie between 1 and {top}")
     try:
         vector = ord_vector(presentations, complex_, args.p)
     except ValueError as exc:

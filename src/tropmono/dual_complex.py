@@ -56,6 +56,8 @@ class SemistableCombinatorics:
             raise ValueError("duplicate stratum labels")
         by_level: dict[int, list[Stratum]] = {}
         by_label: dict[str, Stratum] = {}
+        # the first stratum listed wins an index set
+        self._by_index_set: dict[IndexSet, Stratum] = {}
         for s in strata:
             idx = tuple(s.index_set)
             if any(not 1 <= i <= m for i in idx):
@@ -64,12 +66,15 @@ class SemistableCombinatorics:
                 raise ValueError(f"stratum {s.label}: index set must be increasing")
             by_level.setdefault(s.level, []).append(s)
             by_label[s.label] = s
+            self._by_index_set.setdefault(idx, s)
         level0 = by_level.get(0, [])
         if sorted(s.index_set[0] for s in level0) != list(range(1, m + 1)):
             raise ValueError("level-0 strata must biject with the components")
         levels = sorted(by_level)
         if levels and levels != list(range(levels[-1] + 1)):
             raise ValueError("levels must be contiguous from 0")
+        # children in listing order
+        self._children: dict[str, list[Stratum]] = {label: [] for label in labels}
         for s in strata:
             if s.level == 0:
                 if s.parents:
@@ -85,6 +90,7 @@ class SemistableCombinatorics:
                 if parent.index_set != expected:
                     raise ValueError(f"stratum {s.label}: parent {parent_label} "
                                      "has the wrong index set")
+                self._children[parent_label].append(s)
         # two-step consistency: removing i then j must meet removing j then i
         for s in strata:
             if s.level < 2:
@@ -116,24 +122,13 @@ class SemistableCombinatorics:
         return self._positions[s.level][label]
 
     def children(self, label: str) -> list[Stratum]:
-        s = self._by_label[label]
-        return [c for c in self.level(s.level + 1) if label in c.parents.values()]
+        return list(self._children[label])
 
     def index_sets_unique(self) -> bool:
-        seen = set()
-        for group in self._by_level.values():
-            for s in group:
-                if s.index_set in seen:
-                    return False
-                seen.add(s.index_set)
-        return True
+        return len(self._by_index_set) == len(self._by_label)
 
     def stratum_by_index_set(self, index_set: Sequence[int]) -> Optional[Stratum]:
-        idx = tuple(index_set)
-        for s in self.level(len(idx) - 1):
-            if s.index_set == idx:
-                return s
-        return None
+        return self._by_index_set.get(tuple(index_set))
 
 
 class H2Model:
@@ -182,10 +177,6 @@ def unit_h2(complex_: SemistableCombinatorics, level: int = 0) -> H2Model:
         for child in complex_.children(parent.label):
             gysin[(parent.label, child.label)] = (Fraction(1),)
     return H2Model(dims, gysin)
-
-
-def zero_h2(complex_: SemistableCombinatorics) -> H2Model:
-    return H2Model({})
 
 
 def delta_pullback(complex_: SemistableCombinatorics, p: int) -> QMatrix:
@@ -287,26 +278,17 @@ class E2Summary:
 
 def e2_p0(complex_: SemistableCombinatorics, p: int) -> E2Summary:
     """Kernel of the level-p restriction modulo the image from level p-1,
-    with deterministic representatives."""
+    with deterministic representatives: the image columns, then the kernel
+    vectors, pass in order through one echelon, and the first independent
+    ones in scan order are kept."""
     ncols = len(complex_.level(p))
     ker = linalg.kernel_basis(delta_pullback(complex_, p))
-    if p == 0:
-        image: list[Vector] = []
-    else:
-        prev = delta_pullback(complex_, p - 1)
-        image = [prev.matvec(e) for e in _standard_basis(prev.ncols)]
-        image = _independent(image, ncols)
-    reps = linalg.extend_basis(image, ker, ncols)
+    echelon = linalg.Echelon(ncols)
+    image = ([] if p == 0 else
+             [v for v in delta_pullback(complex_, p - 1).transpose().data
+              if echelon.add(v)])
+    reps = [v for v in ker if echelon.add(v)]
     return E2Summary(p, len(reps), tuple(ker), tuple(image), tuple(reps))
-
-
-def _standard_basis(n: int) -> list[Vector]:
-    return [tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
-            for i in range(n)]
-
-
-def _independent(vectors: Sequence[Vector], length: int) -> list[Vector]:
-    return linalg.extend_basis([], vectors, length)
 
 
 @dataclass(frozen=True)
@@ -349,8 +331,7 @@ def corner_monodromy(complex_: SemistableCombinatorics, h2: H2Model, p: int) -> 
     mixed = list(summary.image) + list(summary.representatives)
     cols = QMatrix.from_columns(mixed, nrows=len(complex_.level(p)))
     out_cols = []
-    for vec in corner.kernel:
-        coords = linalg.solve(cols, vec)
+    for coords in linalg.solve_many(cols, corner.kernel):
         if coords is None:
             raise RuntimeError("corner kernel does not lie in the restriction kernel")
         out_cols.append(coords[len(summary.image):])

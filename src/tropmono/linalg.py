@@ -1,15 +1,19 @@
 """Exact rational linear algebra and ordered-index bookkeeping.
 
-Everything here runs over Fraction; no floats anywhere.  Echelon forms and
-determinants use fraction-free (Bareiss) elimination on denominator-cleared
-integer rows, and pivots are always the first nonzero entry in scan order,
-so repeated runs yield byte-identical bases.
+Everything here runs over Fraction; no floats anywhere.  One elimination
+routine serves rank, det, rref, kernel_basis and solve: rows are cleared of
+denominators and pushed, in order, through the integer-preserving step of
+Bareiss (Math. Comp. 1968), each kept row pivoting on its first nonzero
+entry.  ``Echelon`` exposes the same step incrementally: ``add`` keeps a
+vector only when it raises the rank, so feeding candidates in scan order
+selects the first independent ones and repeated runs yield byte-identical
+bases.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -172,88 +176,106 @@ class QMatrix:
         return [[rat_str(x) for x in row] for row in self.data]
 
 
-def _int_rows(m: QMatrix) -> list[list[int]]:
-    """Clear denominators row by row. Row scaling preserves row space, rank,
-    kernel, and pivot positions."""
-    out = []
+def _clear(row: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(multiplier, integer row): clear denominators.  Row scaling preserves
+    row space, rank, kernel, and pivot positions."""
+    mult = lcm(*(x.denominator for x in row))
+    return mult, [x.numerator * (mult // x.denominator) for x in row]
+
+
+Pivot = tuple[int, int, list[int]]  # (pivot column, pivot value, Bareiss row)
+
+
+def _reduce(row: list[int], stored: Sequence[Pivot]) -> list[int]:
+    """Bareiss steps of every stored pivot row, in order; entries stay
+    integer minors (Sylvester), so each division is exact.  A step on a 0
+    in its pivot column only rescales, so that factor waits in num/den."""
+    num = den = prev = 1
+    for c, p, srow in stored:
+        if row[c]:
+            if num != den:
+                row = [x * num // den for x in row]
+                num = den = 1
+            a = row[c]
+            row = [(p * x - a * y) // prev for x, y in zip(row, srow)]
+        else:
+            num *= p
+            den *= prev
+        prev = p
+    if num != den:
+        row = [x * num // den for x in row]
+    return row
+
+
+def _push(stored: list[Pivot], row: list[int]) -> bool:
+    """Keep a nonzero remainder as a pivot row on its first nonzero entry."""
+    row = _reduce(row, stored)
+    c = next((c for c, x in enumerate(row) if x), None)
+    if c is not None:
+        stored.append((c, row[c], row))
+    return c is not None
+
+
+def _echelon(m: QMatrix) -> list[Pivot]:
+    """Fraction-free echelon of the rows of m, taken in order; the single
+    elimination routine behind rank, det, rref, kernel_basis and solve."""
+    stored: list[Pivot] = []
     for row in m.data:
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * mult) for x in row])
-    return out
+        _push(stored, _clear(row)[1])
+    return stored
 
 
-def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """In-place fraction-free echelon reduction; returns (rows, pivot columns)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                rows[i][j] = (rows[r][c] * rows[i][j] - rows[i][c] * rows[r][j]) // prev
-            rows[i][c] = 0
-        prev = rows[r][c]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
+class Echelon:
+    """Incremental fraction-free echelon: ``add(v)`` keeps v, and returns
+    True, only when its remainder is nonzero, that is, when v raises the rank."""
+
+    def __init__(self, length: int):
+        self.length = length
+        self._stored: list[Pivot] = []
+
+    def add(self, v: Sequence) -> bool:
+        if len(v) != self.length:
+            raise ValueError("length mismatch")
+        return _push(self._stored, _clear([as_fraction(x) for x in v])[1])
 
 
 def rref(m: QMatrix) -> tuple[list[Vector], tuple[int, ...]]:
     """Reduced row echelon form with unit pivots; deterministic."""
-    rows, pivots = _bareiss_echelon(_int_rows(m))
-    reduced = [[Fraction(x) for x in rows[r]] for r in range(len(pivots))]
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        inv = Fraction(1, 1) / reduced[r][c]
-        reduced[r] = [x * inv for x in reduced[r]]
+    stored = sorted(_echelon(m), key=lambda piv: piv[0])
+    pivots = tuple(c for c, _, _ in stored)
+    rows = [row for _, _, row in stored]
+    for r in range(len(rows) - 1, 0, -1):
+        c, low = pivots[r], rows[r]
+        p = low[c]
         for i in range(r):
-            f = reduced[i][c]
+            f = rows[i][c]
             if f:
-                reduced[i] = [a - f * b for a, b in zip(reduced[i], reduced[r])]
-    return [tuple(row) for row in reduced], tuple(pivots)
+                g = gcd(p, f)
+                row = [(p // g) * x - (f // g) * y for x, y in zip(rows[i], low)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
+    return ([tuple(Fraction(x, row[c]) for x in row) for row, c in zip(rows, pivots)],
+            pivots)
 
 
 def rank(m: QMatrix) -> int:
-    _, pivots = _bareiss_echelon(_int_rows(m))
-    return len(pivots)
+    return len(_echelon(m))
 
 
 def det(m: QMatrix) -> Fraction:
+    """The last Bareiss pivot is det of m with its columns in pivot order."""
     if m.nrows != m.ncols:
         raise ValueError("determinant of a non-square matrix")
-    if m.nrows == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    rows = []
+    stored: list[Pivot] = []
+    scale = 1
     for row in m.data:
-        mult = lcm(*(x.denominator for x in row))
-        scale *= mult
-        rows.append([int(x * mult) for x in row])
-    n = m.nrows
-    sign = 1
-    prev = 1
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot_row is None:
+        mult, ints = _clear(row)
+        if not _push(stored, ints):
             return Fraction(0)
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                rows[i][j] = (rows[c][c] * rows[i][j] - rows[i][c] * rows[c][j]) // prev
-            rows[i][c] = 0
-        prev = rows[c][c]
-    return Fraction(sign * rows[n - 1][n - 1], 1) / scale
+        scale *= mult
+    if not stored:
+        return Fraction(1)
+    return Fraction(perm_sign([c for c, _, _ in stored]) * stored[-1][1], scale)
 
 
 def kernel_basis(m: QMatrix) -> list[Vector]:
@@ -271,37 +293,29 @@ def kernel_basis(m: QMatrix) -> list[Vector]:
     return basis
 
 
+def solve_many(m: QMatrix, rhs: Sequence[Sequence]) -> list[Optional[Vector]]:
+    """For each b in rhs, one exact solution of m x = b with free variables
+    set to 0, or None.  m is reduced once, augmented by every b."""
+    targets = [[as_fraction(x) for x in b] for b in rhs]
+    if any(len(b) != m.nrows for b in targets):
+        raise ValueError("length mismatch")
+    n = m.ncols
+    aug = QMatrix([list(row) + [b[i] for b in targets]
+                   for i, row in enumerate(m.data)], ncols=n + len(targets))
+    reduced, pivots = rref(aug)
+    r = sum(1 for c in pivots if c < n)
+    out: list[Optional[Vector]] = []
+    for col in range(n, n + len(targets)):
+        x = [Fraction(0)] * n
+        for row, c in zip(reduced, pivots[:r]):
+            x[c] = row[col]
+        out.append(None if any(row[col] for row in reduced[r:]) else tuple(x))
+    return out
+
+
 def solve(m: QMatrix, b: Sequence) -> Optional[Vector]:
     """One exact solution of m x = b with free variables set to 0, or None."""
-    target = [as_fraction(x) for x in b]
-    if len(target) != m.nrows:
-        raise ValueError("length mismatch")
-    aug = QMatrix([list(row) + [target[i]] for i, row in enumerate(m.data)],
-                  ncols=m.ncols + 1)
-    reduced, pivots = rref(aug)
-    if m.ncols in pivots:
-        return None
-    x = [Fraction(0)] * m.ncols
-    for r, c in enumerate(pivots):
-        x[c] = reduced[r][m.ncols]
-    return tuple(x)
-
-
-def span_rank(vectors: Sequence[Sequence], length: int) -> int:
-    return rank(QMatrix(vectors, ncols=length))
-
-
-def in_span(vectors: Sequence[Sequence], v: Sequence, length: int) -> bool:
-    base = span_rank(vectors, length)
-    return span_rank(list(vectors) + [list(v)], length) == base
-
-
-def quotient_dim(sub: Sequence[Sequence], ambient: Sequence[Sequence], length: int) -> int:
-    """dim(span(ambient) / span(sub)); raises if sub is not contained."""
-    ra = span_rank(ambient, length)
-    if span_rank(list(ambient) + list(sub), length) != ra:
-        raise ValueError("subspace is not contained in the ambient span")
-    return ra - span_rank(sub, length)
+    return solve_many(m, [b])[0]
 
 
 def extend_basis(sub: Sequence[Vector], vectors: Sequence[Vector],
@@ -309,14 +323,10 @@ def extend_basis(sub: Sequence[Vector], vectors: Sequence[Vector],
     """Pick vectors (in order) that extend span(sub) to span(sub + vectors).
 
     The returned representatives are a deterministic transversal basis of the
-    quotient span(sub + vectors) / span(sub).
+    quotient span(sub + vectors) / span(sub): the first independent vectors
+    in scan order.
     """
-    chosen: list[Vector] = []
-    current = list(sub)
-    r = span_rank(current, length)
-    for v in vectors:
-        if span_rank(current + [v], length) > r:
-            chosen.append(tuple(as_fraction(x) for x in v))
-            current.append(v)
-            r += 1
-    return chosen
+    echelon = Echelon(length)
+    for v in sub:
+        echelon.add(v)
+    return [tuple(as_fraction(x) for x in v) for v in vectors if echelon.add(v)]

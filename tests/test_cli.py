@@ -1,9 +1,13 @@
+import hashlib
+import itertools
 import json
+import random
 
 import pytest
 
 from tropmono.cli import main, run
-from tropmono.dual_complex import complex_to_json
+from tropmono.dual_complex import (SemistableCombinatorics, Stratum,
+                                   complex_to_json, relabel_components)
 from tropmono.library import (all_ones_h2, cycle_complex,
                               cycle_orientation_presentations,
                               cycle_presentations_from_tensor,
@@ -78,6 +82,70 @@ def test_ss_monodromy_unit_default(tmp_path):
     assert obj["checks"][0]["name"] == "corner_inside_restriction_kernel"
 
 
+def shuffled_cycle(m, seed):
+    images = list(range(1, m + 1))
+    random.Random(seed).shuffle(images)
+    return relabel_components(cycle_complex(m),
+                              dict(zip(range(1, m + 1), images)))
+
+
+def simplex_boundary(n):
+    """Proper faces of the n-simplex on components 1..n+1."""
+    def label(subset):
+        return "Y%d" % subset[0] if len(subset) == 1 else \
+            "Z" + "_".join(map(str, subset))
+    strata = []
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(range(1, n + 2), size):
+            parents = ({v: label(tuple(w for w in subset if w != v))
+                        for v in subset} if size > 1 else {})
+            strata.append(Stratum(label(subset), subset, parents))
+    return SemistableCombinatorics([f"Y{i}" for i in range(1, n + 2)], strata)
+
+
+def result_digest(argv):
+    code, text = run(argv)
+    assert code == 0, text
+    block = json.loads(text)["result"]
+    canonical = json.dumps(block, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+# SHA-256 of the canonical JSON result block, recorded with the
+# repeated-rank elimination; representatives and matrices must not move.
+PINNED_CYCLES = {
+    (6, "e2"): "89386a78b7079c5939f92bb14c7d912e14fcc8f44266382308c13499db313021",
+    (6, "monodromy"): "8787b1d1518fd44650fceacc24d7e56ca77cf10a5eba1ee83789f6531032ec74",
+    (14, "e2"): "c01c7865b9a839fb300a4b0325c4b87cce0929cb252b1e3e00475ff743c17ffe",
+    (14, "monodromy"): "4c4c6e21620f5d54a46c783d087e860863c5e4ad9fd056448360f4c6084d286a",
+    (40, "e2"): "b2650b3a46ff063d2db68481277fde659b7736ff241cbd09b05b002bff44f664",
+    (40, "monodromy"): "a967c5eaa96a92c1de78e3d9dc0f03c74d82d053802ed4fac423c071c1fe5ed4",
+}
+
+PINNED_BOUNDARY = {
+    ("e2", 1): "dbca4f347570d7835a49323fee32e71445ca75d1012512cd91687b130fd89900",
+    ("monodromy", 1): "36b3c7dad9e94c520928a84d0e3e5fb1b6af9adedf18d3d3885bdf98e67f7301",
+    ("monodromy", 2): "f32dd1190d84f7b42e65e712bee4bed28a0476a9a47ea420be0573eac4cad7a2",
+    ("monodromy", 3): "3a317da50416dcb172550d04862ae8800d1af81ef32ff8080610da87a717512d",
+    ("monodromy", 4): "1e3afe2a632232e1c37fe7b6f4c594eb428780ee225d047bed46c8ce83fa7088",
+}
+
+
+@pytest.mark.parametrize("m,sub", sorted(PINNED_CYCLES))
+def test_ss_results_pinned_on_shuffled_cycles(tmp_path, m, sub):
+    path = write_json(tmp_path / f"c{m}.json",
+                      complex_to_json(shuffled_cycle(m, seed=m)))
+    digest = result_digest(["ss", sub, "--input", path, "--p", "1"])
+    assert digest == PINNED_CYCLES[(m, sub)]
+
+
+@pytest.mark.parametrize("sub,p", sorted(PINNED_BOUNDARY))
+def test_ss_results_pinned_on_the_5_simplex_boundary(tmp_path, sub, p):
+    path = write_json(tmp_path / "s5.json",
+                      complex_to_json(simplex_boundary(5)))
+    digest = result_digest(["ss", sub, "--input", path, "--p", str(p)])
+    assert digest == PINNED_BOUNDARY[(sub, p)]
+
 def test_ss_validate_passes_on_consistent_model(tmp_path):
     cx = cycle_complex(4)
     path = write_json(tmp_path / "good.json",
@@ -142,6 +210,15 @@ def test_ord_missing_cover_exits_1(tmp_path):
     assert obj["checks"][0]["status"] == "fail"
     assert "no presentation covers" in obj["checks"][0]["witness"]["error"]
 
+
+@pytest.mark.parametrize("sub", ["compute", "check"])
+@pytest.mark.parametrize("p", ["0", "2", "4"])
+def test_ord_rejects_p_outside_the_levels(tmp_path, sub, p):
+    complex_path, pres_path = cycle_files(tmp_path, 5)
+    code, text = run(["ord", sub, "--complex", complex_path,
+                      "--pres", pres_path, "--p", p])
+    assert code == 2
+    assert text == "error: --p must lie between 1 and 1\n"
 
 def test_dolbeault_on_the_cycle(tmp_path):
     complex_path, pres_path = cycle_files(tmp_path, 5)

@@ -91,6 +91,13 @@ def test_corner_monodromy_is_iso_on_cycles():
     assert cm5.matrix[0, 0] == -5
 
 
+def test_e2_and_corner_on_a_60_cycle():
+    cx = cycle_complex(60)
+    assert [e2_p0(cx, p).dim for p in (0, 1)] == [1, 1]
+    comparison = corner_monodromy(cx, unit_h2(cx, level=0), 1)
+    assert comparison.isomorphism
+    assert comparison.matrix.to_json_obj() == [["-60"]]
+
 def test_corner_monodromy_zero_gysin_is_not_injective():
     for m in (3, 4):
         cx = cycle_complex(m)

@@ -104,7 +104,7 @@ def test_kernel_frozen_and_property():
         for v in basis:
             assert all(x == 0 for x in m.matvec(v))
         # kernel vectors are linearly independent
-        assert linalg.span_rank(basis, nc) == len(basis)
+        assert rank_gauss([list(v) for v in basis]) == len(basis)
 
 
 def test_solve_recovers_solutions_and_detects_inconsistency():
@@ -129,23 +129,105 @@ def test_rref_reports_pivots():
     assert rows[0] == (Fraction(0), Fraction(1), Fraction(1, 2))
 
 
-def test_span_membership_and_quotient():
-    v1, v2 = (1, 0, 1), (0, 1, 1)
-    assert linalg.in_span([v1, v2], (1, 1, 2), 3)
-    assert not linalg.in_span([v1, v2], (0, 0, 1), 3)
-    assert linalg.quotient_dim([v1], [v1, v2], 3) == 1
-    with pytest.raises(ValueError):
-        linalg.quotient_dim([(1, 1, 1)], [v1], 3)
-
-
 def test_extend_basis_builds_a_transversal():
     sub = [(1, 0, 0, 0)]
     vecs = [(1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
     reps = linalg.extend_basis(sub, vecs, 4)
     assert len(reps) == 2
-    assert linalg.span_rank(sub + reps, 4) == 3
+    assert rank_gauss([list(v) for v in sub + reps]) == 3
     # deterministic: first independent candidates win
     assert reps[0] == (Fraction(1), Fraction(1), Fraction(0), Fraction(0))
+
+
+def extend_basis_by_ranks(sub, vectors):
+    """Reference selection: keep a vector when it raises the rank of
+    everything kept so far, with each rank from conftest's oracle."""
+    kept = [list(v) for v in sub]
+    r = rank_gauss(kept)
+    chosen = []
+    for v in vectors:
+        if rank_gauss(kept + [list(v)]) > r:
+            chosen.append(tuple(Fraction(x) for x in v))
+            kept.append(list(v))
+            r += 1
+    return chosen
+
+
+def rand_vectors(rng, count, length):
+    """Random rationals with non-unit denominators, zero vectors and
+    planted combinations of earlier vectors."""
+    out = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.15:
+            out.append(tuple(Fraction(0) for _ in range(length)))
+        elif kind < 0.5 and out:
+            picks = rng.sample(out, rng.randint(1, min(3, len(out))))
+            coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                      for _ in picks]
+            out.append(tuple(sum((c * v[j] for c, v in zip(coeffs, picks)),
+                                 Fraction(0)) for j in range(length)))
+        else:
+            out.append(tuple(Fraction(rng.choice([0, 0, rng.randint(-5, 5)]),
+                                      rng.randint(1, 6))
+                             for _ in range(length)))
+    return out
+
+
+def test_extend_basis_matches_repeated_rank_reference():
+    rng = random.Random(9)
+    for _ in range(150):
+        length = rng.randint(1, 6)
+        pool = rand_vectors(rng, rng.randint(0, 10), length)
+        cut = rng.randint(0, len(pool))
+        sub, vectors = pool[:cut], pool[cut:]
+        got = linalg.extend_basis(sub, vectors, length)
+        assert got == extend_basis_by_ranks(sub, vectors)
+
+
+def test_echelon_add_reports_rank_increase():
+    rng = random.Random(10)
+    for _ in range(80):
+        length = rng.randint(1, 6)
+        echelon = linalg.Echelon(length)
+        kept = []
+        for v in rand_vectors(rng, rng.randint(1, 10), length):
+            raised = rank_gauss(kept + [list(v)]) > rank_gauss(kept)
+            assert echelon.add(v) == raised
+            if raised:
+                kept.append(list(v))
+    with pytest.raises(ValueError):
+        linalg.Echelon(2).add((1, 2, 3))
+
+
+def test_solve_many_matches_per_vector_solve():
+    rng = random.Random(11)
+    for _ in range(60):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        m = rand_matrix(rng, nr, nc)
+        rhs = []
+        for _ in range(rng.randint(0, 4)):
+            if rng.random() < 0.5:
+                x0 = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                      for _ in range(nc)]
+                rhs.append(m.matvec(x0))
+            else:
+                rhs.append(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                 for _ in range(nr)))
+        got = linalg.solve_many(m, rhs)
+        assert got == [linalg.solve(m, b) for b in rhs]
+        for b, x in zip(rhs, got):
+            aug = [list(row) + [b[i]] for i, row in enumerate(m.data)]
+            consistent = rank_gauss(aug) == rank_gauss([list(r) for r in m.data])
+            assert (x is not None) == consistent
+            if x is not None:
+                assert m.matvec(x) == tuple(b)
+    # one consistent and one inconsistent right-hand side in the same call
+    m = QMatrix([[1, 1], [1, 1]], ncols=2)
+    assert linalg.solve_many(m, [[2, 2], [0, 1]]) == [
+        (Fraction(2), Fraction(0)), None]
+    with pytest.raises(ValueError):
+        linalg.solve_many(m, [[1, 2, 3]])
 
 
 def test_matrix_shape_errors():
