@@ -16,17 +16,19 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
 from . import dual_complex
 from .dual_complex import complex_from_json, unit_h2
 from .forms import AffineMap, Superform
 from .linalg import rat_str
-from .order_map import Presentation, dolbeault_ladder, ord_vector
+from .order_map import (Presentation, dolbeault_ladder, ord_vector,
+                        require_simplicial)
+from .poly import Poly
 from .randgen import (rand_affine_map, rand_constant_simplex_form,
                       rand_superform, rand_superform_mixed)
 from .report import RunReport
-from .simplex import SimplexContext, beta_recursion, star_closed_form
+from .simplex import (SimplexContext, SimplexForm, beta_recursion,
+                      star_closed_form)
 
 DEFAULT_MAX_DIM = 6
 
@@ -72,10 +74,6 @@ def _load_json(path: str, report: RunReport):
         raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
 
 
-def _form_obj(omega: Superform):
-    return omega.to_json_obj()
-
-
 def _map_obj(phi: AffineMap):
     return {"matrix": phi.matrix.to_json_obj(),
             "translation": [rat_str(x) for x in phi.translation]}
@@ -108,32 +106,32 @@ def cmd_check_superform(args) -> RunReport:
         sign = (-1) ** ((p1 + q1) * (p2 + q2))
         if a.wedge(b) == b.wedge(a) * sign:
             return None
-        return {"case": case, "left": _form_obj(a), "right": _form_obj(b)}
+        return {"case": case, "left": a.to_json_obj(), "right": b.to_json_obj()}
 
     def wedge_assoc(rng, case):
         forms = [rand_superform_mixed(rng, n, pieces=1) for _ in range(3)]
         a, b, c = forms
         if a.wedge(b).wedge(c) == a.wedge(b.wedge(c)):
             return None
-        return {"case": case, "forms": [_form_obj(f) for f in forms]}
+        return {"case": case, "forms": [f.to_json_obj() for f in forms]}
 
     def d_prime_sq(rng, case):
         a = rand_superform_mixed(rng, n)
         if a.d_prime().d_prime().is_zero():
             return None
-        return {"case": case, "form": _form_obj(a)}
+        return {"case": case, "form": a.to_json_obj()}
 
     def d_second_sq(rng, case):
         a = rand_superform_mixed(rng, n)
         if a.d_second().d_second().is_zero():
             return None
-        return {"case": case, "form": _form_obj(a)}
+        return {"case": case, "form": a.to_json_obj()}
 
     def d_anticommute(rng, case):
         a = rand_superform_mixed(rng, n)
         if (a.d_prime().d_second() + a.d_second().d_prime()).is_zero():
             return None
-        return {"case": case, "form": _form_obj(a)}
+        return {"case": case, "form": a.to_json_obj()}
 
     def leibniz(which):
         def inner(rng, case):
@@ -144,27 +142,28 @@ def cmd_check_superform(args) -> RunReport:
             sign = (-1) ** (p1 + q1)
             if d(a.wedge(b)) == d(a).wedge(b) + a.wedge(d(b)) * sign:
                 return None
-            return {"case": case, "left": _form_obj(a), "right": _form_obj(b)}
+            return {"case": case, "left": a.to_json_obj(),
+                    "right": b.to_json_obj()}
         return inner
 
     def flip_involution(rng, case):
         a = rand_superform_mixed(rng, n)
         if a.flip().flip() == a:
             return None
-        return {"case": case, "form": _form_obj(a)}
+        return {"case": case, "form": a.to_json_obj()}
 
     def flip_exchanges(rng, case):
         a = rand_superform_mixed(rng, n)
         if a.flip().d_prime().flip() == a.d_second():
             return None
-        return {"case": case, "form": _form_obj(a)}
+        return {"case": case, "form": a.to_json_obj()}
 
     def monodromy_d_second(rng, case):
         p = rng.randint(1, n)
         a = rand_superform(rng, n, p, rng.randint(0, n))
         if a.d_second().monodromy() == a.monodromy().d_second():
             return None
-        return {"case": case, "form": _form_obj(a)}
+        return {"case": case, "form": a.to_json_obj()}
 
     def monodromy_power(rng, case):
         p = rng.randint(1, n)
@@ -177,7 +176,7 @@ def cmd_check_superform(args) -> RunReport:
             factorial *= k
         if power == a.flip() * factorial:
             return None
-        return {"case": case, "p": p, "form": _form_obj(a)}
+        return {"case": case, "p": p, "form": a.to_json_obj()}
 
     def monodromy_wedge(rng, case):
         p1 = rng.randint(1, n)
@@ -186,7 +185,7 @@ def cmd_check_superform(args) -> RunReport:
         b = rand_superform(rng, n, p2, rng.randint(0, n - p2))
         if (a.monodromy().wedge(b) + a.wedge(b.monodromy())).is_zero():
             return None
-        return {"case": case, "left": _form_obj(a), "right": _form_obj(b)}
+        return {"case": case, "left": a.to_json_obj(), "right": b.to_json_obj()}
 
     def pullback_wedge(rng, case):
         m = rng.randint(1, n)
@@ -196,7 +195,7 @@ def cmd_check_superform(args) -> RunReport:
         if phi.pullback(a.wedge(b)) == phi.pullback(a).wedge(phi.pullback(b)):
             return None
         return {"case": case, "map": _map_obj(phi),
-                "left": _form_obj(a), "right": _form_obj(b)}
+                "left": a.to_json_obj(), "right": b.to_json_obj()}
 
     def pullback_d(rng, case):
         m = rng.randint(1, n)
@@ -206,7 +205,7 @@ def cmd_check_superform(args) -> RunReport:
               and phi.pullback(a.d_second()) == phi.pullback(a).d_second())
         if ok:
             return None
-        return {"case": case, "map": _map_obj(phi), "form": _form_obj(a)}
+        return {"case": case, "map": _map_obj(phi), "form": a.to_json_obj()}
 
     def pullback_monodromy(rng, case):
         m = rng.randint(1, n)
@@ -215,7 +214,7 @@ def cmd_check_superform(args) -> RunReport:
         a = rand_superform(rng, n, p, rng.randint(0, n))
         if phi.pullback(a.monodromy()) == phi.pullback(a).monodromy():
             return None
-        return {"case": case, "map": _map_obj(phi), "form": _form_obj(a)}
+        return {"case": case, "map": _map_obj(phi), "form": a.to_json_obj()}
 
     battery = [
         ("wedge_graded_commutative", wedge_commutes),
@@ -257,8 +256,6 @@ def cmd_simplex_starprop(args) -> RunReport:
 
     betas = []
     for subset in itertools.combinations(range(nvars), p):
-        from .poly import Poly
-        from .simplex import SimplexForm
         label = "basis:" + ".".join(map(str, subset))
         betas.append((label, SimplexForm.monomial(nvars, subset,
                                                   Poly.const(nvars, 1))))
@@ -301,9 +298,14 @@ def cmd_simplex_starprop(args) -> RunReport:
 def _load_complex(path: str, report: RunReport):
     obj = _load_json(path, report)
     try:
-        return complex_from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+        complex_, h2 = complex_from_json(obj)
+        if h2 is not None:
+            # check every declared Gysin vector now, not at first use
+            for parent, child in h2.gysin:
+                h2.gysin_vector(parent, child)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"{path}: bad complex data: {exc}")
+    return complex_, h2
 
 
 def cmd_ss_e2(args) -> RunReport:
@@ -440,7 +442,6 @@ def cmd_dolbeault(args) -> RunReport:
     complex_, _ = _load_complex(args.complex, report)
     presentations = _load_presentations(args.pres, report)
     try:
-        from .order_map import require_simplicial
         top = require_simplicial(complex_)
     except ValueError as exc:
         raise CliError(f"{args.complex}: {exc}")

@@ -163,9 +163,6 @@ class H2Model:
             raise ValueError(f"restriction {parent} -> {child} has wrong shape")
         return mat
 
-    def has_restrictions(self) -> bool:
-        return bool(self.restrict)
-
 
 def unit_h2(complex_: SemistableCombinatorics, level: int = 0) -> H2Model:
     """One-dimensional spaces with unit Gysin vectors at the given level;

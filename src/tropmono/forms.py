@@ -4,7 +4,9 @@ A form is a sum of monomials f(x) d'x_I ^ d''x_J with I, J strictly
 increasing index tuples; the two blocks anticommute degree by degree, and
 canonical order is the full d' block first, then the full d'' block, each
 sorted.  Mixed bidegrees may coexist in one value; graded operators act
-piecewise.
+piecewise.  A Superform is the shared sparse container of poly (keys are
+block pairs, coefficients Poly), so sums, scaling and equality are the
+container's.
 
 Indices are 0-based in memory.  Serialized structures and printed witnesses
 use 1-based indices.
@@ -12,11 +14,10 @@ use 1-based indices.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .linalg import QMatrix, as_fraction, shuffle_sign
-from .poly import Poly
+from .poly import Poly, _Terms, accumulate
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -30,33 +31,13 @@ def _as_index_tuple(indices: Iterable[int], nvars: int) -> tuple[int, ...]:
     return out
 
 
-class Superform:
-    __slots__ = ("nvars", "terms")
+class Superform(_Terms):
+    __slots__ = ()
 
-    def __init__(self, nvars: int, terms: Mapping[Key, Poly] = ()):
-        cleaned: dict[Key, Poly] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for (dpr, dsec), coeff in items:
-            key = (_as_index_tuple(dpr, nvars), _as_index_tuple(dsec, nvars))
-            if coeff.nvars != nvars:
-                raise ValueError("coefficient lives in the wrong ring")
-            if coeff.is_zero():
-                continue
-            prev = cleaned.get(key)
-            total = coeff if prev is None else prev + coeff
-            if total.is_zero():
-                cleaned.pop(key, None)
-            else:
-                cleaned[key] = total
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Superform is immutable")
-
-    @classmethod
-    def zero(cls, nvars: int) -> "Superform":
-        return cls(nvars)
+    @staticmethod
+    def _key(nvars: int, raw) -> Key:
+        dpr, dsec = raw
+        return (_as_index_tuple(dpr, nvars), _as_index_tuple(dsec, nvars))
 
     @classmethod
     def monomial(cls, nvars: int, dprime: Sequence[int], dsecond: Sequence[int],
@@ -73,68 +54,21 @@ class Superform:
     def one_second(cls, nvars: int, i: int) -> "Superform":
         return cls.monomial(nvars, (), (i,), 1)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def bidegrees(self) -> set[tuple[int, int]]:
         return {(len(i), len(j)) for i, j in self.terms}
 
     def graded_piece(self, p: int, q: int) -> "Superform":
-        return Superform(self.nvars, {k: v for k, v in self.terms.items()
-                                      if (len(k[0]), len(k[1])) == (p, q)})
+        return self._made({k: v for k, v in self.terms.items()
+                           if (len(k[0]), len(k[1])) == (p, q)})
 
     def is_homogeneous(self) -> bool:
         return len(self.bidegrees()) <= 1
-
-    def __add__(self, other: "Superform") -> "Superform":
-        if other.nvars != self.nvars:
-            raise ValueError("mixed ambient dimensions")
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            prev = terms.get(key)
-            total = coeff if prev is None else prev + coeff
-            if total.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = total
-        out = Superform.__new__(Superform)
-        object.__setattr__(out, "nvars", self.nvars)
-        object.__setattr__(out, "terms", terms)
-        return out
-
-    def __neg__(self) -> "Superform":
-        out = Superform.__new__(Superform)
-        object.__setattr__(out, "nvars", self.nvars)
-        object.__setattr__(out, "terms", {k: -v for k, v in self.terms.items()})
-        return out
-
-    def __sub__(self, other: "Superform") -> "Superform":
-        return self + (-other)
-
-    def __mul__(self, scalar) -> "Superform":
-        c = as_fraction(scalar)
-        if not c:
-            return Superform.zero(self.nvars)
-        out = Superform.__new__(Superform)
-        object.__setattr__(out, "nvars", self.nvars)
-        object.__setattr__(out, "terms", {k: v * c for k, v in self.terms.items()})
-        return out
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Superform) and self.nvars == other.nvars
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset((k, hash(v)) for k, v in self.terms.items())))
 
     def wedge(self, other: "Superform") -> "Superform":
         """Graded product.  The cross sign (-1)^(p' * q) moves the incoming d'
         block through the resident d'' block; block-internal sorting then
         contributes the usual shuffle signs."""
-        if other.nvars != self.nvars:
-            raise ValueError("mixed ambient dimensions")
+        self._check(other)
         acc: dict[Key, Poly] = {}
         for (i1, j1), f in self.terms.items():
             for (i2, j2), g in other.terms.items():
@@ -147,17 +81,9 @@ class Superform:
                 sign = sh_i[0] * sh_j[0]
                 if (len(i2) * len(j1)) % 2:
                     sign = -sign
-                key = (sh_i[1], sh_j[1])
                 term = f * g
-                if sign < 0:
-                    term = -term
-                prev = acc.get(key)
-                total = term if prev is None else prev + term
-                if total.is_zero():
-                    acc.pop(key, None)
-                else:
-                    acc[key] = total
-        return Superform(self.nvars, acc)
+                accumulate(acc, (sh_i[1], sh_j[1]), term if sign > 0 else -term)
+        return self._made(acc)
 
     def d_prime(self) -> "Superform":
         acc: dict[Key, Poly] = {}
@@ -170,8 +96,8 @@ class Superform:
                 if sh is None:
                     continue
                 sign, merged = sh
-                _accumulate(acc, (merged, dsec), g if sign > 0 else -g)
-        return Superform(self.nvars, acc)
+                accumulate(acc, (merged, dsec), g if sign > 0 else -g)
+        return self._made(acc)
 
     def d_second(self) -> "Superform":
         # the new d'' factor crosses the whole d' block, hence the (-1)^p
@@ -186,16 +112,16 @@ class Superform:
                 if sh is None:
                     continue
                 sign, merged = sh
-                _accumulate(acc, (dpr, merged), g if lead * sign > 0 else -g)
-        return Superform(self.nvars, acc)
+                accumulate(acc, (dpr, merged), g if lead * sign > 0 else -g)
+        return self._made(acc)
 
     def flip(self) -> "Superform":
         """Swap the two blocks wholesale; costs (-1)^(p*q) per monomial."""
         acc: dict[Key, Poly] = {}
         for (dpr, dsec), f in self.terms.items():
             sign = -1 if (len(dpr) * len(dsec)) % 2 else 1
-            _accumulate(acc, (dsec, dpr), f if sign > 0 else -f)
-        return Superform(self.nvars, acc)
+            accumulate(acc, (dsec, dpr), f if sign > 0 else -f)
+        return self._made(acc)
 
     def monodromy(self) -> "Superform":
         """Trade one d' factor for the matching d'' factor, summed over the
@@ -213,8 +139,8 @@ class Superform:
                 if (p - 1 - k) % 2:
                     sign = -sign
                 reduced = dpr[:k] + dpr[k + 1:]
-                _accumulate(acc, (reduced, merged), f if sign > 0 else -f)
-        return Superform(self.nvars, acc)
+                accumulate(acc, (reduced, merged), f if sign > 0 else -f)
+        return self._made(acc)
 
     def to_json_obj(self) -> list[dict]:
         out = []
@@ -246,15 +172,6 @@ class Superform:
         return " + ".join(bits)
 
 
-def _accumulate(acc: dict[Key, Poly], key: Key, value: Poly):
-    prev = acc.get(key)
-    total = value if prev is None else prev + value
-    if total.is_zero():
-        acc.pop(key, None)
-    else:
-        acc[key] = total
-
-
 class AffineMap:
     """x = A y + b from R^(source) to R^(target); A is target x source."""
 
@@ -283,14 +200,6 @@ class AffineMap:
     @classmethod
     def identity(cls, n: int) -> "AffineMap":
         return cls(QMatrix.identity(n))
-
-    @classmethod
-    def coordinate_inclusion(cls, source: int, target: int) -> "AffineMap":
-        """y -> (y, 0, ..., 0)."""
-        if source > target:
-            raise ValueError("inclusion needs source <= target")
-        rows = [[1 if j == i else 0 for j in range(source)] for i in range(target)]
-        return cls(QMatrix(rows, ncols=source))
 
     def pullback(self, omega: Superform) -> "Superform":
         if omega.nvars != self.target_dim:

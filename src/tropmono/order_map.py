@@ -23,12 +23,11 @@ from math import factorial
 from typing import Mapping, Optional, Sequence
 
 from . import linalg
-from .dual_complex import H2Model, SemistableCombinatorics, check_vanishing_vector
+from .dual_complex import SemistableCombinatorics
 from .forms import Superform
 from .linalg import QMatrix, as_fraction, perm_sign
 from .poly import Poly
-from .simplex import (SimplexContext, SimplexForm, beta_recursion,
-                      integrate_cochain)
+from .simplex import SimplexContext, SimplexForm, beta_recursion
 
 Flag = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -173,13 +172,6 @@ def ord_vector(presentations: Sequence[Presentation],
     return OrdVector(p, values)
 
 
-def check_e2_membership(vector: OrdVector, complex_: SemistableCombinatorics,
-                        h2: H2Model) -> tuple[bool, bool]:
-    """(restriction vanishes, Gysin pushforward vanishes)."""
-    return check_vanishing_vector(complex_, h2, vector.level,
-                                  vector.as_sequence(complex_))
-
-
 def tau_pullback(rows: Sequence[Sequence], ncols: Optional[int] = None) -> Superform:
     """Chart-level pullback of the standard wedge along exponent rows.
 
@@ -232,7 +224,6 @@ class LadderResult:
     constant: Fraction
     final_check: bool
     ord_values: Mapping[str, Fraction]
-    stages: tuple[Mapping[tuple[str, str], SimplexForm], ...]
     comparisons: tuple[tuple[str, str, Fraction, Fraction, bool], ...]
 
 
@@ -282,18 +273,10 @@ def _full_tensor(pres: Presentation, flag: Flag,
 def _tensor_form(nvars: int, weights: Sequence[Fraction],
                  tensor: Sequence[Sequence[Sequence[int]]]) -> SimplexForm:
     """Constant form induced by an exponent tensor: weighted wedge of the
-    rows read as linear forms in the vertex coordinates."""
-    total = SimplexForm.zero(nvars)
-    for w, block in zip(weights, tensor):
-        p = len(block)
-        for subset in itertools.combinations(range(nvars), p):
-            minor = QMatrix([[block[k][j] for j in subset] for k in range(p)],
-                            ncols=p)
-            value = w * linalg.det(minor)
-            if value:
-                total = total + SimplexForm.monomial(nvars, subset,
-                                                     Poly.const(nvars, value))
-    return total
+    rows read as linear forms in the vertex coordinates, that is the
+    presentation's tau read on the simplex."""
+    tau = presentation_tau(weights, tensor, nvars)
+    return SimplexForm(nvars, {dpr: f for (dpr, _), f in tau.terms.items()})
 
 
 def _derived_ord(weights: Sequence[Fraction],
@@ -363,17 +346,10 @@ def dolbeault_ladder(presentations: Sequence[Presentation],
             raise ValueError(f"inconsistent order data at stratum {s.label}")
         ord_values[s.label] = found[0]
     constant = Fraction((-1) ** (p * (p + 1) // 2), factorial(p))
-    stages: list[dict[tuple[str, str], SimplexForm]] = [{} for _ in range(p)]
     comparisons = []
     final = True
     for z in tops:
         chain = beta_recursion(ctx, forms[z.label], p)
-        for r in range(p):
-            integrated = integrate_cochain(ctx, chain[r])
-            for subset, form in sorted(integrated.values.items()):
-                face = complex_.stratum_by_index_set(
-                    tuple(z.index_set[j] for j in subset))
-                stages[r][(z.label, face.label)] = form
         for subset, value in sorted(chain[p].values.items()):
             face = complex_.stratum_by_index_set(
                 tuple(z.index_set[j] for j in subset))
@@ -382,5 +358,4 @@ def dolbeault_ladder(presentations: Sequence[Presentation],
             final = final and ok
             comparisons.append((z.label, face.label, value, expected, ok))
     return LadderResult(p=p, constant=constant, final_check=final,
-                        ord_values=ord_values, stages=tuple(stages),
-                        comparisons=tuple(comparisons))
+                        ord_values=ord_values, comparisons=tuple(comparisons))

@@ -5,6 +5,12 @@ Fraction coefficients.  The class is closed under the operations the rest of
 the package needs: ring arithmetic, partial derivatives, substitution of
 polynomials for variables, and exact integration of the last variable over
 the unit interval.
+
+The same immutable sparse container also carries Superform (forms) and
+SimplexForm (simplex): the private base _Terms owns construction, addition,
+negation, scaling, equality and hashing, and accumulate() is the one
+zero-dropping sum into a term dict.  Each subclass supplies only its key and
+coefficient checks and its own operations.
 """
 
 from __future__ import annotations
@@ -15,35 +21,107 @@ from typing import Mapping, Sequence
 from .linalg import as_fraction, rat_str
 
 
-class Poly:
+def accumulate(acc: dict, key, value):
+    """Add value into acc[key]; a key whose sum is zero is dropped."""
+    prev = acc.get(key)
+    total = value if prev is None else prev + value
+    if total:
+        acc[key] = total
+    else:
+        acc.pop(key, None)
+
+
+class _Terms:
+    """Immutable sparse map from keys to nonzero coefficients, tied to a
+    number of variables: the container under Poly, Superform and
+    SimplexForm.  The constructor validates raw input through the
+    subclass's _key and _coeff; _made wraps a dict that is already clean.
+    The default _coeff accepts Poly coefficients in the same ring."""
+
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], object] = ()):
-        cleaned: dict[tuple[int, ...], Fraction] = {}
+    def __init__(self, nvars: int, terms: Mapping = ()):
+        cleaned: dict = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for exps, coeff in items:
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != nvars:
-                raise ValueError("exponent tuple has wrong length")
-            if any(e < 0 for e in exps):
-                raise ValueError("negative exponent")
-            c = as_fraction(coeff)
-            if c:
-                prev = cleaned.get(exps)
-                total = c if prev is None else prev + c
-                if total:
-                    cleaned[exps] = total
-                elif prev is not None:
-                    del cleaned[exps]
+        for raw, coeff in items:
+            accumulate(cleaned, self._key(nvars, raw), self._coeff(nvars, coeff))
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", cleaned)
 
+    @staticmethod
+    def _coeff(nvars: int, coeff: "Poly") -> "Poly":
+        if coeff.nvars != nvars:
+            raise ValueError("coefficient lives in the wrong ring")
+        return coeff
+
+    def _made(self, terms: dict):
+        """Same class and variable count; terms must be valid and nonzero."""
+        out = type(self).__new__(type(self))
+        object.__setattr__(out, "nvars", self.nvars)
+        object.__setattr__(out, "terms", terms)
+        return out
+
     def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def zero(cls, nvars: int) -> "Poly":
+    def zero(cls, nvars: int):
         return cls(nvars)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def _check(self, other):
+        if type(other) is not type(self) or other.nvars != self.nvars:
+            raise ValueError("mixed variable counts")
+
+    def __add__(self, other):
+        self._check(other)
+        terms = dict(self.terms)
+        for key, coeff in other.terms.items():
+            accumulate(terms, key, coeff)
+        return self._made(terms)
+
+    def __neg__(self):
+        return self._made({k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, scalar):
+        c = as_fraction(scalar)
+        if not c:
+            return self._made({})
+        return self._made({k: v * c for k, v in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self.nvars == other.nvars
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self.nvars, frozenset(self.terms.items())))
+
+
+class Poly(_Terms):
+    __slots__ = ()
+
+    @staticmethod
+    def _key(nvars: int, exps) -> tuple[int, ...]:
+        exps = tuple(int(e) for e in exps)
+        if len(exps) != nvars:
+            raise ValueError("exponent tuple has wrong length")
+        if any(e < 0 for e in exps):
+            raise ValueError("negative exponent")
+        return exps
+
+    @staticmethod
+    def _coeff(nvars: int, coeff) -> Fraction:
+        return as_fraction(coeff)
 
     @classmethod
     def const(cls, nvars: int, value) -> "Poly":
@@ -67,9 +145,6 @@ class Poly:
             terms[exps] = as_fraction(c)
         return cls(nvars, terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exps) for exps in self.terms)
 
@@ -83,68 +158,22 @@ class Poly:
             return 0
         return max(sum(exps) for exps in self.terms)
 
-    def _check(self, other: "Poly"):
-        if not isinstance(other, Poly) or other.nvars != self.nvars:
-            raise ValueError("mixed variable counts")
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            total = terms.get(exps, Fraction(0)) + c
-            if total:
-                terms[exps] = total
-            elif exps in terms:
-                del terms[exps]
-        out = Poly.__new__(Poly)
-        object.__setattr__(out, "nvars", self.nvars)
-        object.__setattr__(out, "terms", terms)
-        return out
-
-    def __neg__(self) -> "Poly":
-        out = Poly.__new__(Poly)
-        object.__setattr__(out, "nvars", self.nvars)
-        object.__setattr__(out, "terms", {e: -c for e, c in self.terms.items()})
-        return out
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, Poly):
-            self._check(other)
-            terms: dict[tuple[int, ...], Fraction] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    exps = tuple(a + b for a, b in zip(e1, e2))
-                    total = terms.get(exps, Fraction(0)) + c1 * c2
-                    if total:
-                        terms[exps] = total
-                    elif exps in terms:
-                        del terms[exps]
-            out = Poly.__new__(Poly)
-            object.__setattr__(out, "nvars", self.nvars)
-            object.__setattr__(out, "terms", terms)
-            return out
-        c = as_fraction(other)
-        if not c:
-            return Poly.zero(self.nvars)
-        out = Poly.__new__(Poly)
-        object.__setattr__(out, "nvars", self.nvars)
-        object.__setattr__(out, "terms", {e: c * v for e, v in self.terms.items()})
-        return out
-
-    __rmul__ = __mul__
+        if not isinstance(other, Poly):
+            return super().__mul__(other)
+        self._check(other)
+        terms: dict[tuple[int, ...], Fraction] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                accumulate(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        return self._made(terms)
 
     def derivative(self, i: int) -> "Poly":
         if not 0 <= i < self.nvars:
             raise ValueError("variable index out of range")
-        terms = {}
-        for exps, c in self.terms.items():
-            if exps[i]:
-                lowered = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-                terms[lowered] = terms.get(lowered, Fraction(0)) + c * exps[i]
-        return Poly(self.nvars, terms)
+        # lowering a positive exponent is injective, so no terms collide
+        return self._made({exps[:i] + (exps[i] - 1,) + exps[i + 1:]: c * exps[i]
+                           for exps, c in self.terms.items() if exps[i]})
 
     def eval_poly(self, args: Sequence["Poly"]) -> "Poly":
         """Substitute args[i] for variable i; args live in a common ring."""
@@ -191,21 +220,8 @@ class Poly:
             raise ValueError("no variable to integrate")
         terms: dict[tuple[int, ...], Fraction] = {}
         for exps, c in self.terms.items():
-            head, k = exps[:-1], exps[-1]
-            add = c / (k + 1)
-            total = terms.get(head, Fraction(0)) + add
-            if total:
-                terms[head] = total
-            elif head in terms:
-                del terms[head]
+            accumulate(terms, exps[:-1], c / (exps[-1] + 1))
         return Poly(self.nvars - 1, terms)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Poly) and self.nvars == other.nvars
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         if not self.terms:

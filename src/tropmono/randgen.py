@@ -9,7 +9,6 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .forms import AffineMap, Superform
 from .linalg import QMatrix
@@ -55,11 +54,6 @@ def rand_superform_mixed(rng: random.Random, nvars: int,
         q = rng.randint(0, nvars)
         total = total + rand_superform(rng, nvars, p, q)
     return total
-
-
-def rand_bidegree(rng: random.Random, nvars: int,
-                  min_p: int = 0) -> tuple[int, int]:
-    return rng.randint(min_p, nvars), rng.randint(0, nvars)
 
 
 def rand_affine_map(rng: random.Random, source: int, target: int,

@@ -6,7 +6,10 @@ the same form on the simplex when they differ by a multiple of (sum(x) - 1)
 or by d(sum(x)) wedge anything.  Substituting the pivot coordinate away
 (x_pivot = 1 - rest, dx_pivot = -sum of the rest) produces a normal form in
 the surviving coordinates, so equality on the simplex is decidable by
-comparing canonical representatives.
+comparing canonical representatives.  A SimplexForm stores its terms in the
+shared sparse container of poly (keys are index tuples, coefficients Poly),
+but == and hash compare on the simplex, through canonical(); raw_equal and
+is_zero_raw compare the stored terms.
 
 Integration along rays from a base point is exact: coefficients stay
 polynomial with rational coefficients throughout.
@@ -18,8 +21,8 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
-from .linalg import as_fraction, rat_str, shuffle_sign
-from .poly import Poly
+from .linalg import as_fraction, shuffle_sign
+from .poly import Poly, _Terms, accumulate
 
 IndexTuple = tuple[int, ...]
 
@@ -68,37 +71,16 @@ def _subset(indices: Sequence[int], n: int) -> IndexTuple:
     return out
 
 
-class SimplexForm:
+class SimplexForm(_Terms):
     """Ambient polynomial form on R^(n+1), considered up to the simplex
     relation.  Terms map strictly increasing index tuples to Poly
     coefficients in the n+1 ambient variables."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ()
 
-    def __init__(self, nvars: int, terms: Mapping[IndexTuple, Poly] = ()):
-        cleaned: dict[IndexTuple, Poly] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for indices, coeff in items:
-            key = _subset(indices, nvars - 1)
-            if coeff.nvars != nvars:
-                raise ValueError("coefficient lives in the wrong ring")
-            if coeff.is_zero():
-                continue
-            prev = cleaned.get(key)
-            total = coeff if prev is None else prev + coeff
-            if total.is_zero():
-                cleaned.pop(key, None)
-            else:
-                cleaned[key] = total
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SimplexForm is immutable")
-
-    @classmethod
-    def zero(cls, nvars: int) -> "SimplexForm":
-        return cls(nvars)
+    @staticmethod
+    def _key(nvars: int, raw) -> IndexTuple:
+        return _subset(raw, nvars - 1)
 
     @classmethod
     def monomial(cls, nvars: int, indices: Sequence[int], coeff) -> "SimplexForm":
@@ -106,50 +88,13 @@ class SimplexForm:
             coeff = Poly.const(nvars, coeff)
         return cls(nvars, {tuple(indices): coeff})
 
-    def is_zero_raw(self) -> bool:
-        return not self.terms
-
     def degrees(self) -> set[int]:
         return {len(k) for k in self.terms}
 
-    def __add__(self, other: "SimplexForm") -> "SimplexForm":
-        if other.nvars != self.nvars:
-            raise ValueError("mixed ambient dimensions")
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            prev = terms.get(key)
-            total = coeff if prev is None else prev + coeff
-            if total.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = total
-        out = SimplexForm.__new__(SimplexForm)
-        object.__setattr__(out, "nvars", self.nvars)
-        object.__setattr__(out, "terms", terms)
-        return out
-
-    def __neg__(self) -> "SimplexForm":
-        out = SimplexForm.__new__(SimplexForm)
-        object.__setattr__(out, "nvars", self.nvars)
-        object.__setattr__(out, "terms", {k: -v for k, v in self.terms.items()})
-        return out
-
-    def __sub__(self, other: "SimplexForm") -> "SimplexForm":
-        return self + (-other)
-
-    def __mul__(self, scalar) -> "SimplexForm":
-        c = as_fraction(scalar)
-        if not c:
-            return SimplexForm.zero(self.nvars)
-        out = SimplexForm.__new__(SimplexForm)
-        object.__setattr__(out, "nvars", self.nvars)
-        object.__setattr__(out, "terms", {k: v * c for k, v in self.terms.items()})
-        return out
-
-    __rmul__ = __mul__
-
-    def raw_equal(self, other: "SimplexForm") -> bool:
-        return self.nvars == other.nvars and self.terms == other.terms
+    # comparisons of the stored terms; ==, hash and is_zero_on_simplex
+    # compare on the simplex instead
+    raw_equal = _Terms.__eq__
+    is_zero_raw = _Terms.is_zero
 
     def exterior_derivative(self) -> "SimplexForm":
         acc: dict[IndexTuple, Poly] = {}
@@ -162,8 +107,8 @@ class SimplexForm:
                 if sh is None:
                     continue
                 sign, merged = sh
-                _acc(acc, merged, g if sign > 0 else -g)
-        return SimplexForm(self.nvars, acc)
+                accumulate(acc, merged, g if sign > 0 else -g)
+        return self._made(acc)
 
     def contract(self, vector: Sequence) -> "SimplexForm":
         """Left interior product with a constant vector; degree-0 terms are
@@ -181,21 +126,8 @@ class SimplexForm:
                 term = f * vals[ik]
                 if k % 2:
                     term = -term
-                _acc(acc, indices[:k] + indices[k + 1:], term)
-        return SimplexForm(self.nvars, acc)
-
-    def contract_position(self) -> "SimplexForm":
-        """Left interior product with the position vector field sum(x_i e_i)."""
-        acc: dict[IndexTuple, Poly] = {}
-        for indices, f in self.terms.items():
-            if not indices:
-                raise ValueError("cannot contract a degree-0 term")
-            for k, ik in enumerate(indices):
-                term = f * Poly.variable(self.nvars, ik)
-                if k % 2:
-                    term = -term
-                _acc(acc, indices[:k] + indices[k + 1:], term)
-        return SimplexForm(self.nvars, acc)
+                accumulate(acc, indices[:k] + indices[k + 1:], term)
+        return self._made(acc)
 
     def ray_integrate(self, base: Sequence) -> "SimplexForm":
         """Homotopy operator along straight rays from the base point:
@@ -230,8 +162,8 @@ class SimplexForm:
                 piece = (g * linear).integrate_last_unit()
                 if k % 2:
                     piece = -piece
-                _acc(acc, indices[:k] + indices[k + 1:], piece)
-        return SimplexForm(self.nvars, acc)
+                accumulate(acc, indices[:k] + indices[k + 1:], piece)
+        return self._made(acc)
 
     def star_integrate(self, base: Sequence) -> "SimplexForm":
         """Ray integration from a point of the simplex hyperplane (the
@@ -278,7 +210,7 @@ class SimplexForm:
             if f2.is_zero():
                 continue
             if pivot not in indices:
-                _acc(acc, indices, f2)
+                accumulate(acc, indices, f2)
                 continue
             k = indices.index(pivot)
             rest = indices[:k] + indices[k + 1:]
@@ -289,8 +221,8 @@ class SimplexForm:
                 if sh is None:
                     continue
                 sign, merged = sh
-                _acc(acc, merged, f2 * (lead * sign))
-        return SimplexForm(self.nvars, acc)
+                accumulate(acc, merged, f2 * (lead * sign))
+        return self._made(acc)
 
     def equal_on_simplex(self, other: "SimplexForm") -> bool:
         if self.nvars != other.nvars:
@@ -316,8 +248,7 @@ class SimplexForm:
         return isinstance(other, SimplexForm) and self.equal_on_simplex(other)
 
     def __hash__(self):
-        canon = self.canonical()
-        return hash((canon.nvars, frozenset((k, hash(v)) for k, v in canon.terms.items())))
+        return _Terms.__hash__(self.canonical())
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -331,15 +262,6 @@ class SimplexForm:
     def to_json_obj(self) -> list[dict]:
         return [{"indices": list(k), "coeff": self.terms[k].to_json_obj()}
                 for k in sorted(self.terms)]
-
-
-def _acc(acc: dict[IndexTuple, Poly], key: IndexTuple, value: Poly):
-    prev = acc.get(key)
-    total = value if prev is None else prev + value
-    if total.is_zero():
-        acc.pop(key, None)
-    else:
-        acc[key] = total
 
 
 def constant_form(nvars: int, coeffs: Mapping[IndexTuple, object]) -> SimplexForm:

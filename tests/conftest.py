@@ -7,8 +7,17 @@ against something other than itself.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 from fractions import Fraction
+
+
+def json_digest(obj) -> str:
+    """SHA-256 of the canonical JSON text of a serialized value; the pinned
+    digests in the suite are recorded with this function."""
+    canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def det_cofactor(rows):

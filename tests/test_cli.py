@@ -1,16 +1,16 @@
-import hashlib
 import itertools
 import json
 import random
 
 import pytest
 
+from conftest import json_digest
 from tropmono.cli import main, run
 from tropmono.dual_complex import (SemistableCombinatorics, Stratum,
                                    complex_to_json, relabel_components)
 from tropmono.library import (all_ones_h2, cycle_complex,
                               cycle_orientation_presentations,
-                              cycle_presentations_from_tensor,
+                              cycle_presentations_from_tensor, cycle_unit_h2,
                               cycle_validation_h2, point_complex,
                               simplicial_presentations_from_tensors,
                               tetrahedron_complex)
@@ -106,9 +106,7 @@ def simplex_boundary(n):
 def result_digest(argv):
     code, text = run(argv)
     assert code == 0, text
-    block = json.loads(text)["result"]
-    canonical = json.dumps(block, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return json_digest(json.loads(text)["result"])
 
 
 # SHA-256 of the canonical JSON result block, recorded with the
@@ -145,6 +143,67 @@ def test_ss_results_pinned_on_the_5_simplex_boundary(tmp_path, sub, p):
                       complex_to_json(simplex_boundary(5)))
     digest = result_digest(["ss", sub, "--input", path, "--p", str(p)])
     assert digest == PINNED_BOUNDARY[(sub, p)]
+
+# SHA-256 of the canonical JSON result block, recorded before Poly,
+# Superform and SimplexForm shared one sparse-term base.
+PINNED_ALGEBRA = {
+    ("superform", 2): "a58212e56a5c3f8cbd4a33af5552a6dc90dfa5e91904e3237111ff861c851851",
+    ("superform", 3): "500ac81a621655979b04ff4664c6ac14fedabc6032895c5496647b4f2b638f42",
+    ("superform", 4): "97e8b9459f6cbda3d912a34e48806329307bdc6353a459765440ada20e4032b7",
+    ("starprop", 1): "fa04707caa0f636b8362277babe0998d8c51215ca1ab7e910ec8fbd6d706f16c",
+    ("starprop", 2): "4e031f8c1a04603e88872082e7fdb2216e864fbf1b35750266855897f1bc0709",
+    ("starprop", 3): "19b57ccdac17d32119d416d153c600378f9641b781712121f2e24b399c07b81c",
+}
+
+PINNED_DOLBEAULT = {
+    "cycle5": "adee3f90b162a4bff482860ea6f9761d57f9fccaa39b84ae6f068b641037d976",
+    "shared4": "77e059fa9ae25bf206a150290e74d64144ac0479fd539a42f1f9bd1a1436a7b8",
+    "tetrahedron": "fc465512f09428d370d4f6434bfa6eb687f11e73198da6875120903d6724371c",
+}
+
+
+@pytest.mark.parametrize("sub,k", sorted(PINNED_ALGEBRA))
+def test_algebra_results_pinned(sub, k):
+    if sub == "superform":
+        argv = ["check", "superform", "--n", str(k), "--cases", "4",
+                "--seed", "11"]
+    else:
+        argv = ["simplex", "starprop", "--n", "3", "--p", str(k),
+                "--random", "2", "--seed", "11"]
+    assert result_digest(argv) == PINNED_ALGEBRA[(sub, k)]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DOLBEAULT))
+def test_dolbeault_results_pinned(tmp_path, name):
+    if name == "cycle5":
+        complex_path, pres_path = cycle_files(tmp_path, 5)
+        p = 1
+    elif name == "shared4":
+        complex_path = write_json(tmp_path / "c.json",
+                                  complex_to_json(cycle_complex(4)))
+        columns = {(1, 2): [(0, 2)], (2, 3): [(1, -1)], (3, 4): [(0, 5)],
+                   (1, 4): [(3, 3)]}
+        pres = cycle_presentations_from_tensor(4, ("1/2",), columns)
+        pres_path = write_json(tmp_path / "p.json", {
+            "presentations": [q.to_json_obj() for q in pres]})
+        p = 1
+    else:
+        cx = tetrahedron_complex()
+        complex_path = write_json(tmp_path / "t.json", complex_to_json(cx))
+        tensors = {
+            "V1_2_3": [((0, 1, 3), (0, -3, -2))],
+            "V1_2_4": [((1, 1, 0), (2, 0, 1))],
+            "V1_3_4": [((0, 2, 1), (1, 1, -1))],
+            "V2_3_4": [((2, 0, 1), (0, 1, 1))],
+        }
+        pres = simplicial_presentations_from_tensors(cx, (1,), tensors)
+        pres_path = write_json(tmp_path / "p.json", {
+            "presentations": [q.to_json_obj() for q in pres]})
+        p = 2
+    digest = result_digest(["dolbeault", "--complex", complex_path,
+                            "--pres", pres_path, "--p", str(p)])
+    assert digest == PINNED_DOLBEAULT[name]
+
 
 def test_ss_validate_passes_on_consistent_model(tmp_path):
     cx = cycle_complex(4)
@@ -300,6 +359,37 @@ def test_bad_complex_data(tmp_path):
     code, text = run(["ss", "e2", "--input", path])
     assert code == 2
     assert "bad complex data" in text
+
+
+def _malformed_complex(case):
+    obj = complex_to_json(cycle_complex(4), cycle_unit_h2(4))
+    if case in ("gysin_length_monodromy", "gysin_length_ord_check"):
+        obj["h2"]["Y1"]["gysin"]["E1_2"] = ["1", "2"]
+    elif case == "stratum_is_a_string":
+        obj["strata"][0] = "Y1"
+    elif case == "parents_is_a_list":
+        obj["strata"][4]["parents"] = ["Y2", "Y1"]
+    else:
+        obj["h2"] = [obj["h2"]["Y1"]]
+    return obj
+
+
+@pytest.mark.parametrize("case", [
+    "gysin_length_monodromy", "gysin_length_ord_check", "stratum_is_a_string",
+    "parents_is_a_list", "h2_is_a_list"])
+def test_malformed_complex_exits_2(tmp_path, case):
+    path = write_json(tmp_path / "bad.json", _malformed_complex(case))
+    if case == "gysin_length_ord_check":
+        pres = [p.to_json_obj() for p in cycle_orientation_presentations(4)]
+        pres_path = write_json(tmp_path / "pres.json", {"presentations": pres})
+        argv = ["ord", "check", "--complex", path, "--pres", pres_path,
+                "--p", "1"]
+    else:
+        argv = ["ss", "monodromy", "--input", path, "--p", "1"]
+    code, text = run(argv)
+    assert code == 2
+    assert text.startswith(f"error: {path}: bad complex data:")
+    assert "Traceback" not in text
 
 
 def test_missing_arguments_exit_2():

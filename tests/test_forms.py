@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import sort_sign
+from conftest import json_digest, sort_sign
 from tropmono.forms import AffineMap, Superform, vanishes_on_affine_span
 from tropmono.linalg import QMatrix
 from tropmono.poly import Poly
@@ -201,3 +201,28 @@ def test_monomial_rejects_bad_indices():
         Superform.monomial(2, (0, 0), (), Poly.const(2, 1))
     with pytest.raises(ValueError):
         Superform.monomial(2, (2,), (), Poly.const(2, 1))
+
+
+# SHA-256 of the serialized outputs below, recorded before Poly, Superform
+# and SimplexForm shared one sparse-term base; the operators must not move.
+PINNED_OPERATOR_OUTPUTS = (
+    "2cc00ff7811b5911058e77996d2ebb31032d4adb69e67dcbd1f3091938b82c2e")
+
+
+def test_operator_outputs_pinned():
+    rng = random.Random(1704)
+    out = []
+    for case in range(60):
+        n = rng.randint(1, 4)
+        a = rand_superform_mixed(rng, n)
+        b = rand_superform_mixed(rng, n, pieces=1)
+        p = rng.randint(1, n)
+        c = rand_superform(rng, n, p, rng.randint(0, n))
+        phi = rand_affine_map(rng, rng.randint(0, 3), n,
+                              rank_deficient=(case % 3 == 0))
+        scalar = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        for value in (a + b, a - b, -a, a * scalar, a.wedge(b), b.wedge(c),
+                      a.d_prime(), a.d_second(), a.flip(), c.monodromy(),
+                      phi.pullback(a), phi.pullback(c)):
+            out.append(value.to_json_obj())
+    assert json_digest(out) == PINNED_OPERATOR_OUTPUTS

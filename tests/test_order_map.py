@@ -4,15 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import det_cofactor
-from tropmono.dual_complex import SemistableCombinatorics, Stratum
+from conftest import det_cofactor, json_digest
+from tropmono.dual_complex import (SemistableCombinatorics, Stratum,
+                                   check_vanishing_vector)
 from tropmono.library import (cycle_complex, cycle_orientation_presentations,
                               cycle_presentations_from_tensor, cycle_unit_h2,
                               point_complex, simplicial_presentations_from_tensors,
                               tetrahedron_complex)
-from tropmono.order_map import (Presentation, check_e2_membership,
-                                dolbeault_ladder, epsilon_sigma,
-                                flag_normalization, ord_vector,
+from tropmono.order_map import (Presentation, dolbeault_ladder,
+                                epsilon_sigma, flag_normalization, ord_vector,
                                 presentation_tau, require_simplicial,
                                 tau_pullback)
 from tropmono.poly import Poly
@@ -132,7 +132,8 @@ def test_cycle_order_vector_frozen_and_in_both_kernels():
     for m in range(3, 8):
         cx = cycle_complex(m)
         vec = ord_vector(cycle_orientation_presentations(m), cx, 1)
-        assert check_e2_membership(vec, cx, cycle_unit_h2(m)) == (True, True)
+        assert check_vanishing_vector(cx, cycle_unit_h2(m), 1,
+                                      vec.as_sequence(cx)) == (True, True)
     vec5 = ord_vector(cycle_orientation_presentations(5), cycle_complex(5), 1)
     assert vec5.values == {"E1_2": 1, "E2_3": 1, "E3_4": 1, "E4_5": 1,
                            "E1_5": -1}
@@ -324,3 +325,40 @@ def test_ladder_input_validation():
         dolbeault_ladder([deg2] + pres[1:], cx, 1)
     with pytest.raises(ValueError, match="no presentation covers"):
         dolbeault_ladder(pres[1:], cx, 1)
+
+
+# SHA-256 of the ladder outputs below, recorded before the ladder stopped
+# integrating every stage a second time; ord values and comparisons must
+# not move.
+PINNED_LADDER_OUTPUTS = (
+    "ba621835be45b4af136538e93c884fc02601e8e2d6789338cab9832e7010397a")
+
+
+def test_ladder_outputs_pinned():
+    cases = [(cycle_orientation_presentations(m), cycle_complex(m), 1)
+             for m in range(3, 8)]
+    columns = {(1, 2): [(0, 2)], (2, 3): [(1, -1)], (3, 4): [(0, 5)],
+               (1, 4): [(3, 3)]}
+    cases.append((cycle_presentations_from_tensor(4, (Fraction(1, 2),), columns),
+                  cycle_complex(4), 1))
+    tetra = tetrahedron_complex()
+    tensors = {
+        "V1_2_3": [((0, 1, 3), (0, -3, -2)), ((1, 0, 0), (0, 1, 1))],
+        "V1_2_4": [((1, 1, 0), (2, 0, 1)), ((0, 0, 2), (1, 1, 0))],
+        "V1_3_4": [((0, 2, 1), (1, 1, -1)), ((3, 0, 1), (0, 0, 1))],
+        "V2_3_4": [((2, 0, 1), (0, 1, 1)), ((1, 1, 1), (0, 2, 0))],
+    }
+    cases.append((simplicial_presentations_from_tensors(
+        tetra, (1, Fraction(-2, 3)), tensors), tetra, 2))
+    out = []
+    for pres, cx, p in cases:
+        result = dolbeault_ladder(pres, cx, p)
+        out.append({
+            "constant": str(result.constant),
+            "final": result.final_check,
+            "ord": {label: str(v) for label, v in result.ord_values.items()},
+            "comparisons": [[top, face, str(value), str(expected), ok]
+                            for top, face, value, expected, ok
+                            in result.comparisons],
+        })
+    assert json_digest(out) == PINNED_LADDER_OUTPUTS

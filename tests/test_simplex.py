@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import json_digest
 from tropmono.poly import Poly
 from tropmono.randgen import (rand_constant_simplex_form,
                               rand_hyperplane_point, rand_point,
@@ -254,3 +255,44 @@ def test_constant_value_accepts_ideal_shifts():
     form = SimplexForm(n1, {(): Poly.const(n1, 5) + fn * Poly.variable(n1, 0)})
     assert form.is_constant_on_simplex()
     assert form.constant_value() == 5
+
+
+# SHA-256 of the serialized outputs below, recorded before Poly, Superform
+# and SimplexForm shared one sparse-term base; the tower must not move.
+PINNED_INTEGRATION_OUTPUTS = (
+    "f69ff0a4a48cda4275dbb21f7d8fa3936aa1544da22bb87952c18a99f33e4a35")
+PINNED_TOWER_STAGES = (
+    "be609f35775b00e188ee183137673a60dba42f0012e438194a72d3dc0e92372c")
+
+
+def test_integration_outputs_pinned():
+    rng = random.Random(1705)
+    out = []
+    for _ in range(40):
+        nvars = rng.randint(2, 4)
+        form = rand_poly_simplex_form(rng, nvars, rng.randint(1, nvars - 1))
+        base = rand_hyperplane_point(rng, nvars)
+        for value in (form.star_integrate(base), form.exterior_derivative(),
+                      form.exterior_derivative().star_integrate(base),
+                      form.canonical()):
+            out.append(value.to_json_obj())
+    assert json_digest(out) == PINNED_INTEGRATION_OUTPUTS
+
+
+def test_tower_stages_pinned():
+    rng = random.Random(1706)
+    out = []
+    for n in (1, 2, 3):
+        ctx = SimplexContext(n)
+        for p in range(1, n + 1):
+            betas = [du(n + 1, idx)
+                     for idx in itertools.combinations(range(n + 1), p)]
+            betas += [rand_constant_simplex_form(rng, n + 1, p)
+                      for _ in range(3)]
+            for beta in betas:
+                chain = beta_recursion(ctx, beta, p)
+                out.append([[chain[r][I].canonical().to_json_obj()
+                             for I in sorted(chain[r].values)]
+                            for r in range(p)])
+                out.append([str(chain[p][I]) for I in sorted(chain[p].values)])
+    assert json_digest(out) == PINNED_TOWER_STAGES
