@@ -399,6 +399,11 @@ def _load_presentations(path: str, report: RunReport) -> list[Presentation]:
     if not isinstance(obj, list):
         raise CliError(f"{path}: expected a list of presentations")
     try:
+        for k, entry in enumerate(obj):
+            if not isinstance(entry, dict):
+                raise TypeError(f"presentation {k} is not an object")
+            if not isinstance(entry.get("flags", {}), dict):
+                raise TypeError(f"presentation {k}: flags must be an object")
         return [Presentation.from_json_obj(entry) for entry in obj]
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"{path}: bad presentation data: {exc}")

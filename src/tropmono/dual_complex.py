@@ -400,12 +400,19 @@ def complex_from_json(obj: Mapping) -> tuple[SemistableCombinatorics, Optional[H
     components = [str(c) for c in obj["components"]]
     strata = []
     for entry in obj["strata"]:
+        label = str(entry["label"])
+        index_set = entry["indexSet"]
+        # type(...) is int: JSON true/false, floats and strings are refused
+        if (not isinstance(index_set, list)
+                or any(type(i) is not int for i in index_set)):
+            raise ValueError(f"stratum {label}: indexSet must be a list of integers")
         parents = {int(k): str(v) for k, v in entry.get("parents", {}).items()}
-        strata.append(Stratum(str(entry["label"]),
-                              tuple(int(i) for i in entry["indexSet"]),
-                              parents))
-        if "level" in entry and int(entry["level"]) != len(entry["indexSet"]) - 1:
-            raise ValueError(f"stratum {entry['label']}: level disagrees with indexSet")
+        strata.append(Stratum(label, tuple(index_set), parents))
+        if "level" in entry:
+            if type(entry["level"]) is not int:
+                raise ValueError(f"stratum {label}: level must be an integer")
+            if entry["level"] != len(index_set) - 1:
+                raise ValueError(f"stratum {label}: level disagrees with indexSet")
     complex_ = SemistableCombinatorics(components, strata)
     h2 = None
     if "h2" in obj:
@@ -413,7 +420,9 @@ def complex_from_json(obj: Mapping) -> tuple[SemistableCombinatorics, Optional[H
         gysin = {}
         restrict = {}
         for label, entry in obj["h2"].items():
-            dims[label] = int(entry["dim"])
+            if type(entry["dim"]) is not int:
+                raise ValueError(f"h2 {label}: dim must be an integer")
+            dims[label] = entry["dim"]
             for child, vec in entry.get("gysin", {}).items():
                 gysin[(label, child)] = [as_fraction(x) for x in vec]
             for child, rows in entry.get("restrict", {}).items():

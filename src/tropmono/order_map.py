@@ -133,6 +133,18 @@ def flag_normalization(flag: Flag) -> tuple[tuple[int, ...], int]:
     return members, epsilon_sigma(sigma)
 
 
+def _flags_by_members(presentations: Sequence[Presentation]
+                      ) -> dict[tuple[int, ...], list[tuple[Presentation, Flag, int]]]:
+    """Every recorded flag under its sorted member set, with the sign of its
+    normalization; in presentation order, then flag order."""
+    covers: dict[tuple[int, ...], list[tuple[Presentation, Flag, int]]] = {}
+    for pres in presentations:
+        for flag in pres.flags:
+            members, sign = flag_normalization(flag)
+            covers.setdefault(members, []).append((pres, flag, sign))
+    return covers
+
+
 @dataclass(frozen=True)
 class OrdVector:
     level: int
@@ -153,17 +165,11 @@ def ord_vector(presentations: Sequence[Presentation],
     """
     if p < 1:
         raise ValueError("order vectors live on levels >= 1")
+    covers = _flags_by_members(presentations)
     values: dict[str, Fraction] = {}
     for s in complex_.level(p):
-        found: list[Fraction] = []
-        for pres in presentations:
-            for flag in pres.flags:
-                if len(flag) != p + 1:
-                    continue
-                members, sign = flag_normalization(flag)
-                if members != s.index_set:
-                    continue
-                found.append(sign * pres.ord_value(flag))
+        found = [sign * pres.ord_value(flag)
+                 for pres, flag, sign in covers.get(s.index_set, ())]
         if not found:
             raise ValueError(f"no presentation covers stratum {s.label}")
         if any(v != found[0] for v in found[1:]):
@@ -310,19 +316,16 @@ def dolbeault_ladder(presentations: Sequence[Presentation],
     ctx = SimplexContext(n_top)
     nvars = n_top + 1
     tops = complex_.level(n_top)
+    covers = _flags_by_members(presentations)
     forms: dict[str, SimplexForm] = {}
     tensors: dict[str, list[tuple[tuple[Fraction, ...], list]]] = {}
     for z in tops:
-        candidates = []
-        for pres in presentations:
-            for flag in pres.flags:
-                if tuple(sorted(flag)) == z.index_set:
-                    candidates.append((pres, flag))
+        candidates = covers.get(z.index_set)
         if not candidates:
             raise ValueError(f"no presentation covers stratum {z.label}")
         entries = []
         built = []
-        for pres, flag in candidates:
+        for pres, flag, _ in candidates:
             tensor = _full_tensor(pres, flag, z.index_set)
             entries.append((pres.weights, tensor))
             built.append(_tensor_form(nvars, pres.weights, tensor))

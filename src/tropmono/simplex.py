@@ -132,29 +132,36 @@ class SimplexForm(_Terms):
     def ray_integrate(self, base: Sequence) -> "SimplexForm":
         """Homotopy operator along straight rays from the base point:
         pull back along (x, t) -> base + t (x - base), contract with d/dt,
-        then integrate t over [0, 1].  Exact, term by term."""
+        then integrate t over [0, 1].  Exact, term by term.  A constant
+        coefficient c on an r-form needs no substitution: its integral is
+        (c / r) times the contraction with x - base."""
         base_vals = [as_fraction(x) for x in base]
         if len(base_vals) != self.nvars:
             raise ValueError("base point has wrong length")
         n1 = self.nvars
-        # substitutes live in the ring with one extra trailing variable t
-        subs = []
-        for i in range(n1):
-            terms = {(0,) * (n1 + 1): base_vals[i]}
-            e_t = tuple(0 if j < n1 else 1 for j in range(n1 + 1))
-            terms[e_t] = terms.get(e_t, Fraction(0)) - base_vals[i]
-            e_it = tuple(1 if j == i else (1 if j == n1 else 0) for j in range(n1 + 1))
-            terms[e_it] = Fraction(1)
-            subs.append(Poly(n1 + 1, terms))
+        zero = (0,) * n1
+        subs = None
         acc: dict[IndexTuple, Poly] = {}
         for indices, f in self.terms.items():
             r = len(indices)
             if r == 0:
                 raise ValueError("cannot integrate a degree-0 term")
-            g = f.eval_poly(subs)
-            t_power = Poly(n1 + 1, {tuple(0 if j < n1 else r - 1
-                                          for j in range(n1 + 1)): 1})
-            g = g * t_power
+            if f.is_constant():
+                c = f.terms[zero] / r
+                for k, ik in enumerate(indices):
+                    ck = -c if k % 2 else c
+                    piece = {zero[:ik] + (1,) + zero[ik + 1:]: ck}
+                    if base_vals[ik]:
+                        piece[zero] = -ck * base_vals[ik]
+                    accumulate(acc, indices[:k] + indices[k + 1:], f._made(piece))
+                continue
+            if subs is None:
+                # x_i -> base_i + t (x_i - base_i), in the ring with one
+                # extra trailing variable t
+                subs = [Poly(n1 + 1, {zero + (0,): b, zero + (1,): -b,
+                                      zero[:i] + (1,) + zero[i + 1:] + (1,): 1})
+                        for i, b in enumerate(base_vals)]
+            g = f.eval_poly(subs) * Poly(n1 + 1, {zero + (r - 1,): 1})
             for k, ik in enumerate(indices):
                 linear = Poly.affine(n1 + 1,
                                      [1 if j == ik else 0 for j in range(n1 + 1)],
@@ -193,22 +200,22 @@ class SimplexForm(_Terms):
         n1 = self.nvars
         keep_set = set(keep)
         others = [j for j in keep if j != pivot]
-        subs = []
-        for j in range(n1):
-            if j == pivot:
-                subs.append(Poly.affine(
-                    n1, [-1 if k in others else 0 for k in range(n1)], 1))
-            elif j in keep_set:
-                subs.append(Poly.variable(n1, j))
-            else:
-                subs.append(Poly.zero(n1))
+        subs = None
         acc: dict[IndexTuple, Poly] = {}
         for indices, f in self.terms.items():
             if any(i not in keep_set for i in indices):
                 continue
-            f2 = f.eval_poly(subs)
-            if f2.is_zero():
-                continue
+            if f.is_constant():
+                f2 = f  # a constant is its own image
+            else:
+                if subs is None:
+                    subs = [Poly.variable(n1, j) if j in keep_set
+                            else Poly.zero(n1) for j in range(n1)]
+                    subs[pivot] = Poly.affine(
+                        n1, [-1 if k in others else 0 for k in range(n1)], 1)
+                f2 = f.eval_poly(subs)
+                if f2.is_zero():
+                    continue
             if pivot not in indices:
                 accumulate(acc, indices, f2)
                 continue

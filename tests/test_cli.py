@@ -205,6 +205,35 @@ def test_dolbeault_results_pinned(tmp_path, name):
     assert digest == PINNED_DOLBEAULT[name]
 
 
+
+# SHA-256 of the `ord compute` result block on cycles where the presentations
+# of both endpoints cover every edge, recorded before ord_vector indexed the
+# flags by member set.
+PINNED_ORD_TWO_COVERS = {
+    4: "974b450efad631c7b2849c4deadee8ade7e75a02be0fb681730a04f06db73348",
+    7: "d0bc3349e7c5451382b85c7d4b8623ad1265cf0e85ec642ab288f6776c5ec9fa",
+    12: "c1080db04f69bac6c954060b75d6f6896505a4aaf5f73e5e6b80c6bf7be8d2db",
+}
+
+
+@pytest.mark.parametrize("m", sorted(PINNED_ORD_TWO_COVERS))
+def test_ord_compute_pinned_with_two_covers_per_edge(tmp_path, m):
+    rng = random.Random(4000 + m)
+    weights = ("1",) if m == 4 else ("1/2", "-3")
+    columns = {}
+    for i in range(1, m + 1):
+        edge = tuple(sorted((i, i % m + 1)))
+        columns[edge] = [(rng.randint(-4, 4), rng.randint(-4, 4))
+                         for _ in weights]
+    pres = cycle_presentations_from_tensor(m, weights, columns)
+    complex_path = write_json(tmp_path / "c.json",
+                              complex_to_json(cycle_complex(m)))
+    pres_path = write_json(tmp_path / "p.json", {
+        "presentations": [q.to_json_obj() for q in pres]})
+    digest = result_digest(["ord", "compute", "--complex", complex_path,
+                            "--pres", pres_path, "--p", "1"])
+    assert digest == PINNED_ORD_TWO_COVERS[m]
+
 def test_ss_validate_passes_on_consistent_model(tmp_path):
     cx = cycle_complex(4)
     path = write_json(tmp_path / "good.json",
@@ -391,6 +420,52 @@ def test_malformed_complex_exits_2(tmp_path, case):
     assert text.startswith(f"error: {path}: bad complex data:")
     assert "Traceback" not in text
 
+
+
+@pytest.mark.parametrize("field,value,where", [
+    ("indexSet", "12", "stratum E1_2: indexSet"),
+    ("indexSet", [1, 2.0], "stratum E1_2: indexSet"),
+    ("indexSet", [True, 2], "stratum E1_2: indexSet"),
+    ("level", 1.5, "stratum E1_2: level"),
+    ("level", True, "stratum E1_2: level"),
+    ("level", "1", "stratum E1_2: level"),
+    ("dim", 1.5, "h2 Y1: dim"),
+    ("dim", True, "h2 Y1: dim"),
+    ("dim", "1", "h2 Y1: dim"),
+])
+def test_complex_numbers_must_be_json_integers(tmp_path, field, value, where):
+    # before, "12" parsed as the index set (1, 2) and 1.5 was truncated to 1
+    obj = complex_to_json(cycle_complex(4), cycle_unit_h2(4))
+    if field == "dim":
+        obj["h2"]["Y1"]["dim"] = value
+    else:
+        assert obj["strata"][4]["label"] == "E1_2"
+        obj["strata"][4][field] = value
+    path = write_json(tmp_path / "bad.json", obj)
+    code, text = run(["ss", "monodromy", "--input", path, "--p", "1"])
+    assert code == 2
+    assert text.startswith(f"error: {path}: bad complex data: {where} must be")
+    assert "Traceback" not in text
+
+
+@pytest.mark.parametrize("case,message", [
+    ("entry_is_a_string", "presentation 0 is not an object"),
+    ("entry_is_a_list", "presentation 1 is not an object"),
+    ("flags_is_a_list", "presentation 0: flags must be an object"),
+])
+def test_malformed_presentations_exit_2(tmp_path, case, message):
+    complex_path, _ = cycle_files(tmp_path, 5)
+    if case == "entry_is_a_string":
+        pres = ["x"]
+    elif case == "entry_is_a_list":
+        pres = [cycle_orientation_presentations(5)[0].to_json_obj(), [1, 2]]
+    else:
+        pres = [{"component": 1, "weights": ["1"], "flags": []}]
+    pres_path = write_json(tmp_path / "bad.json", pres)
+    code, text = run(["ord", "compute", "--complex", complex_path,
+                      "--pres", pres_path, "--p", "1"])
+    assert code == 2
+    assert text == f"error: {pres_path}: bad presentation data: {message}\n"
 
 def test_missing_arguments_exit_2():
     with pytest.raises(SystemExit) as err:

@@ -16,7 +16,9 @@ from tropmono.order_map import (Presentation, dolbeault_ladder,
                                 presentation_tau, require_simplicial,
                                 tau_pullback)
 from tropmono.poly import Poly
-from tropmono.randgen import rand_fraction, rand_int_matrix
+from tropmono.randgen import (rand_constant_simplex_form, rand_fraction,
+                              rand_int_matrix)
+from tropmono.simplex import SimplexContext, SimplexForm, beta_recursion
 
 
 def test_ord_value_matches_weighted_determinants():
@@ -127,6 +129,66 @@ def test_ord_vector_error_paths():
     with pytest.raises(ValueError, match="disagree"):
         ord_vector(pres + [extra], cx, 1)
 
+
+
+def test_ord_vector_names_the_first_failing_stratum_in_level_order():
+    # the 5-cycle lists its edges E1_2, E2_3, E3_4, E4_5, E1_5; the faults
+    # below sit on E2_3 and E1_5, so sorting by index set would name E1_5
+    m = 5
+    cx = cycle_complex(m)
+    pres = cycle_orientation_presentations(m)
+    with pytest.raises(ValueError) as err:
+        ord_vector([pres[0], pres[2], pres[3]], cx, 1)
+    assert str(err.value) == "no presentation covers stratum E2_3"
+    extra = [Presentation(component=5, weights=(1,), flags={(5, 1): (((2,),),)}),
+             Presentation(component=2, weights=(1,), flags={(2, 3): (((3,),),)})]
+    with pytest.raises(ValueError) as err:
+        ord_vector(pres + extra, cx, 1)
+    assert str(err.value) == "presentations disagree on stratum E2_3"
+    # a flag whose matrices have more rows than walls fails in ord_value,
+    # and only when its stratum is reached
+    wide = Presentation(component=3, weights=(1,),
+                        flags={(3, 4): (((1,), (1,)),)})
+    with pytest.raises(ValueError) as err:
+        ord_vector(pres + [wide], cx, 1)
+    assert str(err.value) == "order value needs as many walls as rows"
+    with pytest.raises(ValueError) as err:
+        ord_vector([pres[0], pres[3], wide], cx, 1)
+    assert str(err.value) == "no presentation covers stratum E2_3"
+
+
+def test_ladder_names_the_first_failing_top_in_level_order():
+    cx = tetrahedron_complex()
+    tensors = {
+        "V1_2_3": [((0, 1, 3), (0, -3, -2))],
+        "V1_2_4": [((1, 1, 0), (2, 0, 1))],
+        "V1_3_4": [((0, 2, 1), (1, 1, -1))],
+        "V2_3_4": [((2, 0, 1), (0, 1, 1))],
+    }
+    pres = simplicial_presentations_from_tensors(cx, (1,), tensors)
+    faulty = ((1, 3, 4), (2, 3, 4))
+
+    def rebuilt(keep):
+        out = []
+        for q in pres:
+            flags = {}
+            for flag, mats in q.flags.items():
+                if tuple(sorted(flag)) in faulty:
+                    mats = keep(mats)
+                    if mats is None:
+                        continue
+                flags[flag] = mats
+            out.append(Presentation(q.component, q.weights, flags))
+        return out
+
+    with pytest.raises(ValueError) as err:
+        dolbeault_ladder(rebuilt(lambda mats: None), cx, 2)
+    assert str(err.value) == "no presentation covers stratum V1_3_4"
+    tampered = rebuilt(lambda mats: tuple(
+        tuple(tuple(x + 1 for x in row) for row in mat) for mat in mats))
+    with pytest.raises(ValueError) as err:
+        dolbeault_ladder(tampered, cx, 2)
+    assert str(err.value) == "presentations disagree on stratum V1_3_4"
 
 def test_cycle_order_vector_frozen_and_in_both_kernels():
     for m in range(3, 8):
@@ -326,6 +388,38 @@ def test_ladder_input_validation():
     with pytest.raises(ValueError, match="no presentation covers"):
         dolbeault_ladder(pres[1:], cx, 1)
 
+
+
+def test_constant_tower_and_ladder_never_substitute(monkeypatch):
+    # every stage of the tower is constant, so neither ray integration nor
+    # the normal forms may fall back to polynomial substitution
+    def refuse(self, args):
+        raise AssertionError("eval_poly reached on constant coefficients")
+
+    monkeypatch.setattr(Poly, "eval_poly", refuse)
+    rng = random.Random(62)
+    for n in (1, 2, 3, 4):
+        ctx = SimplexContext(n)
+        for p in range(1, n + 1):
+            betas = [SimplexForm.monomial(n + 1, idx, 1)
+                     for idx in itertools.combinations(range(n + 1), p)]
+            betas += [rand_constant_simplex_form(rng, n + 1, p)
+                      for _ in range(2)]
+            for beta in betas:
+                beta_recursion(ctx, beta, p)
+    cx = tetrahedron_complex()
+    height = {1: 0, 2: 1, 3: 3, 4: -2}
+    p1 = {z.label: [(tuple(height[v] for v in z.index_set),)]
+          for z in cx.level(2)}
+    p2 = {
+        "V1_2_3": [((0, 1, 3), (0, -3, -2))],
+        "V1_2_4": [((1, 1, 0), (2, 0, 1))],
+        "V1_3_4": [((0, 2, 1), (1, 1, -1))],
+        "V2_3_4": [((2, 0, 1), (0, 1, 1))],
+    }
+    for p, tensors in ((1, p1), (2, p2)):
+        pres = simplicial_presentations_from_tensors(cx, (1,), tensors)
+        assert dolbeault_ladder(pres, cx, p).final_check
 
 # SHA-256 of the ladder outputs below, recorded before the ladder stopped
 # integrating every stage a second time; ord values and comparisons must

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import json_digest
+from conftest import json_digest, sort_sign
 from tropmono.poly import Poly
 from tropmono.randgen import (rand_constant_simplex_form,
                               rand_hyperplane_point, rand_point,
@@ -113,6 +113,82 @@ def test_primitive_of_closed_form_differentiates_back():
         P = rand_hyperplane_point(rng, n1)
         assert alpha.star_integrate(P).exterior_derivative().raw_equal(alpha)
 
+
+
+def ray_integrate_by_substitution(form: SimplexForm, base) -> SimplexForm:
+    """Ray integration with every coefficient pulled back by polynomial
+    substitution, constants included: x -> base + t (x - base) in a ring with
+    a trailing t, keep the dt part, integrate t over [0, 1]."""
+    n1 = form.nvars
+    t = Poly.variable(n1 + 1, n1)
+    subs = [Poly.const(n1 + 1, b) + t * (Poly.variable(n1 + 1, i)
+                                         - Poly.const(n1 + 1, b))
+            for i, b in enumerate(base)]
+    out = SimplexForm.zero(n1)
+    for indices, f in form.terms.items():
+        g = f.eval_poly(subs)
+        for _ in range(len(indices) - 1):
+            g = g * t
+        for k, ik in enumerate(indices):
+            dt_part = g * (Poly.variable(n1 + 1, ik) - Poly.const(n1 + 1, base[ik]))
+            piece = dt_part.integrate_last_unit() * (-1) ** k
+            out = out + SimplexForm(n1, {indices[:k] + indices[k + 1:]: piece})
+    return out
+
+
+def normalize_by_substitution(form: SimplexForm, keep, pivot) -> SimplexForm:
+    """Normal form with every coefficient substituted, constants included:
+    x_pivot -> 1 - (other kept x), x_j -> 0 off the face, then
+    dx_pivot -> -(sum of the other kept dx)."""
+    n1 = form.nvars
+    others = [j for j in keep if j != pivot]
+    subs = [Poly.variable(n1, j) if j in keep else Poly.zero(n1)
+            for j in range(n1)]
+    subs[pivot] = Poly.const(n1, 1) - sum(
+        (Poly.variable(n1, j) for j in others), Poly.zero(n1))
+    out = SimplexForm.zero(n1)
+    for indices, f in form.terms.items():
+        if not set(indices) <= set(keep):
+            continue
+        f2 = f.eval_poly(subs)
+        if pivot not in indices:
+            out = out + SimplexForm(n1, {indices: f2})
+            continue
+        k = indices.index(pivot)
+        for j in others:
+            if j in indices:
+                continue
+            swapped = indices[:k] + (j,) + indices[k + 1:]
+            sign = -sort_sign(swapped)
+            out = out + SimplexForm(n1, {tuple(sorted(swapped)): f2 * sign})
+    return out
+
+
+def test_closed_forms_match_polynomial_substitution():
+    # constant coefficients take the closed form in ray_integrate and skip
+    # substitution in _normalize; both must be raw-identical to the general
+    # polynomial path on constant, polynomial and mixed forms
+    rng = random.Random(42)
+    for trial in range(300):
+        n1 = rng.randint(2, 5)
+        deg = rng.randint(1, n1)
+        kind = trial % 3
+        form = SimplexForm.zero(n1)
+        if kind != 1:
+            form = form + rand_constant_simplex_form(rng, n1, deg)
+        if kind != 0:
+            form = form + rand_poly_simplex_form(rng, n1, deg)
+        point = rand_point if rng.random() < 0.5 else rand_hyperplane_point
+        base = point(rng, n1)
+        integrated = form.ray_integrate(base)
+        assert integrated.raw_equal(ray_integrate_by_substitution(form, base))
+        face = tuple(sorted(rng.sample(range(n1), rng.randint(1, n1))))
+        pivot = rng.randrange(n1)
+        for value in (form, integrated):
+            assert value.canonical(pivot).raw_equal(
+                normalize_by_substitution(value, tuple(range(n1)), pivot))
+            assert value.reduce_to_face(face).raw_equal(
+                normalize_by_substitution(value, face, face[0]))
 
 def test_star_integrate_requires_hyperplane_base():
     with pytest.raises(ValueError):
@@ -296,3 +372,32 @@ def test_tower_stages_pinned():
                             for r in range(p)])
                 out.append([str(chain[p][I]) for I in sorted(chain[p].values)])
     assert json_digest(out) == PINNED_TOWER_STAGES
+
+
+# SHA-256 of the raw representatives of every beta_recursion stage (not
+# their canonical forms), recorded while ray integration still substituted
+# polynomials term by term; the closed form must reproduce them exactly.
+PINNED_RAW_TOWER_STAGES = {
+    1: "3a5904aa851091c91ba0366bd8cab559d8fe9ecfb5a8dd2e34724c52123665be",
+    2: "62f326dea4cbc2975740c376274a75db87d47f72b33acc6b0041b375cf28884d",
+    3: "32b7e5c74d366a7d00e3672b92148fb5f81a1584777037d604192e4610379bbf",
+    4: "bfdfb0f427591247765382915557bbef20ac25856353d2f4272a1d9e007d452c",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_RAW_TOWER_STAGES))
+def test_raw_tower_stages_pinned(n):
+    rng = random.Random(1707 + n)
+    ctx = SimplexContext(n)
+    out = []
+    for p in range(1, n + 1):
+        betas = [du(n + 1, idx)
+                 for idx in itertools.combinations(range(n + 1), p)]
+        betas += [rand_constant_simplex_form(rng, n + 1, p) for _ in range(3)]
+        for beta in betas:
+            chain = beta_recursion(ctx, beta, p)
+            out.append([[chain[r][I].to_json_obj()
+                         for I in sorted(chain[r].values)]
+                        for r in range(p)])
+            out.append([str(chain[p][I]) for I in sorted(chain[p].values)])
+    assert json_digest(out) == PINNED_RAW_TOWER_STAGES[n]
