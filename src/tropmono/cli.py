@@ -298,14 +298,9 @@ def cmd_simplex_starprop(args) -> RunReport:
 def _load_complex(path: str, report: RunReport):
     obj = _load_json(path, report)
     try:
-        complex_, h2 = complex_from_json(obj)
-        if h2 is not None:
-            # check every declared Gysin vector now, not at first use
-            for parent, child in h2.gysin:
-                h2.gysin_vector(parent, child)
+        return complex_from_json(obj)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"{path}: bad complex data: {exc}")
-    return complex_, h2
 
 
 def cmd_ss_e2(args) -> RunReport:
@@ -399,12 +394,8 @@ def _load_presentations(path: str, report: RunReport) -> list[Presentation]:
     if not isinstance(obj, list):
         raise CliError(f"{path}: expected a list of presentations")
     try:
-        for k, entry in enumerate(obj):
-            if not isinstance(entry, dict):
-                raise TypeError(f"presentation {k} is not an object")
-            if not isinstance(entry.get("flags", {}), dict):
-                raise TypeError(f"presentation {k}: flags must be an object")
-        return [Presentation.from_json_obj(entry) for entry in obj]
+        return [Presentation.from_json_obj(entry, f"presentation {k}")
+                for k, entry in enumerate(obj)]
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"{path}: bad presentation data: {exc}")
 

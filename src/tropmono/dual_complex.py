@@ -49,6 +49,8 @@ class SemistableCombinatorics:
         components = tuple(components)
         if len(set(components)) != len(components):
             raise ValueError("duplicate component names")
+        if not components:
+            raise ValueError("a complex needs at least one component")
         self.components = components
         m = len(components)
         labels = [s.label for s in strata]
@@ -102,10 +104,6 @@ class SemistableCombinatorics:
                     raise ValueError(f"stratum {s.label}: parent squares do not close")
         self._by_level = {lvl: tuple(group) for lvl, group in by_level.items()}
         self._by_label = by_label
-        self._positions = {
-            lvl: {s.label: k for k, s in enumerate(group)}
-            for lvl, group in self._by_level.items()
-        }
 
     @property
     def max_level(self) -> int:
@@ -113,13 +111,6 @@ class SemistableCombinatorics:
 
     def level(self, p: int) -> tuple[Stratum, ...]:
         return self._by_level.get(p, ())
-
-    def stratum(self, label: str) -> Stratum:
-        return self._by_label[label]
-
-    def position(self, label: str) -> int:
-        s = self._by_label[label]
-        return self._positions[s.level][label]
 
     def children(self, label: str) -> list[Stratum]:
         return list(self._children[label])
@@ -142,6 +133,9 @@ class H2Model:
             raise ValueError("negative dimension")
         self.gysin = {key: tuple(as_fraction(x) for x in vec)
                       for key, vec in dict(gysin).items()}
+        for (parent, child), vec in self.gysin.items():
+            if len(vec) != self.dim(parent):
+                raise ValueError(f"Gysin vector for {child} in {parent} has wrong length")
         self.restrict = dict(restrict)
 
     def dim(self, label: str) -> int:
@@ -149,11 +143,7 @@ class H2Model:
 
     def gysin_vector(self, parent: str, child: str) -> Vector:
         vec = self.gysin.get((parent, child))
-        if vec is None:
-            return (Fraction(0),) * self.dim(parent)
-        if len(vec) != self.dim(parent):
-            raise ValueError(f"Gysin vector for {child} in {parent} has wrong length")
-        return vec
+        return (Fraction(0),) * self.dim(parent) if vec is None else vec
 
     def restriction(self, parent: str, child: str) -> QMatrix:
         mat = self.restrict.get((parent, child))
@@ -247,18 +237,13 @@ def h2_pullback(complex_: SemistableCombinatorics, h2: H2Model, p: int) -> QMatr
     return QMatrix(data, ncols=ncols)
 
 
-def validate_relation(complex_: SemistableCombinatorics, h2: H2Model, p: int) -> bool:
-    """Check that restricting after pushing forward cancels against pushing
-    forward after restricting, as maps out of level-p H^0.  Defined for
-    p >= 1; the p-1 level must carry restriction data wherever both its
-    dimension and a child dimension are positive."""
+def relation_composite(complex_: SemistableCombinatorics, h2: H2Model, p: int) -> QMatrix:
+    """Restricting after pushing forward plus pushing forward after
+    restricting, as maps out of level-p H^0; the relation holds when this is
+    zero.  Defined for p >= 1; the p-1 level must carry restriction data
+    wherever both its dimension and a child dimension are positive."""
     if p < 1:
         raise ValueError("the relation pairs levels p-1 and p+1; need p >= 1")
-    composite = relation_composite(complex_, h2, p)
-    return composite.is_zero()
-
-
-def relation_composite(complex_: SemistableCombinatorics, h2: H2Model, p: int) -> QMatrix:
     first = h2_pullback(complex_, h2, p - 1) @ delta_pushforward(complex_, h2, p)
     second = delta_pushforward(complex_, h2, p + 1) @ delta_pullback(complex_, p)
     return first + second
@@ -289,22 +274,6 @@ def e2_p0(complex_: SemistableCombinatorics, p: int) -> E2Summary:
 
 
 @dataclass(frozen=True)
-class E2Corner:
-    p: int
-    kernel: tuple[Vector, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.kernel)
-
-
-def e2_corner_kernel(complex_: SemistableCombinatorics, h2: H2Model, p: int) -> E2Corner:
-    """Joint kernel of the level-p restriction and the Gysin pushforward."""
-    stacked = delta_pullback(complex_, p).vstack(delta_pushforward(complex_, h2, p))
-    return E2Corner(p, tuple(linalg.kernel_basis(stacked)))
-
-
-@dataclass(frozen=True)
 class CornerMonodromy:
     p: int
     matrix: QMatrix          # coordinates in the representative basis
@@ -319,16 +288,17 @@ class CornerMonodromy:
 
 
 def corner_monodromy(complex_: SemistableCombinatorics, h2: H2Model, p: int) -> CornerMonodromy:
-    """The identity-induced comparison from the joint kernel into the
-    restriction quotient: each kernel vector is expressed in the image basis
-    plus quotient representatives, and only the representative coordinates
-    survive."""
-    corner = e2_corner_kernel(complex_, h2, p)
+    """The identity-induced comparison from the joint kernel of the level-p
+    restriction and the Gysin pushforward into the restriction quotient: each
+    kernel vector is expressed in the image basis plus quotient
+    representatives, and only the representative coordinates survive."""
+    corner = linalg.kernel_basis(
+        delta_pullback(complex_, p).vstack(delta_pushforward(complex_, h2, p)))
     summary = e2_p0(complex_, p)
     mixed = list(summary.image) + list(summary.representatives)
     cols = QMatrix.from_columns(mixed, nrows=len(complex_.level(p)))
     out_cols = []
-    for coords in linalg.solve_many(cols, corner.kernel):
+    for coords in linalg.solve_many(cols, corner):
         if coords is None:
             raise RuntimeError("corner kernel does not lie in the restriction kernel")
         out_cols.append(coords[len(summary.image):])
@@ -337,9 +307,9 @@ def corner_monodromy(complex_: SemistableCombinatorics, h2: H2Model, p: int) -> 
     return CornerMonodromy(
         p=p,
         matrix=matrix,
-        domain_dim=corner.dim,
+        domain_dim=len(corner),
         codomain_dim=summary.dim,
-        injective=(r == corner.dim),
+        injective=(r == len(corner)),
         surjective=(r == summary.dim),
     )
 
@@ -419,10 +389,16 @@ def complex_from_json(obj: Mapping) -> tuple[SemistableCombinatorics, Optional[H
         dims = {}
         gysin = {}
         restrict = {}
+        parents_of = {s.label: s.parents.values() for s in strata}
         for label, entry in obj["h2"].items():
+            if label not in parents_of:
+                raise ValueError(f"h2 {label}: not a stratum")
             if type(entry["dim"]) is not int:
                 raise ValueError(f"h2 {label}: dim must be an integer")
             dims[label] = entry["dim"]
+            for child in [*entry.get("gysin", {}), *entry.get("restrict", {})]:
+                if label not in parents_of.get(child, ()):
+                    raise ValueError(f"h2 {label}: {child} is not a child of {label}")
             for child, vec in entry.get("gysin", {}).items():
                 gysin[(label, child)] = [as_fraction(x) for x in vec]
             for child, rows in entry.get("restrict", {}).items():

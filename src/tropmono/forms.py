@@ -46,24 +46,6 @@ class Superform(_Terms):
             coeff = Poly.const(nvars, coeff)
         return cls(nvars, {(tuple(dprime), tuple(dsecond)): coeff})
 
-    @classmethod
-    def one_prime(cls, nvars: int, i: int) -> "Superform":
-        return cls.monomial(nvars, (i,), (), 1)
-
-    @classmethod
-    def one_second(cls, nvars: int, i: int) -> "Superform":
-        return cls.monomial(nvars, (), (i,), 1)
-
-    def bidegrees(self) -> set[tuple[int, int]]:
-        return {(len(i), len(j)) for i, j in self.terms}
-
-    def graded_piece(self, p: int, q: int) -> "Superform":
-        return self._made({k: v for k, v in self.terms.items()
-                           if (len(k[0]), len(k[1])) == (p, q)})
-
-    def is_homogeneous(self) -> bool:
-        return len(self.bidegrees()) <= 1
-
     def wedge(self, other: "Superform") -> "Superform":
         """Graded product.  The cross sign (-1)^(p' * q) moves the incoming d'
         block through the resident d'' block; block-internal sorting then
@@ -197,10 +179,6 @@ class AffineMap:
     def target_dim(self) -> int:
         return self.matrix.nrows
 
-    @classmethod
-    def identity(cls, n: int) -> "AffineMap":
-        return cls(QMatrix.identity(n))
-
     def pullback(self, omega: Superform) -> "Superform":
         if omega.nvars != self.target_dim:
             raise ValueError("form does not live on the target space")
@@ -239,9 +217,3 @@ class AffineMap:
                         break
                 total = total + acc
         return total
-
-
-def vanishes_on_affine_span(omega: Superform, chart: AffineMap) -> bool:
-    """Face membership test: does the form die on the affine span the chart
-    parametrizes?"""
-    return chart.pullback(omega).is_zero()

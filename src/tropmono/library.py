@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .dual_complex import H2Model, SemistableCombinatorics, Stratum, unit_h2
+from .dual_complex import H2Model, SemistableCombinatorics, Stratum
 from .linalg import QMatrix
 from .order_map import Presentation
 
@@ -54,12 +54,6 @@ def tetrahedron_complex() -> SemistableCombinatorics:
     return SemistableCombinatorics([f"Y{i}" for i in range(1, 5)], strata)
 
 
-def cycle_unit_h2(m: int) -> H2Model:
-    """Unit model for the cycle: each component carries a one-dimensional
-    space, each edge pushes the unit class into both neighbours."""
-    return unit_h2(cycle_complex(m))
-
-
 def cycle_validation_h2(m: int) -> H2Model:
     """Cycle model carrying enough H2 data for the pushforward/pullback
     cancellation check.
@@ -97,11 +91,6 @@ def all_ones_h2(complex_: SemistableCombinatorics) -> H2Model:
                 gysin[(s.label, child.label)] = (Fraction(1),)
                 restrict[(s.label, child.label)] = QMatrix([[1]])
     return H2Model(dims, gysin, restrict)
-
-
-def zero_gysin_h2(complex_: SemistableCombinatorics, level: int = 0) -> H2Model:
-    """Unit dimensions at the given level but vanishing Gysin vectors."""
-    return H2Model({s.label: 1 for s in complex_.level(level)})
 
 
 def cycle_orientation_presentations(m: int) -> list[Presentation]:

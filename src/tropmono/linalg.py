@@ -1,10 +1,10 @@
 """Exact rational linear algebra and ordered-index bookkeeping.
 
 Everything here runs over Fraction; no floats anywhere.  One elimination
-routine serves rank, det, rref, kernel_basis and solve: rows are cleared of
-denominators and pushed, in order, through the integer-preserving step of
-Bareiss (Math. Comp. 1968), each kept row pivoting on its first nonzero
-entry.  ``Echelon`` exposes the same step incrementally: ``add`` keeps a
+routine serves rank, det, rref, kernel_basis and solve_many: rows are
+cleared of denominators and pushed, in order, through the integer-preserving
+step of Bareiss (Math. Comp. 1968), each kept row pivoting on its first
+nonzero entry.  ``Echelon`` exposes the same step incrementally: ``add`` keeps a
 vector only when it raises the rank, so feeding candidates in scan order
 selects the first independent ones and repeated runs yield byte-identical
 bases.
@@ -99,10 +99,6 @@ class QMatrix:
         return cls([[0] * ncols for _ in range(nrows)], ncols=ncols)
 
     @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
     def from_columns(cls, cols: Sequence[Sequence], nrows: Optional[int] = None) -> "QMatrix":
         if cols:
             nrows = len(cols[0])
@@ -118,9 +114,6 @@ class QMatrix:
     def row(self, i: int) -> Vector:
         return self.data[i]
 
-    def column(self, j: int) -> Vector:
-        return tuple(self.data[i][j] for i in range(self.nrows))
-
     def transpose(self) -> "QMatrix":
         return QMatrix([[self.data[i][j] for i in range(self.nrows)]
                         for j in range(self.ncols)], ncols=self.nrows)
@@ -130,13 +123,6 @@ class QMatrix:
             raise ValueError("shape mismatch")
         return QMatrix([[a + b for a, b in zip(r1, r2)]
                         for r1, r2 in zip(self.data, other.data)], ncols=self.ncols)
-
-    def __neg__(self) -> "QMatrix":
-        return QMatrix([[-x for x in r] for r in self.data], ncols=self.ncols)
-
-    def scale(self, c) -> "QMatrix":
-        c = as_fraction(c)
-        return QMatrix([[c * x for x in r] for r in self.data], ncols=self.ncols)
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.ncols != other.nrows:
@@ -218,7 +204,7 @@ def _push(stored: list[Pivot], row: list[int]) -> bool:
 
 def _echelon(m: QMatrix) -> list[Pivot]:
     """Fraction-free echelon of the rows of m, taken in order; the single
-    elimination routine behind rank, det, rref, kernel_basis and solve."""
+    elimination routine behind rank, det, rref, kernel_basis and solve_many."""
     stored: list[Pivot] = []
     for row in m.data:
         _push(stored, _clear(row)[1])
@@ -311,22 +297,3 @@ def solve_many(m: QMatrix, rhs: Sequence[Sequence]) -> list[Optional[Vector]]:
             x[c] = row[col]
         out.append(None if any(row[col] for row in reduced[r:]) else tuple(x))
     return out
-
-
-def solve(m: QMatrix, b: Sequence) -> Optional[Vector]:
-    """One exact solution of m x = b with free variables set to 0, or None."""
-    return solve_many(m, [b])[0]
-
-
-def extend_basis(sub: Sequence[Vector], vectors: Sequence[Vector],
-                 length: int) -> list[Vector]:
-    """Pick vectors (in order) that extend span(sub) to span(sub + vectors).
-
-    The returned representatives are a deterministic transversal basis of the
-    quotient span(sub + vectors) / span(sub): the first independent vectors
-    in scan order.
-    """
-    echelon = Echelon(length)
-    for v in sub:
-        echelon.add(v)
-    return [tuple(as_fraction(x) for x in v) for v in vectors if echelon.add(v)]

@@ -98,39 +98,29 @@ class Presentation:
         }
 
     @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "Presentation":
-        flags = {}
-        for key, mats in obj.get("flags", {}).items():
-            flag = tuple(int(part) for part in key.split(","))
-            flags[flag] = tuple(tuple(tuple(int(x) for x in row) for row in mat)
-                                for mat in mats)
-        return cls(component=int(obj["component"]),
+    def from_json_obj(cls, obj: Mapping, where: str = "presentation") -> "Presentation":
+        """Read the JSON form; the component and every exponent must be JSON
+        integers (not true, not floats).  Errors name ``where``."""
+        if not isinstance(obj, dict):
+            raise TypeError(f"{where} is not an object")
+        flags = obj.get("flags", {})
+        if not isinstance(flags, dict):
+            raise TypeError(f"{where}: flags must be an object")
+        if type(obj["component"]) is not int:
+            raise ValueError(f"{where}: component must be an integer")
+        for key, mats in flags.items():
+            if any(type(x) is not int for mat in mats for row in mat for x in row):
+                raise ValueError(f"{where}: flag {key}: exponents must be integers")
+        return cls(component=obj["component"],
                    weights=tuple(as_fraction(w) for w in obj["weights"]),
-                   flags=flags)
-
-
-def epsilon_sigma(sigma: Sequence[int]) -> int:
-    """Sign relating the order value along a reordered flag to the value
-    along the increasing flag.  For sigma fixing 0 it is the parity of the
-    tail; otherwise the negative parity of the tail against 1..p with the
-    displaced value replaced by 0."""
-    sigma = tuple(int(s) for s in sigma)
-    p = len(sigma) - 1
-    if sorted(sigma) != list(range(p + 1)):
-        raise ValueError("not a permutation of 0..p")
-    if sigma[0] == 0:
-        return perm_sign(sigma[1:])
-    source = [0 if v == sigma[0] else v for v in range(1, p + 1)]
-    pos = {v: k for k, v in enumerate(source)}
-    return -perm_sign([pos[v] for v in sigma[1:]])
+                   flags={tuple(int(part) for part in key.split(",")): mats
+                          for key, mats in flags.items()})
 
 
 def flag_normalization(flag: Flag) -> tuple[tuple[int, ...], int]:
     """Sorted member set of a flag and the sign carrying its order value to
-    the increasing order."""
-    members = tuple(sorted(flag))
-    sigma = tuple(members.index(v) for v in flag)
-    return members, epsilon_sigma(sigma)
+    the increasing order: the sign of the permutation that sorts the flag."""
+    return tuple(sorted(flag)), perm_sign(flag)
 
 
 def _flags_by_members(presentations: Sequence[Presentation]

@@ -153,11 +153,6 @@ class Poly(_Terms):
             raise ValueError("polynomial is not constant")
         return self.terms.get((0,) * self.nvars, Fraction(0))
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(exps) for exps in self.terms)
-
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return super().__mul__(other)
@@ -208,11 +203,6 @@ class Poly(_Terms):
                 prod *= x ** e
             total += prod
         return total
-
-    def lift(self, extra: int) -> "Poly":
-        """Reinterpret in a ring with `extra` new trailing variables."""
-        pad = (0,) * extra
-        return Poly(self.nvars + extra, {e + pad: c for e, c in self.terms.items()})
 
     def integrate_last_unit(self) -> "Poly":
         """Integrate the last variable over [0, 1] and drop it."""

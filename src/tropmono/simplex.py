@@ -40,16 +40,6 @@ class SimplexContext:
     def __setattr__(self, name, value):
         raise AttributeError("SimplexContext is immutable")
 
-    @property
-    def ambient_vars(self) -> int:
-        return self.n + 1
-
-    def vertex(self, j: int) -> tuple[Fraction, ...]:
-        if not 0 <= j <= self.n:
-            raise ValueError("vertex index out of range")
-        return tuple(Fraction(1) if i == j else Fraction(0)
-                     for i in range(self.n + 1))
-
     def barycenter(self, subset: Sequence[int]) -> tuple[Fraction, ...]:
         subset = _subset(subset, self.n)
         if not subset:
@@ -57,9 +47,6 @@ class SimplexContext:
         w = Fraction(1, len(subset))
         return tuple(w if i in subset else Fraction(0)
                      for i in range(self.n + 1))
-
-    def subsets(self, size: int) -> list[IndexTuple]:
-        return [tuple(c) for c in itertools.combinations(range(self.n + 1), size)]
 
 
 def _subset(indices: Sequence[int], n: int) -> IndexTuple:
@@ -271,11 +258,6 @@ class SimplexForm(_Terms):
                 for k in sorted(self.terms)]
 
 
-def constant_form(nvars: int, coeffs: Mapping[IndexTuple, object]) -> SimplexForm:
-    return SimplexForm(nvars, {tuple(k): Poly.const(nvars, v)
-                               for k, v in coeffs.items()})
-
-
 class SimplexCochain:
     """Assignment of values to all vertex subsets of a fixed size r+1.
 
@@ -328,10 +310,6 @@ class SimplexCochain:
             out[J] = total
         return SimplexCochain(self.n, self.degree + 1, out)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SimplexCochain) and self.n == other.n
-                and self.degree == other.degree and self.values == other.values)
-
 
 def integrate_cochain(ctx: SimplexContext, cochain: SimplexCochain) -> SimplexCochain:
     """Star-integrate each value at the barycenter of its own subset."""
@@ -349,7 +327,7 @@ def beta_recursion(ctx: SimplexContext, beta: SimplexForm, p: int) -> list[Simpl
     n = ctx.n
     if not 1 <= p <= n:
         raise ValueError("need 1 <= p <= n")
-    if beta.nvars != ctx.ambient_vars:
+    if beta.nvars != n + 1:
         raise ValueError("form does not live on this simplex")
     if beta.degrees() not in ({p}, set()):
         raise ValueError("form must be homogeneous of the stated degree")

@@ -7,10 +7,11 @@ import pytest
 from conftest import json_digest
 from tropmono.cli import main, run
 from tropmono.dual_complex import (SemistableCombinatorics, Stratum,
-                                   complex_to_json, relabel_components)
+                                   complex_to_json, relabel_components,
+                                   unit_h2)
 from tropmono.library import (all_ones_h2, cycle_complex,
                               cycle_orientation_presentations,
-                              cycle_presentations_from_tensor, cycle_unit_h2,
+                              cycle_presentations_from_tensor,
                               cycle_validation_h2, point_complex,
                               simplicial_presentations_from_tensors,
                               tetrahedron_complex)
@@ -390,14 +391,36 @@ def test_bad_complex_data(tmp_path):
     assert "bad complex data" in text
 
 
+# what the error names, for the cases whose message is fixed
+COMPLEX_FAULTS = {
+    "gysin_length_monodromy": "Gysin vector for E1_2 in Y1 has wrong length",
+    "h2_unknown_stratum": "h2 GHOST: not a stratum",
+    "gysin_unknown_child": "h2 Y1: NOPE is not a child of Y1",
+    "gysin_not_a_child": "h2 Y1: E2_3 is not a child of Y1",
+    "restrict_unknown_child": "h2 Y2: NOPE is not a child of Y2",
+    "no_components": "a complex needs at least one component",
+}
+
+
 def _malformed_complex(case):
-    obj = complex_to_json(cycle_complex(4), cycle_unit_h2(4))
+    cx = cycle_complex(4)
+    obj = complex_to_json(cx, unit_h2(cx))
     if case in ("gysin_length_monodromy", "gysin_length_ord_check"):
         obj["h2"]["Y1"]["gysin"]["E1_2"] = ["1", "2"]
     elif case == "stratum_is_a_string":
         obj["strata"][0] = "Y1"
     elif case == "parents_is_a_list":
         obj["strata"][4]["parents"] = ["Y2", "Y1"]
+    elif case == "h2_unknown_stratum":
+        obj["h2"]["GHOST"] = {"dim": 1}
+    elif case == "gysin_unknown_child":
+        obj["h2"]["Y1"]["gysin"]["NOPE"] = ["1"]
+    elif case == "gysin_not_a_child":
+        obj["h2"]["Y1"]["gysin"]["E2_3"] = ["1"]
+    elif case == "restrict_unknown_child":
+        obj["h2"]["Y2"]["restrict"] = {"NOPE": [["1"]]}
+    elif case == "no_components":
+        obj = {"components": [], "strata": []}
     else:
         obj["h2"] = [obj["h2"]["Y1"]]
     return obj
@@ -405,10 +428,16 @@ def _malformed_complex(case):
 
 @pytest.mark.parametrize("case", [
     "gysin_length_monodromy", "gysin_length_ord_check", "stratum_is_a_string",
-    "parents_is_a_list", "h2_is_a_list"])
+    "parents_is_a_list", "h2_is_a_list", "h2_unknown_stratum",
+    "gysin_unknown_child", "gysin_not_a_child", "restrict_unknown_child",
+    "no_components"])
 def test_malformed_complex_exits_2(tmp_path, case):
+    # before, the unknown labels were kept and `ss monodromy` reported an
+    # isomorphism; `ss e2` on the empty complex passed zero checks
     path = write_json(tmp_path / "bad.json", _malformed_complex(case))
-    if case == "gysin_length_ord_check":
+    if case == "no_components":
+        argv = ["ss", "e2", "--input", path]
+    elif case == "gysin_length_ord_check":
         pres = [p.to_json_obj() for p in cycle_orientation_presentations(4)]
         pres_path = write_json(tmp_path / "pres.json", {"presentations": pres})
         argv = ["ord", "check", "--complex", path, "--pres", pres_path,
@@ -418,6 +447,7 @@ def test_malformed_complex_exits_2(tmp_path, case):
     code, text = run(argv)
     assert code == 2
     assert text.startswith(f"error: {path}: bad complex data:")
+    assert COMPLEX_FAULTS.get(case, "") in text
     assert "Traceback" not in text
 
 
@@ -435,7 +465,8 @@ def test_malformed_complex_exits_2(tmp_path, case):
 ])
 def test_complex_numbers_must_be_json_integers(tmp_path, field, value, where):
     # before, "12" parsed as the index set (1, 2) and 1.5 was truncated to 1
-    obj = complex_to_json(cycle_complex(4), cycle_unit_h2(4))
+    cx = cycle_complex(4)
+    obj = complex_to_json(cx, unit_h2(cx))
     if field == "dim":
         obj["h2"]["Y1"]["dim"] = value
     else:
@@ -452,15 +483,31 @@ def test_complex_numbers_must_be_json_integers(tmp_path, field, value, where):
     ("entry_is_a_string", "presentation 0 is not an object"),
     ("entry_is_a_list", "presentation 1 is not an object"),
     ("flags_is_a_list", "presentation 0: flags must be an object"),
+    ("exponent_is_a_float", "presentation 0: flag 1,2: exponents must be integers"),
+    ("exponent_is_true", "presentation 0: flag 1,2: exponents must be integers"),
+    ("exponent_is_a_string", "presentation 0: flag 1,2: exponents must be integers"),
+    ("component_is_a_float", "presentation 1: component must be an integer"),
+    ("component_is_true", "presentation 1: component must be an integer"),
+    ("component_is_a_string", "presentation 1: component must be an integer"),
 ])
 def test_malformed_presentations_exit_2(tmp_path, case, message):
+    # before, an exponent 1.5 was truncated to 1 and a component 2.7 to 2
     complex_path, _ = cycle_files(tmp_path, 5)
     if case == "entry_is_a_string":
         pres = ["x"]
     elif case == "entry_is_a_list":
         pres = [cycle_orientation_presentations(5)[0].to_json_obj(), [1, 2]]
-    else:
+    elif case == "flags_is_a_list":
         pres = [{"component": 1, "weights": ["1"], "flags": []}]
+    else:
+        pres = [p.to_json_obj() for p in cycle_orientation_presentations(5)]
+        bad = {"exponent_is_a_float": 1.5, "exponent_is_true": True,
+               "exponent_is_a_string": "1", "component_is_a_float": 2.7,
+               "component_is_true": True, "component_is_a_string": "2"}[case]
+        if case.startswith("exponent"):
+            pres[0]["flags"]["1,2"][0][0][0] = bad
+        else:
+            pres[1]["component"] = bad
     pres_path = write_json(tmp_path / "bad.json", pres)
     code, text = run(["ord", "compute", "--complex", complex_path,
                       "--pres", pres_path, "--p", "1"])

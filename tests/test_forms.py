@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import json_digest, sort_sign
-from tropmono.forms import AffineMap, Superform, vanishes_on_affine_span
+from tropmono.forms import AffineMap, Superform
 from tropmono.linalg import QMatrix
 from tropmono.poly import Poly
 from tropmono.randgen import (rand_affine_map, rand_point, rand_poly,
@@ -126,11 +126,16 @@ def test_monodromy_rejects_pure_second_kind():
 
 
 def test_graded_piece_and_homogeneity():
+    # mixed bidegrees coexist in one value and split back by bidegree
     a = monomial(2, (0,), ()) + monomial(2, (), (1,))
-    assert not a.is_homogeneous()
-    assert a.graded_piece(1, 0) == monomial(2, (0,), ())
-    assert a.graded_piece(0, 1) == monomial(2, (), (1,))
-    assert a.bidegrees() == {(1, 0), (0, 1)}
+    bidegrees = {(len(i), len(j)) for i, j in a.terms}
+    assert bidegrees == {(1, 0), (0, 1)}
+
+    def piece(p, q):
+        return Superform(2, {k: f for k, f in a.terms.items()
+                             if (len(k[0]), len(k[1])) == (p, q)})
+    assert piece(1, 0) == monomial(2, (0,), ())
+    assert piece(0, 1) == monomial(2, (), (1,))
 
 
 def compose(outer: AffineMap, inner: AffineMap) -> AffineMap:
@@ -184,9 +189,9 @@ def test_pullback_agrees_pointwise_on_functions():
 def test_vanishing_on_affine_span():
     # the second coordinate is frozen on the chart t -> (t, c)
     chart = AffineMap(QMatrix([[1], [0]], ncols=1), [0, 5])
-    assert vanishes_on_affine_span(monomial(2, (1,), ()), chart)
-    assert vanishes_on_affine_span(monomial(2, (), (1,)), chart)
-    assert not vanishes_on_affine_span(monomial(2, (0,), ()), chart)
+    assert chart.pullback(monomial(2, (1,), ())).is_zero()
+    assert chart.pullback(monomial(2, (), (1,))).is_zero()
+    assert not chart.pullback(monomial(2, (0,), ())).is_zero()
 
 
 def test_json_roundtrip_uses_one_based_indices():

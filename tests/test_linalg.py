@@ -87,7 +87,8 @@ def test_rank_matches_independent_elimination():
         m = rand_matrix(rng, nr, nc)
         assert linalg.rank(m) == rank_gauss([list(r) for r in m.data])
     assert linalg.rank(QMatrix.zeros(3, 4)) == 0
-    assert linalg.rank(QMatrix.identity(5)) == 5
+    assert linalg.rank(QMatrix([[int(i == j) for j in range(5)]
+                                for i in range(5)])) == 5
 
 
 def test_kernel_frozen_and_property():
@@ -115,12 +116,12 @@ def test_solve_recovers_solutions_and_detects_inconsistency():
         x0 = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
               for _ in range(nc)]
         b = m.matvec(x0)
-        x = linalg.solve(m, b)
+        x = linalg.solve_many(m, [b])[0]
         assert x is not None
         assert m.matvec(x) == tuple(b)
     # 0 = 1 has no solution
-    assert linalg.solve(QMatrix([[0]], ncols=1), [1]) is None
-    assert linalg.solve(QMatrix([[1, 1], [1, 1]], ncols=2), [0, 1]) is None
+    assert linalg.solve_many(QMatrix([[0]], ncols=1), [[1]]) == [None]
+    assert linalg.solve_many(QMatrix([[1, 1], [1, 1]], ncols=2), [[0, 1]]) == [None]
 
 
 def test_rref_reports_pivots():
@@ -129,10 +130,19 @@ def test_rref_reports_pivots():
     assert rows[0] == (Fraction(0), Fraction(1), Fraction(1, 2))
 
 
+def echelon_selection(sub, vectors, length):
+    """The vectors that raise the rank of one Echelon fed sub, then vectors,
+    in scan order: the rule e2_p0 picks its representatives by."""
+    echelon = linalg.Echelon(length)
+    for v in sub:
+        echelon.add(v)
+    return [tuple(Fraction(x) for x in v) for v in vectors if echelon.add(v)]
+
+
 def test_extend_basis_builds_a_transversal():
     sub = [(1, 0, 0, 0)]
     vecs = [(1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
-    reps = linalg.extend_basis(sub, vecs, 4)
+    reps = echelon_selection(sub, vecs, 4)
     assert len(reps) == 2
     assert rank_gauss([list(v) for v in sub + reps]) == 3
     # deterministic: first independent candidates win
@@ -181,7 +191,7 @@ def test_extend_basis_matches_repeated_rank_reference():
         pool = rand_vectors(rng, rng.randint(0, 10), length)
         cut = rng.randint(0, len(pool))
         sub, vectors = pool[:cut], pool[cut:]
-        got = linalg.extend_basis(sub, vectors, length)
+        got = echelon_selection(sub, vectors, length)
         assert got == extend_basis_by_ranks(sub, vectors)
 
 
@@ -215,7 +225,7 @@ def test_solve_many_matches_per_vector_solve():
                 rhs.append(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                                  for _ in range(nr)))
         got = linalg.solve_many(m, rhs)
-        assert got == [linalg.solve(m, b) for b in rhs]
+        assert got == [linalg.solve_many(m, [b])[0] for b in rhs]
         for b, x in zip(rhs, got):
             aug = [list(row) + [b[i]] for i, row in enumerate(m.data)]
             consistent = rank_gauss(aug) == rank_gauss([list(r) for r in m.data])

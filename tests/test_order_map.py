@@ -4,15 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import det_cofactor, json_digest
+from conftest import det_cofactor, json_digest, sort_sign
 from tropmono.dual_complex import (SemistableCombinatorics, Stratum,
-                                   check_vanishing_vector)
+                                   check_vanishing_vector, unit_h2)
 from tropmono.library import (cycle_complex, cycle_orientation_presentations,
-                              cycle_presentations_from_tensor, cycle_unit_h2,
+                              cycle_presentations_from_tensor,
                               point_complex, simplicial_presentations_from_tensors,
                               tetrahedron_complex)
 from tropmono.order_map import (Presentation, dolbeault_ladder,
-                                epsilon_sigma, flag_normalization, ord_vector,
+                                flag_normalization, ord_vector,
                                 presentation_tau, require_simplicial,
                                 tau_pullback)
 from tropmono.poly import Poly
@@ -36,14 +36,22 @@ def test_ord_value_matches_weighted_determinants():
 
 
 def test_epsilon_sigma_frozen():
-    assert epsilon_sigma((0, 1)) == 1
-    assert epsilon_sigma((1, 0)) == -1
-    assert epsilon_sigma((0, 1, 2)) == 1
-    assert epsilon_sigma((0, 2, 1)) == -1
-    assert epsilon_sigma((1, 2, 0)) == 1
-    assert epsilon_sigma((0, 1, 2, 3)) == 1
-    with pytest.raises(ValueError):
-        epsilon_sigma((0, 2))
+    # the reordering sign of a flag, read through flag_normalization
+    assert flag_normalization((0, 1))[1] == 1
+    assert flag_normalization((1, 0))[1] == -1
+    assert flag_normalization((0, 1, 2))[1] == 1
+    assert flag_normalization((0, 2, 1))[1] == -1
+    assert flag_normalization((1, 2, 0))[1] == 1
+    assert flag_normalization((0, 1, 2, 3))[1] == 1
+
+
+def test_flag_sign_is_the_sort_sign_of_every_ordering():
+    # every ordering of every flag with up to 7 distinct members
+    rng = random.Random(59)
+    for size in range(1, 8):
+        members = sorted(rng.sample(range(1, 40), size))
+        for flag in itertools.permutations(members):
+            assert flag_normalization(flag) == (tuple(members), sort_sign(flag))
 
 
 def test_flag_normalization_frozen():
@@ -98,7 +106,7 @@ def test_reordered_flags_transform_by_epsilon():
             base_val = base.ord_value(tuple(range(1, p + 2)))
             for sigma, pr in pres.items():
                 flag = next(iter(pr.flags))
-                assert pr.ord_value(flag) == epsilon_sigma(sigma) * base_val
+                assert pr.ord_value(flag) == sort_sign(sigma) * base_val
             vec = ord_vector(list(pres.values()), cx, p)
             assert vec.values[top] == base_val
 
@@ -194,7 +202,7 @@ def test_cycle_order_vector_frozen_and_in_both_kernels():
     for m in range(3, 8):
         cx = cycle_complex(m)
         vec = ord_vector(cycle_orientation_presentations(m), cx, 1)
-        assert check_vanishing_vector(cx, cycle_unit_h2(m), 1,
+        assert check_vanishing_vector(cx, unit_h2(cx), 1,
                                       vec.as_sequence(cx)) == (True, True)
     vec5 = ord_vector(cycle_orientation_presentations(5), cycle_complex(5), 1)
     assert vec5.values == {"E1_2": 1, "E2_3": 1, "E3_4": 1, "E4_5": 1,
@@ -205,7 +213,7 @@ def test_tau_pullback_frozen():
     tau = tau_pullback([[1, 0, 2], [0, 1, 1]])
     want = {((0, 1), ()): 1, ((0, 2), ()): 1, ((1, 2), ()): -2}
     assert {k: f.constant_value() for k, f in tau.terms.items()} == want
-    assert tau.bidegrees() == {(2, 0)}
+    assert {(len(i), len(j)) for i, j in tau.terms} == {(2, 0)}
 
 
 def test_tau_pullback_degenerate_shapes():

@@ -10,7 +10,7 @@ from tropmono.randgen import (rand_constant_simplex_form,
                               rand_hyperplane_point, rand_point,
                               rand_poly_simplex_form)
 from tropmono.simplex import (SimplexCochain, SimplexContext, SimplexForm,
-                              beta_recursion, constant_form, star_closed_form)
+                              beta_recursion, star_closed_form)
 
 
 def du(nvars, indices, coeff=1):
@@ -201,7 +201,7 @@ def test_canonical_kills_the_simplex_ideal():
     fn = Poly.affine(n1, [1] * n1, -1)
     assert SimplexForm(n1, {(): fn}).is_zero_on_simplex()
     # sum of the coordinate differentials
-    total = constant_form(n1, {(i,): 1 for i in range(n1)})
+    total = SimplexForm(n1, {(i,): Poly.const(n1, 1) for i in range(n1)})
     assert total.is_zero_on_simplex()
     # and their product with anything
     rng = random.Random(37)
@@ -228,7 +228,7 @@ def test_canonical_is_idempotent_and_chart_consistent():
 
 def test_vertex_and_barycenter():
     ctx = SimplexContext(2)
-    assert ctx.vertex(1) == (0, 1, 0)
+    assert ctx.barycenter((1,)) == (0, 1, 0)
     assert ctx.barycenter((0, 2)) == (Fraction(1, 2), 0, Fraction(1, 2))
     assert ctx.barycenter((0, 1, 2)) == (Fraction(1, 3),) * 3
 
