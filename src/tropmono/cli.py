@@ -11,6 +11,7 @@ Identical arguments and seeds produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -307,6 +308,8 @@ def cmd_ss_e2(args) -> RunReport:
     report = RunReport(f"ss e2 --input {args.input}")
     complex_, _ = _load_complex(args.input, report)
     top = complex_.max_level
+    if top < 1:
+        raise CliError("the complex has no strata beyond level 0")
     for p in range(0, top):
         left = dual_complex.delta_pullback(complex_, p + 1)
         right = dual_complex.delta_pullback(complex_, p)
@@ -487,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     cf.add_argument("--n", type=int, required=True, help="ambient dimension")
     cf.add_argument("--cases", type=int, default=20)
     cf.add_argument("--seed", type=int, default=0)
-    cf.set_defaults(func=cmd_check_superform)
+    cf.set_defaults(func="cmd_check_superform")
 
     simplex = sub.add_parser("simplex", help="simplex tower checks")
     simplex_sub = simplex.add_subparsers(dest="simplex_cmd", required=True)
@@ -499,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--random", type=int, default=2,
                     help="extra random forms besides the basis")
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_simplex_starprop)
+    sp.set_defaults(func="cmd_simplex_starprop")
 
     ss = sub.add_parser("ss", help="dual complex computations")
     ss_sub = ss.add_subparsers(dest="ss_cmd", required=True)
@@ -507,17 +510,17 @@ def build_parser() -> argparse.ArgumentParser:
                            help="second page dimensions in the top row")
     e2.add_argument("--input", required=True, help="complex JSON file")
     e2.add_argument("--p", type=int, default=None)
-    e2.set_defaults(func=cmd_ss_e2)
+    e2.set_defaults(func="cmd_ss_e2")
     mono = ss_sub.add_parser("monodromy", parents=[fmt],
                              help="corner comparison map")
     mono.add_argument("--input", required=True)
     mono.add_argument("--p", type=int, required=True)
-    mono.set_defaults(func=cmd_ss_monodromy)
+    mono.set_defaults(func="cmd_ss_monodromy")
     val = ss_sub.add_parser("validate", parents=[fmt],
                             help="pushforward against restriction cancellation")
     val.add_argument("--input", required=True)
     val.add_argument("--p", type=int, default=None)
-    val.set_defaults(func=cmd_ss_validate)
+    val.set_defaults(func="cmd_ss_validate")
 
     ordp = sub.add_parser("ord", help="order maps from presentations")
     ord_sub = ordp.add_subparsers(dest="ord_cmd", required=True)
@@ -527,23 +530,28 @@ def build_parser() -> argparse.ArgumentParser:
         oc.add_argument("--complex", required=True)
         oc.add_argument("--pres", required=True)
         oc.add_argument("--p", type=int, required=True)
-        oc.set_defaults(func=cmd_ord)
+        oc.set_defaults(func="cmd_ord")
 
     dol = sub.add_parser("dolbeault", parents=[fmt],
                          help="replay the descent tower on a simplicial complex")
     dol.add_argument("--complex", required=True)
     dol.add_argument("--pres", required=True)
     dol.add_argument("--p", type=int, required=True)
-    dol.set_defaults(func=cmd_dolbeault)
+    dol.set_defaults(func="cmd_dolbeault")
     return parser
 
 
+# Built on first use.  It holds build_parser itself rather than a module
+# lookup, so a tracer installed later sees the same calls on every run.
+_parser = functools.cache(build_parser)
+
+
 def run(argv=None) -> tuple[int, str]:
-    """Parse, execute, and render; returns (exit status, report text)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse, execute, and render; returns (exit status, report text).  The
+    parser names the command function, looked up here at call time."""
+    args = _parser().parse_args(argv)
     try:
-        report = args.func(args)
+        report = globals()[args.func](args)
     except CliError as exc:
         return 2, f"error: {exc}\n"
     return report.exit_code, report.render(args.format)

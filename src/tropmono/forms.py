@@ -180,40 +180,35 @@ class AffineMap:
         return self.matrix.nrows
 
     def pullback(self, omega: Superform) -> "Superform":
+        """Cauchy-Binet: f d'x_I ^ d''x_K pulls back to the sum over J, L of
+        (f o phi) det A[I, J] det A[K, L] d'y_J ^ d''y_L.  A block's scalar
+        minors wedge one more row of A onto those of its prefix."""
         if omega.nvars != self.target_dim:
             raise ValueError("form does not live on the target space")
         n2 = self.source_dim
-        subs = [Poly.affine(n2, self.matrix.row(i), self.translation[i])
-                for i in range(self.target_dim)]
-        pulled_prime: dict[int, Superform] = {}
-        pulled_second: dict[int, Superform] = {}
-        total = Superform.zero(n2)
+        rows = [self.matrix.row(i) for i in range(self.target_dim)]
+        subs = [Poly.affine(n2, row, t) for row, t in zip(rows, self.translation)]
+        minors: dict[tuple[int, ...], dict] = {(): {(): 1}}
+
+        def block(index: tuple[int, ...]) -> dict:
+            if index not in minors:
+                out: dict = {}
+                row = rows[index[-1]]
+                for cols, c in block(index[:-1]).items():
+                    for j in range(n2):
+                        sh = shuffle_sign(cols, (j,)) if row[j] else None
+                        if sh is not None:
+                            accumulate(out, sh[1], sh[0] * c * row[j])
+                minors[index] = out
+            return minors[index]
+
+        acc: dict[Key, Poly] = {}
         for (dpr, dsec), f in omega.terms.items():
-            if n2 == 0:
-                if dpr or dsec:
-                    continue
-                acc = Superform(0, {((), ()): Poly.const(0, f.eval_point(self.translation))})
-                total = total + acc
+            left, right = block(dpr), block(dsec)
+            if not (left and right):
                 continue
-            acc = Superform(n2, {((), ()): f.eval_poly(subs)})
-            for i in dpr:
-                if i not in pulled_prime:
-                    row = self.matrix.row(i)
-                    pulled_prime[i] = Superform(
-                        n2, {((j,), ()): Poly.const(n2, row[j])
-                             for j in range(n2) if row[j]})
-                acc = acc.wedge(pulled_prime[i])
-                if acc.is_zero():
-                    break
-            else:
-                for j in dsec:
-                    if j not in pulled_second:
-                        row = self.matrix.row(j)
-                        pulled_second[j] = Superform(
-                            n2, {((), (k,)): Poly.const(n2, row[k])
-                                 for k in range(n2) if row[k]})
-                    acc = acc.wedge(pulled_second[j])
-                    if acc.is_zero():
-                        break
-                total = total + acc
-        return total
+            g = f.eval_poly(subs) if n2 else Poly.const(0, f.eval_point(self.translation))
+            for cols_p, a in left.items():
+                for cols_s, b in right.items():
+                    accumulate(acc, (cols_p, cols_s), g * (a * b))
+        return Superform.zero(n2)._made(acc)

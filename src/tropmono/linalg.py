@@ -20,10 +20,10 @@ Vector = tuple[Fraction, ...]
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce int, str ("a/b" or "a"), or Fraction to Fraction."""
+    """Coerce int (not bool), str ("a/b" or "a"), or Fraction to Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)

@@ -109,10 +109,18 @@ class Presentation:
         if type(obj["component"]) is not int:
             raise ValueError(f"{where}: component must be an integer")
         for key, mats in flags.items():
-            if any(type(x) is not int for mat in mats for row in mat for x in row):
+            try:
+                exps = [x for mat in mats for row in mat for x in row]
+            except TypeError:
+                raise ValueError(f"{where}: flag {key}: expected a list of "
+                                 "exponent matrices") from None
+            if any(type(x) is not int for x in exps):
                 raise ValueError(f"{where}: flag {key}: exponents must be integers")
-        return cls(component=obj["component"],
-                   weights=tuple(as_fraction(w) for w in obj["weights"]),
+        try:
+            weights = tuple(as_fraction(w) for w in obj["weights"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: weights: {exc}") from None
+        return cls(component=obj["component"], weights=weights,
                    flags={tuple(int(part) for part in key.split(",")): mats
                           for key, mats in flags.items()})
 

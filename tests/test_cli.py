@@ -151,6 +151,8 @@ PINNED_ALGEBRA = {
     ("superform", 2): "a58212e56a5c3f8cbd4a33af5552a6dc90dfa5e91904e3237111ff861c851851",
     ("superform", 3): "500ac81a621655979b04ff4664c6ac14fedabc6032895c5496647b4f2b638f42",
     ("superform", 4): "97e8b9459f6cbda3d912a34e48806329307bdc6353a459765440ada20e4032b7",
+    ("superform", 5): "79f7ef41cca892533ee56193bf0c103b4202a9b46d5fc18ffb8a4787e015e2d3",
+    ("superform", 6): "11d12b2946391c55e72d5c0aa36d8b47ae4f5155f68a3a0350e0f2dacbcbb88b",
     ("starprop", 1): "fa04707caa0f636b8362277babe0998d8c51215ca1ab7e910ec8fbd6d706f16c",
     ("starprop", 2): "4e031f8c1a04603e88872082e7fdb2216e864fbf1b35750266855897f1bc0709",
     ("starprop", 3): "19b57ccdac17d32119d416d153c600378f9641b781712121f2e24b399c07b81c",
@@ -163,11 +165,17 @@ PINNED_DOLBEAULT = {
 }
 
 
+# --cases and --seed of the larger batteries, recorded with the wedge-chain
+# pullback; the smaller ones run 4 cases at seed 11
+SUPERFORM_RUNS = {5: ("2", "519"), 6: ("1", "603")}
+
+
 @pytest.mark.parametrize("sub,k", sorted(PINNED_ALGEBRA))
 def test_algebra_results_pinned(sub, k):
     if sub == "superform":
-        argv = ["check", "superform", "--n", str(k), "--cases", "4",
-                "--seed", "11"]
+        cases, seed = SUPERFORM_RUNS.get(k, ("4", "11"))
+        argv = ["check", "superform", "--n", str(k), "--cases", cases,
+                "--seed", seed]
     else:
         argv = ["simplex", "starprop", "--n", "3", "--p", str(k),
                 "--random", "2", "--seed", "11"]
@@ -257,6 +265,14 @@ def test_ss_validate_flags_inconsistent_model(tmp_path):
     fail = obj["checks"][0]
     assert fail["status"] == "fail"
     assert "composite" in fail["witness"]
+
+
+def test_ss_e2_needs_a_level_beyond_0(tmp_path):
+    # before, a single component passed with zero checks
+    path = write_json(tmp_path / "pt.json", complex_to_json(point_complex()))
+    code, text = run(["ss", "e2", "--input", path])
+    assert code == 2
+    assert text == "error: the complex has no strata beyond level 0\n"
 
 
 def test_ss_validate_needs_h2(tmp_path):
@@ -399,6 +415,7 @@ COMPLEX_FAULTS = {
     "gysin_not_a_child": "h2 Y1: E2_3 is not a child of Y1",
     "restrict_unknown_child": "h2 Y2: NOPE is not a child of Y2",
     "no_components": "a complex needs at least one component",
+    "gysin_entry_is_true": "cannot interpret True as a rational number",
 }
 
 
@@ -421,6 +438,8 @@ def _malformed_complex(case):
         obj["h2"]["Y2"]["restrict"] = {"NOPE": [["1"]]}
     elif case == "no_components":
         obj = {"components": [], "strata": []}
+    elif case == "gysin_entry_is_true":
+        obj["h2"]["Y1"]["gysin"]["E1_2"] = [True]
     else:
         obj["h2"] = [obj["h2"]["Y1"]]
     return obj
@@ -430,10 +449,11 @@ def _malformed_complex(case):
     "gysin_length_monodromy", "gysin_length_ord_check", "stratum_is_a_string",
     "parents_is_a_list", "h2_is_a_list", "h2_unknown_stratum",
     "gysin_unknown_child", "gysin_not_a_child", "restrict_unknown_child",
-    "no_components"])
+    "no_components", "gysin_entry_is_true"])
 def test_malformed_complex_exits_2(tmp_path, case):
     # before, the unknown labels were kept and `ss monodromy` reported an
-    # isomorphism; `ss e2` on the empty complex passed zero checks
+    # isomorphism; `ss e2` on the empty complex passed zero checks; a Gysin
+    # entry true was read as 1
     path = write_json(tmp_path / "bad.json", _malformed_complex(case))
     if case == "no_components":
         argv = ["ss", "e2", "--input", path]
@@ -489,9 +509,14 @@ def test_complex_numbers_must_be_json_integers(tmp_path, field, value, where):
     ("component_is_a_float", "presentation 1: component must be an integer"),
     ("component_is_true", "presentation 1: component must be an integer"),
     ("component_is_a_string", "presentation 1: component must be an integer"),
+    ("flag_is_an_integer",
+     "presentation 0: flag 1,2: expected a list of exponent matrices"),
+    ("weight_is_true",
+     "presentation 0: weights: cannot interpret True as a rational number"),
 ])
 def test_malformed_presentations_exit_2(tmp_path, case, message):
-    # before, an exponent 1.5 was truncated to 1 and a component 2.7 to 2
+    # before, an exponent 1.5 was truncated to 1, a component 2.7 to 2 and a
+    # weight true read as 1; a flag 5 failed with "'int' object is not iterable"
     complex_path, _ = cycle_files(tmp_path, 5)
     if case == "entry_is_a_string":
         pres = ["x"]
@@ -499,6 +524,12 @@ def test_malformed_presentations_exit_2(tmp_path, case, message):
         pres = [cycle_orientation_presentations(5)[0].to_json_obj(), [1, 2]]
     elif case == "flags_is_a_list":
         pres = [{"component": 1, "weights": ["1"], "flags": []}]
+    elif case in ("flag_is_an_integer", "weight_is_true"):
+        pres = [p.to_json_obj() for p in cycle_orientation_presentations(5)]
+        if case == "flag_is_an_integer":
+            pres[0]["flags"]["1,2"] = 5
+        else:
+            pres[0]["weights"] = [True]
     else:
         pres = [p.to_json_obj() for p in cycle_orientation_presentations(5)]
         bad = {"exponent_is_a_float": 1.5, "exponent_is_true": True,

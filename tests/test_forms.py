@@ -186,6 +186,67 @@ def test_pullback_agrees_pointwise_on_functions():
         assert pulled.eval_point(x) == f.eval_point(image)
 
 
+def wedge_chain_pullback(phi: AffineMap, omega: Superform) -> Superform:
+    """The pullback one factor at a time: f o phi, wedged with the pulled
+    back d'x_i and then d''x_k, each a constant 1-form of the source."""
+    m = phi.source_dim
+    total = Superform.zero(m)
+    for (dpr, dsec), f in omega.terms.items():
+        value = f.eval_point(phi.translation) if m == 0 else f.eval_poly(
+            [Poly.affine(m, phi.matrix.row(i), phi.translation[i])
+             for i in range(phi.target_dim)])
+        acc = Superform.monomial(m, (), (), value)
+        for kind, block in ((0, dpr), (1, dsec)):
+            for i in block:
+                row = phi.matrix.row(i)
+                one_form = Superform(m, {((j,), ()) if kind == 0 else ((), (j,)):
+                                         Poly.const(m, row[j]) for j in range(m)})
+                acc = acc.wedge(one_form)
+        total = total + acc
+    return total
+
+
+def test_pullback_matches_the_wedge_chain():
+    rng = random.Random(26)
+    seen = set()
+    for case in range(400):
+        m = case % 5
+        n = rng.randint(1, 5)
+        phi = rand_affine_map(rng, m, n, rank_deficient=(case % 3 == 0))
+        if case % 2:
+            omega = rand_superform_mixed(rng, n)
+        else:
+            omega = rand_superform(rng, n, rng.randint(0, n), rng.randint(0, n))
+        got = phi.pullback(omega)
+        assert got == wedge_chain_pullback(phi, omega)
+        for dpr, dsec in omega.terms:
+            seen.add((m, max(len(dpr), len(dsec)) > m,
+                      len({(len(i), len(j)) for i, j in omega.terms}) > 1))
+    # every source dimension, with blocks longer than it and mixed bidegrees
+    assert {(m, True, True) for m in range(4)} <= seen
+    assert {(m, False, True) for m in range(5)} <= seen
+
+
+# SHA-256 of the serialized pullbacks below, recorded with the wedge-chain
+# pullback; blocks of up to six indices reach deep minors.
+PINNED_LARGE_PULLBACKS = (
+    "70d6b4cd173caa9b6f34576e51e915722c7b9d8edf788e58e441e48c03e1825c")
+
+
+def test_large_pullbacks_pinned():
+    rng = random.Random(1705)
+    out = []
+    for case in range(24):
+        n = rng.randint(5, 6)
+        phi = rand_affine_map(rng, rng.randint(0, n), n,
+                              rank_deficient=(case % 3 == 0))
+        p = rng.randint(1, n)
+        for omega in (rand_superform_mixed(rng, n),
+                      rand_superform(rng, n, p, rng.randint(0, n))):
+            out.append(phi.pullback(omega).to_json_obj())
+    assert json_digest(out) == PINNED_LARGE_PULLBACKS
+
+
 def test_vanishing_on_affine_span():
     # the second coordinate is frozen on the chart t -> (t, c)
     chart = AffineMap(QMatrix([[1], [0]], ncols=1), [0, 5])
