@@ -128,15 +128,29 @@ class H2Model:
     def __init__(self, dims: Mapping[str, int],
                  gysin: Mapping[tuple[str, str], Sequence] = (),
                  restrict: Mapping[tuple[str, str], QMatrix] = ()):
-        self.dims = {label: int(d) for label, d in dims.items()}
-        if any(d < 0 for d in self.dims.values()):
-            raise ValueError("negative dimension")
-        self.gysin = {key: tuple(as_fraction(x) for x in vec)
-                      for key, vec in dict(gysin).items()}
-        for (parent, child), vec in self.gysin.items():
+        """Dimensions must be ints (not bools, not floats); a restriction
+        given as rows is read with the parent's dimension as width."""
+        self.dims = dict(dims)
+        for label, d in self.dims.items():
+            if type(d) is not int or d < 0:
+                raise ValueError(f"h2 {label}: dim must be a nonnegative integer")
+        self.gysin = {}
+        for (parent, child), vec in dict(gysin).items():
+            try:
+                vec = tuple(as_fraction(x) for x in vec)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"h2 {parent}: gysin {child}: {exc}") from None
             if len(vec) != self.dim(parent):
                 raise ValueError(f"Gysin vector for {child} in {parent} has wrong length")
-        self.restrict = dict(restrict)
+            self.gysin[parent, child] = vec
+        self.restrict = {}
+        for (parent, child), mat in dict(restrict).items():
+            try:
+                self.restrict[parent, child] = (
+                    mat if isinstance(mat, QMatrix)
+                    else QMatrix(mat, ncols=self.dim(parent)))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"h2 {parent}: restrict {child}: {exc}") from None
 
     def dim(self, label: str) -> int:
         return self.dims.get(label, 0)
@@ -367,6 +381,11 @@ def complex_to_json(complex_: SemistableCombinatorics,
 
 
 def complex_from_json(obj: Mapping) -> tuple[SemistableCombinatorics, Optional[H2Model]]:
+    """Read the JSON form; components, strata, index sets, Gysin vectors
+    and restriction rows must be lists.  Errors name the JSON location."""
+    for field in ("components", "strata"):
+        if not isinstance(obj[field], list):
+            raise ValueError(f"{field} must be a list")
     components = [str(c) for c in obj["components"]]
     strata = []
     for entry in obj["strata"]:
@@ -376,7 +395,10 @@ def complex_from_json(obj: Mapping) -> tuple[SemistableCombinatorics, Optional[H
         if (not isinstance(index_set, list)
                 or any(type(i) is not int for i in index_set)):
             raise ValueError(f"stratum {label}: indexSet must be a list of integers")
-        parents = {int(k): str(v) for k, v in entry.get("parents", {}).items()}
+        try:
+            parents = {int(k): str(v) for k, v in entry.get("parents", {}).items()}
+        except ValueError as exc:
+            raise ValueError(f"stratum {label}: parents: {exc}") from None
         strata.append(Stratum(label, tuple(index_set), parents))
         if "level" in entry:
             if type(entry["level"]) is not int:
@@ -387,23 +409,20 @@ def complex_from_json(obj: Mapping) -> tuple[SemistableCombinatorics, Optional[H
     h2 = None
     if "h2" in obj:
         dims = {}
-        gysin = {}
-        restrict = {}
+        data: dict[str, dict] = {"gysin": {}, "restrict": {}}
         parents_of = {s.label: s.parents.values() for s in strata}
         for label, entry in obj["h2"].items():
             if label not in parents_of:
                 raise ValueError(f"h2 {label}: not a stratum")
-            if type(entry["dim"]) is not int:
-                raise ValueError(f"h2 {label}: dim must be an integer")
             dims[label] = entry["dim"]
-            for child in [*entry.get("gysin", {}), *entry.get("restrict", {})]:
-                if label not in parents_of.get(child, ()):
-                    raise ValueError(f"h2 {label}: {child} is not a child of {label}")
-            for child, vec in entry.get("gysin", {}).items():
-                gysin[(label, child)] = [as_fraction(x) for x in vec]
-            for child, rows in entry.get("restrict", {}).items():
-                restrict[(label, child)] = QMatrix(
-                    [[as_fraction(x) for x in row] for row in rows],
-                    ncols=dims[label])
-        h2 = H2Model(dims, gysin, restrict)
+            for kind, found in data.items():
+                for child, value in entry.get(kind, {}).items():
+                    if label not in parents_of.get(child, ()):
+                        raise ValueError(f"h2 {label}: {child} is not a child of {label}")
+                    rows = value if kind == "restrict" else [value]
+                    if not (isinstance(value, list)
+                            and all(isinstance(row, list) for row in rows)):
+                        raise ValueError(f"h2 {label}: {kind} {child} must be a list")
+                    found[label, child] = value
+        h2 = H2Model(dims, data["gysin"], data["restrict"])
     return complex_, h2

@@ -14,20 +14,33 @@ use 1-based indices.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from bisect import bisect
+from typing import Mapping, Sequence
 
 from .linalg import QMatrix, as_fraction, shuffle_sign
-from .poly import Poly, _Terms, accumulate
+from .poly import Poly, _index_tuple, _Terms, accumulate
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _as_index_tuple(indices: Iterable[int], nvars: int) -> tuple[int, ...]:
-    out = tuple(int(i) for i in indices)
-    if any(not 0 <= i < nvars for i in out):
-        raise ValueError("index out of range")
-    if any(out[k] >= out[k + 1] for k in range(len(out) - 1)):
-        raise ValueError("indices must be strictly increasing")
+def _append_row(minors: dict, row: Sequence) -> dict:
+    """One Cauchy-Binet step: from {J: det R[:, J]} over the column tuples J
+    of a matrix R to the same map for R with one more row appended,
+    expanding each new minor along that last row.  Zero minors are
+    dropped."""
+    out: dict = {}
+    for cols, c in minors.items():
+        for j, x in enumerate(row):
+            if not x or j in cols:
+                continue
+            k = bisect(cols, j)
+            key = cols[:k] + (j,) + cols[k:]
+            # column j moves past the len(cols) - k columns after it
+            total = out.get(key, 0) + (-c * x if (len(cols) - k) % 2 else c * x)
+            if total:
+                out[key] = total
+            else:
+                out.pop(key, None)
     return out
 
 
@@ -37,7 +50,7 @@ class Superform(_Terms):
     @staticmethod
     def _key(nvars: int, raw) -> Key:
         dpr, dsec = raw
-        return (_as_index_tuple(dpr, nvars), _as_index_tuple(dsec, nvars))
+        return (_index_tuple(dpr, nvars), _index_tuple(dsec, nvars))
 
     @classmethod
     def monomial(cls, nvars: int, dprime: Sequence[int], dsecond: Sequence[int],
@@ -182,7 +195,7 @@ class AffineMap:
     def pullback(self, omega: Superform) -> "Superform":
         """Cauchy-Binet: f d'x_I ^ d''x_K pulls back to the sum over J, L of
         (f o phi) det A[I, J] det A[K, L] d'y_J ^ d''y_L.  A block's scalar
-        minors wedge one more row of A onto those of its prefix."""
+        minors append one more row of A to those of its prefix."""
         if omega.nvars != self.target_dim:
             raise ValueError("form does not live on the target space")
         n2 = self.source_dim
@@ -192,14 +205,7 @@ class AffineMap:
 
         def block(index: tuple[int, ...]) -> dict:
             if index not in minors:
-                out: dict = {}
-                row = rows[index[-1]]
-                for cols, c in block(index[:-1]).items():
-                    for j in range(n2):
-                        sh = shuffle_sign(cols, (j,)) if row[j] else None
-                        if sh is not None:
-                            accumulate(out, sh[1], sh[0] * c * row[j])
-                minors[index] = out
+                minors[index] = _append_row(block(index[:-1]), rows[index[-1]])
             return minors[index]
 
         acc: dict[Key, Poly] = {}
@@ -207,7 +213,8 @@ class AffineMap:
             left, right = block(dpr), block(dsec)
             if not (left and right):
                 continue
-            g = f.eval_poly(subs) if n2 else Poly.const(0, f.eval_point(self.translation))
+            g = (f.eval_poly(subs) if subs and n2
+                 else Poly.const(n2, f.eval_point(self.translation)))
             for cols_p, a in left.items():
                 for cols_s, b in right.items():
                     accumulate(acc, (cols_p, cols_s), g * (a * b))

@@ -104,31 +104,6 @@ def cycle_orientation_presentations(m: int) -> list[Presentation]:
     return out
 
 
-def cycle_presentations_from_tensor(m: int, weights, columns) -> list[Presentation]:
-    """Cycle presentations induced by shared per-edge exponent tensors.
-
-    ``columns[edge][l]`` is a pair (value at the lower vertex, value at the
-    higher vertex) for the l-th symbol; the flag matrix of a component is the
-    difference column relative to its own vertex.  All components covering an
-    edge then describe the same order data, which is what the ladder check
-    consumes.
-    """
-    weights = tuple(Fraction(w) for w in weights)
-    flags: dict[int, dict[tuple[int, ...], tuple]] = {i: {} for i in range(1, m + 1)}
-    for i in range(1, m + 1):
-        j = i % m + 1
-        a, b = min(i, j), max(i, j)
-        cols = columns[(a, b)]
-        if len(cols) != len(weights):
-            raise ValueError("one column pair per weight required")
-        flag_a = tuple(((col[1] - col[0],),) for col in cols)
-        flag_b = tuple(((col[0] - col[1],),) for col in cols)
-        flags[a][(a, b)] = flag_a
-        flags[b][(b, a)] = flag_b
-    return [Presentation(component=i, weights=weights, flags=flags[i])
-            for i in range(1, m + 1)]
-
-
 def simplicial_presentations_from_tensors(complex_: SemistableCombinatorics,
                                           weights, tensors) -> list[Presentation]:
     """Presentations for a simplicial complex induced by one shared exponent

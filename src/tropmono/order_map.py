@@ -24,7 +24,7 @@ from typing import Mapping, Optional, Sequence
 
 from . import linalg
 from .dual_complex import SemistableCombinatorics
-from .forms import Superform
+from .forms import Superform, _append_row
 from .linalg import QMatrix, as_fraction, perm_sign
 from .poly import Poly
 from .simplex import SimplexContext, SimplexForm, beta_recursion
@@ -41,34 +41,52 @@ class Presentation:
     flags: Mapping[Flag, tuple[IntMatrix, ...]]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights",
-                           tuple(as_fraction(w) for w in self.weights))
+        """Validate and freeze.  The component, every flag member and every
+        exponent must be an int (not a bool, not a float); errors name the
+        flag."""
+        if type(self.component) is not int:
+            raise ValueError("component must be an integer")
+        try:
+            weights = tuple(as_fraction(w) for w in self.weights)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"weights: {exc}") from None
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_degree", None)
         cleaned: dict[Flag, tuple[IntMatrix, ...]] = {}
-        degree: Optional[int] = None
         for key, mats in dict(self.flags).items():
-            key = tuple(int(i) for i in key)
-            if len(key) < 2:
-                raise ValueError("a flag needs at least one wall")
-            if key[0] != self.component:
-                raise ValueError("flag must be rooted at the presentation component")
-            if len(set(key)) != len(key):
-                raise ValueError("flag entries must be distinct")
-            mats = tuple(tuple(tuple(int(x) for x in row) for row in mat)
-                         for mat in mats)
-            if len(mats) != len(self.weights):
-                raise ValueError("one exponent matrix per weight required")
-            walls = len(key) - 1
-            for mat in mats:
-                if degree is None:
-                    degree = len(mat)
-                if len(mat) != degree:
-                    raise ValueError("all exponent matrices must have the same "
-                                     "number of rows")
-                if any(len(row) != walls for row in mat):
-                    raise ValueError("one matrix column per wall required")
-            cleaned[key] = mats
+            try:
+                cleaned[tuple(key)] = self._checked(tuple(key), mats)
+            except ValueError as exc:
+                raise ValueError(f"flag {','.join(map(str, key))}: {exc}") from None
         object.__setattr__(self, "flags", cleaned)
-        object.__setattr__(self, "_degree", degree)
+
+    def _checked(self, key: Flag, mats) -> tuple[IntMatrix, ...]:
+        """One flag's exponent matrices as tuples, after its checks."""
+        try:
+            mats = tuple(tuple(tuple(row) for row in mat) for mat in mats)
+        except TypeError:
+            raise ValueError("expected a list of exponent matrices") from None
+        if any(type(i) is not int for i in key):
+            raise ValueError("members must be integers")
+        if any(type(x) is not int for mat in mats for row in mat for x in row):
+            raise ValueError("exponents must be integers")
+        if len(key) < 2:
+            raise ValueError("a flag needs at least one wall")
+        if key[0] != self.component:
+            raise ValueError("flag must be rooted at the presentation component")
+        if len(set(key)) != len(key):
+            raise ValueError("flag entries must be distinct")
+        if len(mats) != len(self.weights):
+            raise ValueError("one exponent matrix per weight required")
+        for mat in mats:
+            if self._degree is None:
+                object.__setattr__(self, "_degree", len(mat))
+            if len(mat) != self._degree:
+                raise ValueError("all exponent matrices must have the same "
+                                 "number of rows")
+            if any(len(row) != len(key) - 1 for row in mat):
+                raise ValueError("one matrix column per wall required")
+        return mats
 
     @property
     def degree(self) -> Optional[int]:
@@ -81,12 +99,9 @@ class Presentation:
         mats = self.flags.get(flag)
         if mats is None:
             raise KeyError(f"flag {flag} is not recorded")
-        total = Fraction(0)
-        for w, mat in zip(self.weights, mats):
-            if len(mat) != len(flag) - 1:
-                raise ValueError("order value needs as many walls as rows")
-            total += w * linalg.det(QMatrix(mat, ncols=len(mat)))
-        return total
+        if any(len(mat) != len(flag) - 1 for mat in mats):
+            raise ValueError("order value needs as many walls as rows")
+        return _weighted_det(self.weights, mats)
 
     def to_json_obj(self) -> dict:
         return {
@@ -99,30 +114,26 @@ class Presentation:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping, where: str = "presentation") -> "Presentation":
-        """Read the JSON form; the component and every exponent must be JSON
-        integers (not true, not floats).  Errors name ``where``."""
+        """Read the JSON form: weights a list, flags an object keyed by
+        comma-separated members.  Errors name ``where``."""
         if not isinstance(obj, dict):
             raise TypeError(f"{where} is not an object")
         flags = obj.get("flags", {})
         if not isinstance(flags, dict):
             raise TypeError(f"{where}: flags must be an object")
-        if type(obj["component"]) is not int:
-            raise ValueError(f"{where}: component must be an integer")
-        for key, mats in flags.items():
-            try:
-                exps = [x for mat in mats for row in mat for x in row]
-            except TypeError:
-                raise ValueError(f"{where}: flag {key}: expected a list of "
-                                 "exponent matrices") from None
-            if any(type(x) is not int for x in exps):
-                raise ValueError(f"{where}: flag {key}: exponents must be integers")
+        component, weights = obj["component"], obj["weights"]
+        if not isinstance(weights, list):
+            raise ValueError(f"{where}: weights must be a list")
         try:
-            weights = tuple(as_fraction(w) for w in obj["weights"])
+            keyed = {}
+            for key, mats in flags.items():
+                keyed[tuple(int(part) for part in key.split(","))] = mats
+        except ValueError as exc:
+            raise ValueError(f"{where}: flag {key}: {exc}") from None
+        try:
+            return cls(component=component, weights=weights, flags=keyed)
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"{where}: weights: {exc}") from None
-        return cls(component=obj["component"], weights=weights,
-                   flags={tuple(int(part) for part in key.split(",")): mats
-                          for key, mats in flags.items()})
+            raise ValueError(f"{where}: {exc}") from None
 
 
 def flag_normalization(flag: Flag) -> tuple[tuple[int, ...], int]:
@@ -181,8 +192,9 @@ def tau_pullback(rows: Sequence[Sequence], ncols: Optional[int] = None) -> Super
 
     Each row lists the exponents of one function in the wall coordinates;
     the result is the sum over column subsets of minor determinants times
-    the corresponding wedge of first-kind differentials.  More rows than
-    columns produce the zero form.
+    the corresponding wedge of first-kind differentials, the minors built
+    one row at a time by the Cauchy-Binet step that pullback uses.  More
+    rows than columns produce the zero form.
     """
     mat = [tuple(as_fraction(x) for x in row) for row in rows]
     if mat:
@@ -194,18 +206,11 @@ def tau_pullback(rows: Sequence[Sequence], ncols: Optional[int] = None) -> Super
         ncols = width
     elif ncols is None:
         raise ValueError("ncols required for an empty exponent matrix")
-    p = len(mat)
-    terms = {}
-    if p == 0:
-        terms[((), ())] = Poly.const(ncols, 1)
-        return Superform(ncols, terms)
-    for subset in itertools.combinations(range(ncols), p):
-        minor = QMatrix([[mat[k][j] for j in subset] for k in range(p)],
-                        ncols=p)
-        value = linalg.det(minor)
-        if value:
-            terms[(subset, ())] = Poly.const(ncols, value)
-    return Superform(ncols, terms)
+    minors: dict = {(): 1}
+    for row in mat:
+        minors = _append_row(minors, row)
+    return Superform(ncols, {(cols, ()): Poly.const(ncols, value)
+                             for cols, value in minors.items()})
 
 
 def presentation_tau(weights: Sequence, matrices: Sequence[Sequence[Sequence]],
@@ -261,26 +266,17 @@ def _full_tensor(pres: Presentation, flag: Flag,
                  verts: tuple[int, ...]) -> list[list[list[int]]]:
     """Per weight, a degree x (r+1) exponent block with one column per vertex
     of the top stratum; the root column is zero by the chart normalization."""
-    mats = pres.flags[flag]
-    out = []
-    for mat in mats:
-        block = []
-        for row in mat:
-            col_of = {flag[0]: 0}
-            for wall_pos, v in enumerate(flag[1:]):
-                col_of[v] = row[wall_pos]
-            block.append([col_of[v] for v in verts])
-        out.append(block)
-    return out
+    return [[[col[v] for v in verts]
+             for col in (dict(zip(flag, (0,) + row)) for row in mat)]
+            for mat in pres.flags[flag]]
 
 
-def _tensor_form(nvars: int, weights: Sequence[Fraction],
-                 tensor: Sequence[Sequence[Sequence[int]]]) -> SimplexForm:
-    """Constant form induced by an exponent tensor: weighted wedge of the
-    rows read as linear forms in the vertex coordinates, that is the
-    presentation's tau read on the simplex."""
-    tau = presentation_tau(weights, tensor, nvars)
-    return SimplexForm(nvars, {dpr: f for (dpr, _), f in tau.terms.items()})
+def _weighted_det(weights: Sequence[Fraction],
+                  matrices: Sequence[Sequence[Sequence]]) -> Fraction:
+    """Sum of w * det M over paired weights and square matrices: every
+    order value reaches a determinant here."""
+    return sum((w * linalg.det(QMatrix(mat, ncols=len(mat)))
+                for w, mat in zip(weights, matrices)), Fraction(0))
 
 
 def _derived_ord(weights: Sequence[Fraction],
@@ -289,11 +285,9 @@ def _derived_ord(weights: Sequence[Fraction],
     """Order value of the face spanned by the given vertex positions, read
     off a top-stratum tensor through difference columns."""
     base = positions[0]
-    total = Fraction(0)
-    for w, block in zip(weights, tensor):
-        rows = [[row[j] - row[base] for j in positions[1:]] for row in block]
-        total += w * linalg.det(QMatrix(rows, ncols=len(positions) - 1))
-    return total
+    return _weighted_det(weights, [
+        [[row[j] - row[base] for j in positions[1:]] for row in block]
+        for block in tensor])
 
 
 def dolbeault_ladder(presentations: Sequence[Presentation],
@@ -316,22 +310,22 @@ def dolbeault_ladder(presentations: Sequence[Presentation],
     tops = complex_.level(n_top)
     covers = _flags_by_members(presentations)
     forms: dict[str, SimplexForm] = {}
-    tensors: dict[str, list[tuple[tuple[Fraction, ...], list]]] = {}
+    tensors: dict[str, tuple[tuple[Fraction, ...], list]] = {}
     for z in tops:
-        candidates = covers.get(z.index_set)
+        candidates = [(pres.weights, _full_tensor(pres, flag, z.index_set))
+                      for pres, flag, _ in covers.get(z.index_set, ())]
         if not candidates:
             raise ValueError(f"no presentation covers stratum {z.label}")
-        entries = []
-        built = []
-        for pres, flag, _ in candidates:
-            tensor = _full_tensor(pres, flag, z.index_set)
-            entries.append((pres.weights, tensor))
-            built.append(_tensor_form(nvars, pres.weights, tensor))
-        for other in built[1:]:
-            if not built[0].equal_on_simplex(other):
-                raise ValueError(f"presentations disagree on stratum {z.label}")
-        forms[z.label] = built[0]
-        tensors[z.label] = entries
+        # each candidate's tau read on the simplex: the weighted wedge of its
+        # rows, as linear forms in the vertex coordinates
+        built = [SimplexForm(nvars, {dpr: f for (dpr, _), f
+                                     in presentation_tau(w, t, nvars).terms.items()})
+                 for w, t in candidates]
+        if not all(built[0].equal_on_simplex(other) for other in built[1:]):
+            raise ValueError(f"presentations disagree on stratum {z.label}")
+        # the first candidate stands for the top: a face value is the form
+        # read on edge vectors of the simplex, so all candidates give it
+        forms[z.label], tensors[z.label] = built[0], candidates[0]
     ord_values: dict[str, Fraction] = {}
     for s in complex_.level(p):
         found = []
@@ -339,8 +333,7 @@ def dolbeault_ladder(presentations: Sequence[Presentation],
             if not set(s.index_set) <= set(z.index_set):
                 continue
             positions = [z.index_set.index(v) for v in s.index_set]
-            for weights, tensor in tensors[z.label]:
-                found.append(_derived_ord(weights, tensor, positions))
+            found.append(_derived_ord(*tensors[z.label], positions))
         if not found:
             raise ValueError(f"stratum {s.label} is not covered")
         if any(v != found[0] for v in found[1:]):

@@ -21,6 +21,17 @@ from typing import Mapping, Sequence
 from .linalg import as_fraction, rat_str
 
 
+def _index_tuple(indices, size: int) -> tuple[int, ...]:
+    """The indices as a tuple of ints, each in range(size), strictly
+    increasing: the key check of forms and simplex faces."""
+    out = tuple(int(i) for i in indices)
+    if any(not 0 <= i < size for i in out):
+        raise ValueError("index out of range")
+    if any(out[k] >= out[k + 1] for k in range(len(out) - 1)):
+        raise ValueError("indices must be strictly increasing")
+    return out
+
+
 def accumulate(acc: dict, key, value):
     """Add value into acc[key]; a key whose sum is zero is dropped."""
     prev = acc.get(key)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from .linalg import as_fraction, shuffle_sign
-from .poly import Poly, _Terms, accumulate
+from .poly import Poly, _index_tuple, _Terms, accumulate
 
 IndexTuple = tuple[int, ...]
 
@@ -41,21 +41,12 @@ class SimplexContext:
         raise AttributeError("SimplexContext is immutable")
 
     def barycenter(self, subset: Sequence[int]) -> tuple[Fraction, ...]:
-        subset = _subset(subset, self.n)
+        subset = _index_tuple(subset, self.n + 1)
         if not subset:
             raise ValueError("barycenter of the empty face")
         w = Fraction(1, len(subset))
         return tuple(w if i in subset else Fraction(0)
                      for i in range(self.n + 1))
-
-
-def _subset(indices: Sequence[int], n: int) -> IndexTuple:
-    out = tuple(int(i) for i in indices)
-    if any(not 0 <= i <= n for i in out):
-        raise ValueError("vertex index out of range")
-    if any(out[k] >= out[k + 1] for k in range(len(out) - 1)):
-        raise ValueError("indices must be strictly increasing")
-    return out
 
 
 class SimplexForm(_Terms):
@@ -67,7 +58,7 @@ class SimplexForm(_Terms):
 
     @staticmethod
     def _key(nvars: int, raw) -> IndexTuple:
-        return _subset(raw, nvars - 1)
+        return _index_tuple(raw, nvars)
 
     @classmethod
     def monomial(cls, nvars: int, indices: Sequence[int], coeff) -> "SimplexForm":
@@ -172,7 +163,7 @@ class SimplexForm(_Terms):
         """Normal form on the face spanned by the given vertices: kill the
         coordinates off the face, then eliminate the smallest face vertex via
         the face relation sum_(j in face) x_j = 1."""
-        face = _subset(face, self.nvars - 1)
+        face = _index_tuple(face, self.nvars)
         if not face:
             raise ValueError("empty face")
         return self._normalize(face, face[0])
@@ -271,13 +262,14 @@ class SimplexCochain:
         if not 0 <= degree <= n:
             raise ValueError("cochain degree out of range")
         expected = set(itertools.combinations(range(n + 1), degree + 1))
-        keys = {_subset(k, n) for k in values}
+        keys = {_index_tuple(k, n + 1) for k in values}
         if keys != expected:
             raise ValueError("cochain must assign a value to every subset "
                              f"of size {degree + 1}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "values", {_subset(k, n): v for k, v in values.items()})
+        object.__setattr__(self, "values",
+                           {_index_tuple(k, n + 1): v for k, v in values.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplexCochain is immutable")
@@ -288,7 +280,7 @@ class SimplexCochain:
                                for J in itertools.combinations(range(n + 1), degree + 1)})
 
     def __getitem__(self, subset: Sequence[int]) -> object:
-        return self.values[_subset(subset, self.n)]
+        return self.values[_index_tuple(subset, self.n + 1)]
 
     def map_values(self, fn: Callable[[IndexTuple, object], object]) -> "SimplexCochain":
         return SimplexCochain(self.n, self.degree,
@@ -349,7 +341,7 @@ def star_closed_form(ctx: SimplexContext, beta: SimplexForm, p: int, r: int,
     n = ctx.n
     if not 0 <= r <= p:
         raise ValueError("need 0 <= r <= p")
-    subset = _subset(subset, n)
+    subset = _index_tuple(subset, n + 1)
     if len(subset) != r + 1:
         raise ValueError("subset size must be r + 1")
     if r == 0:

@@ -12,12 +12,25 @@ import itertools
 import json
 from fractions import Fraction
 
+from tropmono.library import cycle_complex, simplicial_presentations_from_tensors
+
 
 def json_digest(obj) -> str:
     """SHA-256 of the canonical JSON text of a serialized value; the pinned
     digests in the suite are recorded with this function."""
     canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def cycle_presentations(m, weights, columns):
+    """Presentations on the m-cycle from shared per-edge data, through the
+    general simplicial builder.  ``columns[(a, b)][l]`` is the pair (value
+    at a, value at b) of the l-th symbol on the edge a < b, so both
+    endpoints of every edge describe the same order data."""
+    cx = cycle_complex(m)
+    tensors = {cx.stratum_by_index_set(edge).label: [[pair] for pair in pairs]
+               for edge, pairs in columns.items()}
+    return simplicial_presentations_from_tensors(cx, weights, tensors)
 
 
 def det_cofactor(rows):

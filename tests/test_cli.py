@@ -4,14 +4,13 @@ import random
 
 import pytest
 
-from conftest import json_digest
+from conftest import cycle_presentations, json_digest
 from tropmono.cli import main, run
 from tropmono.dual_complex import (SemistableCombinatorics, Stratum,
                                    complex_to_json, relabel_components,
                                    unit_h2)
 from tropmono.library import (all_ones_h2, cycle_complex,
                               cycle_orientation_presentations,
-                              cycle_presentations_from_tensor,
                               cycle_validation_h2, point_complex,
                               simplicial_presentations_from_tensors,
                               tetrahedron_complex)
@@ -192,7 +191,7 @@ def test_dolbeault_results_pinned(tmp_path, name):
                                   complex_to_json(cycle_complex(4)))
         columns = {(1, 2): [(0, 2)], (2, 3): [(1, -1)], (3, 4): [(0, 5)],
                    (1, 4): [(3, 3)]}
-        pres = cycle_presentations_from_tensor(4, ("1/2",), columns)
+        pres = cycle_presentations(4, ("1/2",), columns)
         pres_path = write_json(tmp_path / "p.json", {
             "presentations": [q.to_json_obj() for q in pres]})
         p = 1
@@ -234,7 +233,7 @@ def test_ord_compute_pinned_with_two_covers_per_edge(tmp_path, m):
         edge = tuple(sorted((i, i % m + 1)))
         columns[edge] = [(rng.randint(-4, 4), rng.randint(-4, 4))
                          for _ in weights]
-    pres = cycle_presentations_from_tensor(m, weights, columns)
+    pres = cycle_presentations(m, weights, columns)
     complex_path = write_json(tmp_path / "c.json",
                               complex_to_json(cycle_complex(m)))
     pres_path = write_json(tmp_path / "p.json", {
@@ -364,7 +363,7 @@ def test_dolbeault_disagreement_exits_1(tmp_path):
                               complex_to_json(cycle_complex(m)))
     columns = {(1, 2): [(0, 2)], (2, 3): [(1, -1)], (3, 4): [(0, 5)],
                (1, 4): [(3, 3)]}
-    shared = cycle_presentations_from_tensor(m, (1,), columns)
+    shared = cycle_presentations(m, (1,), columns)
     pres = {"presentations": [p.to_json_obj() for p in shared]}
     pres["presentations"][0]["flags"]["1,2"][0][0][0] += 1
     broken = write_json(tmp_path / "broken.json", pres)
@@ -415,7 +414,14 @@ COMPLEX_FAULTS = {
     "gysin_not_a_child": "h2 Y1: E2_3 is not a child of Y1",
     "restrict_unknown_child": "h2 Y2: NOPE is not a child of Y2",
     "no_components": "a complex needs at least one component",
-    "gysin_entry_is_true": "cannot interpret True as a rational number",
+    "gysin_entry_is_true":
+        "h2 Y1: gysin E1_2: cannot interpret True as a rational number",
+    "components_is_a_string": "components must be a list",
+    "gysin_is_a_string": "h2 Y1: gysin E1_2 must be a list",
+    "restrict_is_ragged": "h2 Y1: restrict E1_2: ragged rows",
+    "parents_key_is_not_a_number":
+        "stratum E1_2: parents: invalid literal for int() with base 10: 'x'",
+    "dim_is_negative": "h2 Y1: dim must be a nonnegative integer",
 }
 
 
@@ -440,6 +446,16 @@ def _malformed_complex(case):
         obj = {"components": [], "strata": []}
     elif case == "gysin_entry_is_true":
         obj["h2"]["Y1"]["gysin"]["E1_2"] = [True]
+    elif case == "components_is_a_string":
+        obj["components"] = "ABCD"
+    elif case == "gysin_is_a_string":
+        obj["h2"]["Y1"]["gysin"]["E1_2"] = "1"
+    elif case == "restrict_is_ragged":
+        obj["h2"]["Y1"]["restrict"] = {"E1_2": [["1"], ["1", "2"]]}
+    elif case == "parents_key_is_not_a_number":
+        obj["strata"][4]["parents"] = {"x": "Y2", "2": "Y1"}
+    elif case == "dim_is_negative":
+        obj["h2"]["Y1"]["dim"] = -1
     else:
         obj["h2"] = [obj["h2"]["Y1"]]
     return obj
@@ -449,11 +465,14 @@ def _malformed_complex(case):
     "gysin_length_monodromy", "gysin_length_ord_check", "stratum_is_a_string",
     "parents_is_a_list", "h2_is_a_list", "h2_unknown_stratum",
     "gysin_unknown_child", "gysin_not_a_child", "restrict_unknown_child",
-    "no_components", "gysin_entry_is_true"])
+    "no_components", "gysin_entry_is_true", "components_is_a_string",
+    "gysin_is_a_string", "restrict_is_ragged", "parents_key_is_not_a_number",
+    "dim_is_negative"])
 def test_malformed_complex_exits_2(tmp_path, case):
     # before, the unknown labels were kept and `ss monodromy` reported an
     # isomorphism; `ss e2` on the empty complex passed zero checks; a Gysin
-    # entry true was read as 1
+    # entry true was read as 1; the strings "ABCD" and "1" were read as the
+    # lists of their characters; the last three named no stratum
     path = write_json(tmp_path / "bad.json", _malformed_complex(case))
     if case == "no_components":
         argv = ["ss", "e2", "--input", path]
@@ -499,6 +518,17 @@ def test_complex_numbers_must_be_json_integers(tmp_path, field, value, where):
     assert "Traceback" not in text
 
 
+# fields replaced in the first presentation of the 5-cycle
+PRESENTATION_EDITS = {
+    "weights_is_a_string": {"weights": "12", "flags": {"1,2": [[[1]], [[1]]]}},
+    "flag_key_is_not_a_number": {"flags": {"1,x": [[[1]]]}},
+    "flag_has_one_member": {"flags": {"1": [[[]]]}},
+    "flag_rooted_elsewhere": {"flags": {"2,3": [[[1]]]}},
+    "two_matrices_for_one_weight": {"flags": {"1,2": [[[1]], [[1]]]}},
+    "two_columns_for_one_wall": {"flags": {"1,2": [[[1, 2]]]}},
+}
+
+
 @pytest.mark.parametrize("case,message", [
     ("entry_is_a_string", "presentation 0 is not an object"),
     ("entry_is_a_list", "presentation 1 is not an object"),
@@ -513,10 +543,23 @@ def test_complex_numbers_must_be_json_integers(tmp_path, field, value, where):
      "presentation 0: flag 1,2: expected a list of exponent matrices"),
     ("weight_is_true",
      "presentation 0: weights: cannot interpret True as a rational number"),
+    ("weights_is_a_string", "presentation 0: weights must be a list"),
+    ("flag_key_is_not_a_number",
+     "presentation 0: flag 1,x: invalid literal for int() with base 10: 'x'"),
+    ("flag_has_one_member",
+     "presentation 0: flag 1: a flag needs at least one wall"),
+    ("flag_rooted_elsewhere", "presentation 0: flag 2,3: flag must be rooted "
+     "at the presentation component"),
+    ("two_matrices_for_one_weight",
+     "presentation 0: flag 1,2: one exponent matrix per weight required"),
+    ("two_columns_for_one_wall",
+     "presentation 0: flag 1,2: one matrix column per wall required"),
 ])
 def test_malformed_presentations_exit_2(tmp_path, case, message):
-    # before, an exponent 1.5 was truncated to 1, a component 2.7 to 2 and a
-    # weight true read as 1; a flag 5 failed with "'int' object is not iterable"
+    # before, an exponent 1.5 was truncated to 1, a component 2.7 to 2, a
+    # weight true read as 1 and the weights "12" as 1 and 2; a flag 5 failed
+    # with "'int' object is not iterable"; the flag faults named no
+    # presentation or flag
     complex_path, _ = cycle_files(tmp_path, 5)
     if case == "entry_is_a_string":
         pres = ["x"]
@@ -530,6 +573,9 @@ def test_malformed_presentations_exit_2(tmp_path, case, message):
             pres[0]["flags"]["1,2"] = 5
         else:
             pres[0]["weights"] = [True]
+    elif case in PRESENTATION_EDITS:
+        pres = [p.to_json_obj() for p in cycle_orientation_presentations(5)]
+        pres[0].update(PRESENTATION_EDITS[case])
     else:
         pres = [p.to_json_obj() for p in cycle_orientation_presentations(5)]
         bad = {"exponent_is_a_float": 1.5, "exponent_is_true": True,

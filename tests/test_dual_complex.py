@@ -298,6 +298,16 @@ def test_h2_model_validation():
         H2Model({"Y1": -1})
     with pytest.raises(ValueError, match="wrong length"):
         H2Model({"Y1": 2, "E": 1}, {("Y1", "E"): (1,)})
+    # before, int() truncated the dim 1.7 to 1
+    with pytest.raises(ValueError, match="^h2 Y1: dim must be a nonnegative integer$"):
+        H2Model({"Y1": 1.7})
+    with pytest.raises(ValueError, match="^h2 Y1: gysin E: cannot interpret"):
+        H2Model({"Y1": 1, "E": 1}, {("Y1", "E"): (True,)})
+    # rows are read with the parent's dimension as width
+    rows = H2Model({"Y1": 2, "E": 1}, restrict={("Y1", "E"): [[1, "1/2"]]})
+    assert rows.restriction("Y1", "E") == QMatrix([[1, Fraction(1, 2)]])
+    with pytest.raises(ValueError, match="^h2 Y1: restrict E: ncols disagrees"):
+        H2Model({"Y1": 2, "E": 1}, restrict={("Y1", "E"): [[1]]})
     h2 = H2Model({"Y1": 2, "E": 1}, {("Y1", "E"): (1, 1)},
                  {("Y1", "E"): QMatrix([[1, 2, 3]])})
     with pytest.raises(ValueError, match="wrong shape"):

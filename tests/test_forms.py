@@ -8,7 +8,7 @@ from conftest import json_digest, sort_sign
 from tropmono.forms import AffineMap, Superform
 from tropmono.linalg import QMatrix
 from tropmono.poly import Poly
-from tropmono.randgen import (rand_affine_map, rand_point, rand_poly,
+from tropmono.randgen import (rand_affine_map, rand_fraction, rand_point, rand_poly,
                               rand_superform, rand_superform_mixed)
 
 
@@ -225,6 +225,14 @@ def test_pullback_matches_the_wedge_chain():
     # every source dimension, with blocks longer than it and mixed bidegrees
     assert {(m, True, True) for m in range(4)} <= seen
     assert {(m, False, True) for m in range(5)} <= seen
+    # maps into R^0, where only constants live: before, a source of
+    # positive dimension raised instead of returning the constant
+    rng = random.Random(27)
+    for m in range(5):
+        phi = rand_affine_map(rng, m, 0)
+        c = rand_fraction(rng)
+        assert phi.pullback(monomial(0, (), (), c)) == monomial(m, (), (), c)
+        assert phi.pullback(Superform.zero(0)) == Superform.zero(m)
 
 
 # SHA-256 of the serialized pullbacks below, recorded with the wedge-chain

@@ -4,11 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import det_cofactor, json_digest, sort_sign
+from conftest import cycle_presentations, det_cofactor, json_digest, sort_sign
 from tropmono.dual_complex import (SemistableCombinatorics, Stratum,
                                    check_vanishing_vector, unit_h2)
 from tropmono.library import (cycle_complex, cycle_orientation_presentations,
-                              cycle_presentations_from_tensor,
                               point_complex, simplicial_presentations_from_tensors,
                               tetrahedron_complex)
 from tropmono.order_map import (Presentation, dolbeault_ladder,
@@ -60,13 +59,14 @@ def test_flag_normalization_frozen():
     assert flag_normalization((1, 2, 3)) == ((1, 2, 3), 1)
 
 
-def full_subset_complex(m):
-    """All nonempty subsets of {1..m} as strata."""
+def full_subset_complex(m, largest=None):
+    """All nonempty subsets of {1..m} with at most ``largest`` members
+    (default m) as strata."""
     def label(subset):
         return "S" + "_".join(map(str, subset))
 
     strata = []
-    for size in range(1, m + 1):
+    for size in range(1, (largest or m) + 1):
         for subset in itertools.combinations(range(1, m + 1), size):
             parents = {}
             if size > 1:
@@ -269,6 +269,13 @@ def test_presentation_validation():
         Presentation(1, (1,), {(1, 2): (((1,), (2,)),), (1, 3): (((1,),),)})
     with pytest.raises(ValueError, match="column per wall"):
         Presentation(1, (1,), {(1, 2, 3): (((1,),),)})
+    # before, int() truncated these to 1 and 2
+    with pytest.raises(ValueError, match="^flag 1,2: exponents must be integers$"):
+        Presentation(1, (1,), {(1, 2): (((1.5,),),)})
+    with pytest.raises(ValueError, match="^flag 1,2.5: members must be integers$"):
+        Presentation(1, (1,), {(1, 2.5): (((1,),),)})
+    with pytest.raises(ValueError, match="^component must be an integer$"):
+        Presentation(2.0, (1,), {})
     pres = Presentation(1, (1,), {(1, 2): (((3,),),)})
     with pytest.raises(KeyError):
         pres.ord_value((1, 3))
@@ -301,7 +308,7 @@ def test_ladder_with_shared_tensor_cover():
     m = 4
     columns = {(1, 2): [(0, 2)], (2, 3): [(1, -1)], (3, 4): [(0, 5)],
                (1, 4): [(3, 3)]}
-    pres = cycle_presentations_from_tensor(m, (Fraction(1, 2),), columns)
+    pres = cycle_presentations(m, (Fraction(1, 2),), columns)
     cx = cycle_complex(m)
     result = dolbeault_ladder(pres, cx, 1)
     assert result.final_check
@@ -333,6 +340,76 @@ def test_ladder_on_the_tetrahedron():
         block = tensor[0]
         diff = [[row[j] - row[0] for j in (1, 2)] for row in block]
         assert result.ord_values[label] == det_cofactor(diff)
+
+
+def with_permuted_walls(pres, rng):
+    """The presentation with every flag also recorded once more, its walls
+    (and matrix columns) in a random other order: the same order data."""
+    flags = dict(pres.flags)
+    for flag, mats in pres.flags.items():
+        order = list(range(len(flag) - 1))
+        rng.shuffle(order)
+        if order == sorted(order):
+            order.reverse()
+        flags[(flag[0],) + tuple(flag[1 + k] for k in order)] = tuple(
+            tuple(tuple(row[k] for k in order) for row in mat) for mat in mats)
+    return Presentation(pres.component, pres.weights, flags)
+
+
+def candidate_ord_values(presentations, complex_, p):
+    """Per level-p face, the value every covering flag of every top over it
+    derives: the ladder's per-candidate loop before it read one candidate
+    per top.  A flag's matrices get one column per vertex of the top, zero
+    at the root, and the face value is the weighted determinant of the
+    columns of the face's vertices minus that of its first vertex."""
+    out = {}
+    for s in complex_.level(p):
+        first, rest = s.index_set[0], s.index_set[1:]
+        values = []
+        for z in complex_.level(complex_.max_level):
+            if not set(s.index_set) <= set(z.index_set):
+                continue
+            for pres in presentations:
+                for flag, mats in pres.flags.items():
+                    if tuple(sorted(flag)) != z.index_set:
+                        continue
+                    total = Fraction(0)
+                    for w, mat in zip(pres.weights, mats):
+                        rows = []
+                        for row in mat:
+                            col = {flag[0]: 0, **dict(zip(flag[1:], row))}
+                            rows.append([col[v] - col[first] for v in rest])
+                        total += w * det_cofactor(rows)
+                    values.append(total)
+        out[s.label] = values
+    return out
+
+
+def test_ladder_reads_one_candidate_per_top():
+    # consistent random data, every top covered from each of its vertices
+    # and again with permuted walls: the value the ladder reads off each
+    # top's first candidate is the value every candidate derives
+    rng = random.Random(63)
+    for cx in (cycle_complex(5), tetrahedron_complex(),
+               full_subset_complex(5, 3), full_subset_complex(5, 4)):
+        n_top = cx.max_level
+        vertices = range(1, len(cx.components) + 1)
+        for p in range(1, n_top + 1):
+            for _ in range(2):
+                weights = tuple(rand_fraction(rng)
+                                for _ in range(rng.randint(1, 2)))
+                table = [[{v: rng.randint(-3, 3) for v in vertices}
+                          for _ in range(p)] for _ in weights]
+                tensors = {z.label: [[[row[v] for v in z.index_set]
+                                      for row in sheet] for sheet in table]
+                           for z in cx.level(n_top)}
+                pres = [with_permuted_walls(q, rng) for q in
+                        simplicial_presentations_from_tensors(cx, weights, tensors)]
+                result = dolbeault_ladder(pres, cx, p)
+                assert result.final_check
+                for label, values in candidate_ord_values(pres, cx, p).items():
+                    assert len(values) >= 2
+                    assert set(values) == {result.ord_values[label]}
 
 
 def bowtie_complex():
@@ -441,7 +518,7 @@ def test_ladder_outputs_pinned():
              for m in range(3, 8)]
     columns = {(1, 2): [(0, 2)], (2, 3): [(1, -1)], (3, 4): [(0, 5)],
                (1, 4): [(3, 3)]}
-    cases.append((cycle_presentations_from_tensor(4, (Fraction(1, 2),), columns),
+    cases.append((cycle_presentations(4, (Fraction(1, 2),), columns),
                   cycle_complex(4), 1))
     tetra = tetrahedron_complex()
     tensors = {

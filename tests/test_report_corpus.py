@@ -1,0 +1,176 @@
+"""A fixed corpus of command line reports, hashed into one digest.
+
+Every report the corpus produces, in JSON and in TSV, passing or failing,
+goes into one SHA-256 over (argv, format, exit status, report bytes).  The
+inputs come from the bundled library fixtures and the benchmark's fixture
+builders, written under fixed relative names so that the input paths and
+hashes inside the reports are fixed too.  A refactor that moves any byte of
+any report, a failure witness included, changes the digest.
+"""
+
+import hashlib
+import json
+import os
+import random
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "bench"))
+
+import fixtures  # noqa: E402
+from tropmono.cli import run  # noqa: E402
+from tropmono.dual_complex import complex_to_json  # noqa: E402
+from tropmono.library import (all_ones_h2, cycle_complex,  # noqa: E402
+                              cycle_orientation_presentations,
+                              simplicial_presentations_from_tensors,
+                              tetrahedron_complex)
+
+# recorded before the order data was computed through one Cauchy-Binet step
+CORPUS_DIGEST = "27d8b09bdb09880010dc7450baa0ecee74e5ad2d4a94d38d5c9354818dec2e92"
+
+
+class _Corpus:
+    """Writes inputs into the working directory under counted names and
+    collects the argv of every report."""
+
+    def __init__(self):
+        self.files = 0
+        self.argvs: list[list[str]] = []
+
+    def write(self, stem: str, obj) -> str:
+        self.files += 1
+        path = f"{self.files:03d}-{stem}.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, sort_keys=True)
+        return path
+
+    def pres(self, stem: str, presentations) -> str:
+        return self.write(stem, {"presentations": [
+            p if isinstance(p, dict) else p.to_json_obj()
+            for p in presentations]})
+
+    def add(self, *argv):
+        self.argvs.append([str(a) for a in argv])
+
+
+def _cycles(corpus: _Corpus):
+    rng = random.Random(7001)
+    for m in (3, 4, 5, 7, 9, 12):
+        cx = fixtures.shuffled(cycle_complex(m), rng)
+        bare = corpus.write(f"cycle{m}", complex_to_json(cx))
+        good = corpus.write(f"cycle{m}-h2",
+                            complex_to_json(cx, fixtures.validation_h2(cx)))
+        ones = corpus.write(f"cycle{m}-ones", complex_to_json(cx, all_ones_h2(cx)))
+        corpus.add("ss", "e2", "--input", bare, "--p", 1)
+        corpus.add("ss", "e2", "--input", bare)
+        corpus.add("ss", "monodromy", "--input", bare, "--p", 1)
+        for path in (good, ones):
+            corpus.add("ss", "validate", "--input", path)
+            corpus.add("ss", "monodromy", "--input", path, "--p", 1)
+
+
+def _boundaries(corpus: _Corpus):
+    rng = random.Random(7002)
+    for n in (2, 3, 4, 5):
+        cx = fixtures.shuffled(fixtures.simplex_boundary(n), rng)
+        path = corpus.write(f"boundary{n}", complex_to_json(cx))
+        ones = corpus.write(f"boundary{n}-ones", complex_to_json(cx, all_ones_h2(cx)))
+        for p in range(n):
+            corpus.add("ss", "e2", "--input", path, "--p", p)
+        for p in range(1, n):
+            corpus.add("ss", "monodromy", "--input", path, "--p", p)
+            corpus.add("ss", "monodromy", "--input", ones, "--p", p)
+        corpus.add("ss", "validate", "--input", ones)
+
+
+def _tampered(pres_objs, rng: random.Random) -> list[dict]:
+    """The same presentations with one exponent moved by one."""
+    objs = json.loads(json.dumps(pres_objs))
+    target = rng.choice([o for o in objs if o["flags"]])
+    key = sorted(target["flags"])[0]
+    target["flags"][key][0][0][0] += 1
+    return objs
+
+
+def _independent(complex_, p: int, rng: random.Random):
+    """One random tensor per top stratum, with no shared global table, so
+    faces shared by two tops get different values."""
+    tensors = {z.label: [[[rng.randint(-3, 3) for _ in z.index_set]
+                          for _ in range(p)]]
+               for z in complex_.level(complex_.max_level)}
+    return simplicial_presentations_from_tensors(complex_, (1,), tensors)
+
+
+def _ladders(corpus: _Corpus):
+    rng = random.Random(7003)
+    complexes = [("tetrahedron", tetrahedron_complex()),
+                 ("cycle6", cycle_complex(6)),
+                 ("skeleton-5-2", fixtures.simplex_skeleton(5, 2)),
+                 ("skeleton-5-3", fixtures.simplex_skeleton(5, 3))]
+    for name, cx in complexes:
+        path = corpus.write(name, complex_to_json(cx))
+        top = cx.max_level
+        for p in range(1, top + 1):
+            pres, _, _ = fixtures.simplicial_presentations(cx, p, rng)
+            good = corpus.pres(f"{name}-p{p}", pres)
+            bad = corpus.pres(f"{name}-p{p}-tampered",
+                              _tampered([q.to_json_obj() for q in pres], rng))
+            mixed = corpus.pres(f"{name}-p{p}-independent",
+                                _independent(cx, p, rng))
+            for pres_path in (good, bad, mixed):
+                corpus.add("dolbeault", "--complex", path, "--pres", pres_path,
+                           "--p", p)
+                corpus.add("ord", "compute", "--complex", path, "--pres",
+                           pres_path, "--p", p)
+            corpus.add("ord", "check", "--complex", path, "--pres", good,
+                       "--p", p)
+
+
+def _orders(corpus: _Corpus):
+    rng = random.Random(7004)
+    for m in (3, 5, 8, 13):
+        path = corpus.write(f"ord-cycle{m}", complex_to_json(cycle_complex(m)))
+        kernel, _ = fixtures.cycle_kernel_presentations(m, rng)
+        oriented = cycle_orientation_presentations(m)
+        for stem, pres in (("kernel", kernel), ("oriented", oriented),
+                           ("partial", oriented[1:])):
+            pres_path = corpus.pres(f"ord-cycle{m}-{stem}", pres)
+            for sub in ("compute", "check"):
+                corpus.add("ord", sub, "--complex", path, "--pres", pres_path,
+                           "--p", 1)
+            corpus.add("dolbeault", "--complex", path, "--pres", pres_path,
+                       "--p", 1)
+
+
+def _towers_and_batteries(corpus: _Corpus):
+    for n, p, extra, seed in ((1, 1, 2, 3), (2, 1, 2, 5), (2, 2, 1, 8),
+                              (3, 1, 0, 13), (3, 2, 1, 21), (3, 3, 1, 34)):
+        corpus.add("simplex", "starprop", "--n", n, "--p", p, "--random",
+                   extra, "--seed", seed)
+    for n, cases, seed in ((1, 3, 1), (2, 3, 2), (3, 2, 3), (4, 1, 414)):
+        corpus.add("check", "superform", "--n", n, "--cases", cases,
+                   "--seed", seed)
+
+
+def corpus_digest() -> tuple[str, int]:
+    """(SHA-256 over every report, number of reports); writes its inputs
+    into the working directory."""
+    corpus = _Corpus()
+    for part in (_cycles, _boundaries, _ladders, _orders, _towers_and_batteries):
+        part(corpus)
+    digest = hashlib.sha256()
+    reports = 0
+    for argv in corpus.argvs:
+        for fmt in ("json", "tsv"):
+            code, text = run(argv + ["--format", fmt])
+            head = json.dumps([argv, fmt, code]).encode("utf-8")
+            digest.update(head + b"\0" + text.encode("utf-8") + b"\0")
+            reports += 1
+    return digest.hexdigest(), reports
+
+
+def test_report_corpus_is_unchanged(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    digest, reports = corpus_digest()
+    assert reports > 300
+    assert digest == CORPUS_DIGEST
