@@ -14,6 +14,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
 import random
 import sys
@@ -75,9 +76,16 @@ def _load_json(path: str, report: RunReport):
         raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
 
 
-def _map_obj(phi: AffineMap):
-    return {"matrix": phi.matrix.to_json_obj(),
-            "translation": [rat_str(x) for x in phi.translation]}
+def _witness(case: int, drawn: dict) -> dict:
+    """The failing case and the JSON of each object it drew."""
+    def as_json(obj):
+        if isinstance(obj, AffineMap):
+            return {"matrix": obj.matrix.to_json_obj(),
+                    "translation": [rat_str(x) for x in obj.translation]}
+        if isinstance(obj, list):
+            return [as_json(x) for x in obj]
+        return obj if isinstance(obj, int) else obj.to_json_obj()
+    return {"case": case, **{key: as_json(obj) for key, obj in drawn.items()}}
 
 
 # --- check superform -------------------------------------------------------
@@ -90,143 +98,93 @@ def cmd_check_superform(args) -> RunReport:
     report = RunReport(f"check superform --n {n} --cases {cases} --seed {seed}",
                        seed=seed)
 
-    def run(index: int, name: str, fn):
-        rng = random.Random(seed * 1_000_003 + index)
-        failure = None
-        for case in range(cases):
-            witness = fn(rng, case)
-            if witness is not None and failure is None:
-                failure = witness
-        report.add_check(name, failure is None, failure)
+    # each identity draws its objects from rng and returns (holds, drawn)
+    def on_mixed(holds):
+        def identity(rng, case):
+            a = rand_superform_mixed(rng, n)
+            return holds(a), {"form": a}
+        return identity
 
     def wedge_commutes(rng, case):
-        p1, q1 = rng.randint(0, n), rng.randint(0, n)
-        p2, q2 = rng.randint(0, n), rng.randint(0, n)
+        p1, q1, p2, q2 = (rng.randint(0, n) for _ in range(4))
         a = rand_superform(rng, n, p1, q1)
         b = rand_superform(rng, n, p2, q2)
         sign = (-1) ** ((p1 + q1) * (p2 + q2))
-        if a.wedge(b) == b.wedge(a) * sign:
-            return None
-        return {"case": case, "left": a.to_json_obj(), "right": b.to_json_obj()}
+        return a.wedge(b) == b.wedge(a) * sign, {"left": a, "right": b}
 
     def wedge_assoc(rng, case):
-        forms = [rand_superform_mixed(rng, n, pieces=1) for _ in range(3)]
-        a, b, c = forms
-        if a.wedge(b).wedge(c) == a.wedge(b.wedge(c)):
-            return None
-        return {"case": case, "forms": [f.to_json_obj() for f in forms]}
-
-    def d_prime_sq(rng, case):
-        a = rand_superform_mixed(rng, n)
-        if a.d_prime().d_prime().is_zero():
-            return None
-        return {"case": case, "form": a.to_json_obj()}
-
-    def d_second_sq(rng, case):
-        a = rand_superform_mixed(rng, n)
-        if a.d_second().d_second().is_zero():
-            return None
-        return {"case": case, "form": a.to_json_obj()}
-
-    def d_anticommute(rng, case):
-        a = rand_superform_mixed(rng, n)
-        if (a.d_prime().d_second() + a.d_second().d_prime()).is_zero():
-            return None
-        return {"case": case, "form": a.to_json_obj()}
+        a, b, c = forms = [rand_superform_mixed(rng, n, pieces=1)
+                           for _ in range(3)]
+        return a.wedge(b).wedge(c) == a.wedge(b.wedge(c)), {"forms": forms}
 
     def leibniz(which):
-        def inner(rng, case):
+        def identity(rng, case):
             p1, q1 = rng.randint(0, n), rng.randint(0, n)
             a = rand_superform(rng, n, p1, q1)
             b = rand_superform_mixed(rng, n, pieces=1)
-            d = Superform.d_prime if which == "prime" else Superform.d_second
+            d = getattr(Superform, which)
             sign = (-1) ** (p1 + q1)
-            if d(a.wedge(b)) == d(a).wedge(b) + a.wedge(d(b)) * sign:
-                return None
-            return {"case": case, "left": a.to_json_obj(),
-                    "right": b.to_json_obj()}
-        return inner
-
-    def flip_involution(rng, case):
-        a = rand_superform_mixed(rng, n)
-        if a.flip().flip() == a:
-            return None
-        return {"case": case, "form": a.to_json_obj()}
-
-    def flip_exchanges(rng, case):
-        a = rand_superform_mixed(rng, n)
-        if a.flip().d_prime().flip() == a.d_second():
-            return None
-        return {"case": case, "form": a.to_json_obj()}
+            holds = d(a.wedge(b)) == d(a).wedge(b) + a.wedge(d(b)) * sign
+            return holds, {"left": a, "right": b}
+        return identity
 
     def monodromy_d_second(rng, case):
-        p = rng.randint(1, n)
-        a = rand_superform(rng, n, p, rng.randint(0, n))
-        if a.d_second().monodromy() == a.monodromy().d_second():
-            return None
-        return {"case": case, "form": a.to_json_obj()}
+        a = rand_superform(rng, n, rng.randint(1, n), rng.randint(0, n))
+        return a.d_second().monodromy() == a.monodromy().d_second(), {"form": a}
 
     def monodromy_power(rng, case):
         p = rng.randint(1, n)
-        a = rand_superform(rng, n, p, 0)
-        power = a
+        a = power = rand_superform(rng, n, p, 0)
         for _ in range(p):
             power = power.monodromy()
-        factorial = 1
-        for k in range(2, p + 1):
-            factorial *= k
-        if power == a.flip() * factorial:
-            return None
-        return {"case": case, "p": p, "form": a.to_json_obj()}
+        return power == a.flip() * math.factorial(p), {"p": p, "form": a}
 
     def monodromy_wedge(rng, case):
         p1 = rng.randint(1, n)
         p2 = rng.randint(max(1, n + 1 - p1), n)
         a = rand_superform(rng, n, p1, rng.randint(0, n - p1))
         b = rand_superform(rng, n, p2, rng.randint(0, n - p2))
-        if (a.monodromy().wedge(b) + a.wedge(b.monodromy())).is_zero():
-            return None
-        return {"case": case, "left": a.to_json_obj(), "right": b.to_json_obj()}
+        holds = (a.monodromy().wedge(b) + a.wedge(b.monodromy())).is_zero()
+        return holds, {"left": a, "right": b}
 
     def pullback_wedge(rng, case):
-        m = rng.randint(1, n)
-        phi = rand_affine_map(rng, m, n)
+        phi = rand_affine_map(rng, rng.randint(1, n), n)
         a = rand_superform_mixed(rng, n, pieces=1)
         b = rand_superform_mixed(rng, n, pieces=1)
-        if phi.pullback(a.wedge(b)) == phi.pullback(a).wedge(phi.pullback(b)):
-            return None
-        return {"case": case, "map": _map_obj(phi),
-                "left": a.to_json_obj(), "right": b.to_json_obj()}
+        pull = phi.pullback
+        holds = pull(a.wedge(b)) == pull(a).wedge(pull(b))
+        return holds, {"map": phi, "left": a, "right": b}
 
     def pullback_d(rng, case):
-        m = rng.randint(1, n)
-        phi = rand_affine_map(rng, m, n, rank_deficient=(case % 3 == 0))
+        phi = rand_affine_map(rng, rng.randint(1, n), n,
+                              rank_deficient=(case % 3 == 0))
         a = rand_superform_mixed(rng, n)
-        ok = (phi.pullback(a.d_prime()) == phi.pullback(a).d_prime()
-              and phi.pullback(a.d_second()) == phi.pullback(a).d_second())
-        if ok:
-            return None
-        return {"case": case, "map": _map_obj(phi), "form": a.to_json_obj()}
+        holds = (phi.pullback(a.d_prime()) == phi.pullback(a).d_prime()
+                 and phi.pullback(a.d_second()) == phi.pullback(a).d_second())
+        return holds, {"map": phi, "form": a}
 
     def pullback_monodromy(rng, case):
-        m = rng.randint(1, n)
-        phi = rand_affine_map(rng, m, n, rank_deficient=(case % 3 == 0))
-        p = rng.randint(1, n)
-        a = rand_superform(rng, n, p, rng.randint(0, n))
-        if phi.pullback(a.monodromy()) == phi.pullback(a).monodromy():
-            return None
-        return {"case": case, "map": _map_obj(phi), "form": a.to_json_obj()}
+        phi = rand_affine_map(rng, rng.randint(1, n), n,
+                              rank_deficient=(case % 3 == 0))
+        a = rand_superform(rng, n, rng.randint(1, n), rng.randint(0, n))
+        holds = phi.pullback(a.monodromy()) == phi.pullback(a).monodromy()
+        return holds, {"map": phi, "form": a}
 
     battery = [
         ("wedge_graded_commutative", wedge_commutes),
         ("wedge_associative", wedge_assoc),
-        ("derivative_prime_squared", d_prime_sq),
-        ("derivative_second_squared", d_second_sq),
-        ("derivative_anticommute", d_anticommute),
-        ("leibniz_prime", leibniz("prime")),
-        ("leibniz_second", leibniz("second")),
-        ("flip_involution", flip_involution),
-        ("flip_exchanges_derivatives", flip_exchanges),
+        ("derivative_prime_squared",
+         on_mixed(lambda a: a.d_prime().d_prime().is_zero())),
+        ("derivative_second_squared",
+         on_mixed(lambda a: a.d_second().d_second().is_zero())),
+        ("derivative_anticommute",
+         on_mixed(lambda a: (a.d_prime().d_second()
+                             + a.d_second().d_prime()).is_zero())),
+        ("leibniz_prime", leibniz("d_prime")),
+        ("leibniz_second", leibniz("d_second")),
+        ("flip_involution", on_mixed(lambda a: a.flip().flip() == a)),
+        ("flip_exchanges_derivatives",
+         on_mixed(lambda a: a.flip().d_prime().flip() == a.d_second())),
         ("monodromy_second_derivative_commutes", monodromy_d_second),
         ("monodromy_power_equals_flip", monodromy_power),
         ("monodromy_wedge_cancellation", monodromy_wedge),
@@ -234,8 +192,14 @@ def cmd_check_superform(args) -> RunReport:
         ("pullback_derivatives", pullback_d),
         ("pullback_monodromy", pullback_monodromy),
     ]
-    for index, (name, fn) in enumerate(battery):
-        run(index, name, fn)
+    for index, (name, identity) in enumerate(battery):
+        rng = random.Random(seed * 1_000_003 + index)
+        failure = None
+        for case in range(cases):
+            holds, drawn = identity(rng, case)
+            if not holds and failure is None:
+                failure = _witness(case, drawn)
+        report.add_check(name, failure is None, failure)
     report.result = {"n": n, "cases": cases, "checksRun": len(battery)}
     return report
 
@@ -302,6 +266,12 @@ def _load_complex(path: str, report: RunReport):
         return complex_from_json(obj)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"{path}: bad complex data: {exc}")
+
+
+def _require_classes(path: str, complex_, h2, level: int):
+    """Refuse to check a map into a level of H2 where every dim is 0."""
+    if not any(h2.dim(s.label) for s in complex_.level(level)):
+        raise CliError(f"{path}: h2 has no classes at level {level}")
 
 
 def cmd_ss_e2(args) -> RunReport:
@@ -377,6 +347,7 @@ def cmd_ss_validate(args) -> RunReport:
     else:
         levels = list(range(1, top + 1))
     for p in levels:
+        _require_classes(args.input, complex_, h2, p)
         try:
             composite = dual_complex.relation_composite(complex_, h2, p)
         except (KeyError, ValueError) as exc:
@@ -412,6 +383,8 @@ def cmd_ord(args) -> RunReport:
     top = complex_.max_level
     if not 1 <= args.p <= top:
         raise CliError(f"--p must lie between 1 and {top}")
+    if args.ord_cmd == "check" and h2 is not None:
+        _require_classes(args.complex, complex_, h2, args.p - 1)
     try:
         vector = ord_vector(presentations, complex_, args.p)
     except ValueError as exc:

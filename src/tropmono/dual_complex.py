@@ -380,43 +380,68 @@ def complex_to_json(complex_: SemistableCombinatorics,
     return out
 
 
+def _entry_error(entry, key: str, where: str, kind: str) -> ValueError:
+    """The error for a non-object entry, or for its key missing or wrong."""
+    if not isinstance(entry, dict):
+        return ValueError(f"{where} must be an object")
+    if key not in entry:
+        return ValueError(f"{where}: missing key {key!r}")
+    return ValueError(f"{where}: {key} must be {kind}")
+
+
 def complex_from_json(obj: Mapping) -> tuple[SemistableCombinatorics, Optional[H2Model]]:
-    """Read the JSON form; components, strata, index sets, Gysin vectors
-    and restriction rows must be lists.  Errors name the JSON location."""
+    """Read the JSON form: objects and lists where complex_to_json writes
+    them, strings for components and labels.  Errors name the location."""
     for field in ("components", "strata"):
-        if not isinstance(obj[field], list):
-            raise ValueError(f"{field} must be a list")
-    components = [str(c) for c in obj["components"]]
+        if not (isinstance(obj, dict) and isinstance(obj.get(field), list)):
+            raise _entry_error(obj, field, "top level", "a list")
+    if any(not isinstance(c, str) for c in obj["components"]):
+        raise ValueError("components must be strings")
     strata = []
-    for entry in obj["strata"]:
-        label = str(entry["label"])
-        index_set = entry["indexSet"]
+    for pos, entry in enumerate(obj["strata"]):
+        label = entry.get("label") if isinstance(entry, dict) else None
+        if not isinstance(label, str):
+            raise _entry_error(entry, "label", f"stratum {pos}", "a string")
+        index_set = entry.get("indexSet")
         # type(...) is int: JSON true/false, floats and strings are refused
         if (not isinstance(index_set, list)
                 or any(type(i) is not int for i in index_set)):
-            raise ValueError(f"stratum {label}: indexSet must be a list of integers")
+            raise _entry_error(entry, "indexSet", f"stratum {label}",
+                               "a list of integers")
+        parents = entry.get("parents", {})
+        if not isinstance(parents, dict):
+            raise _entry_error(entry, "parents", f"stratum {label}", "an object")
         try:
-            parents = {int(k): str(v) for k, v in entry.get("parents", {}).items()}
+            parents = {int(k): v for k, v in parents.items()}
         except ValueError as exc:
             raise ValueError(f"stratum {label}: parents: {exc}") from None
+        if any(not isinstance(v, str) for v in parents.values()):
+            raise ValueError(f"stratum {label}: parent labels must be strings")
         strata.append(Stratum(label, tuple(index_set), parents))
         if "level" in entry:
             if type(entry["level"]) is not int:
                 raise ValueError(f"stratum {label}: level must be an integer")
             if entry["level"] != len(index_set) - 1:
                 raise ValueError(f"stratum {label}: level disagrees with indexSet")
-    complex_ = SemistableCombinatorics(components, strata)
+    complex_ = SemistableCombinatorics(obj["components"], strata)
     h2 = None
     if "h2" in obj:
+        if not isinstance(obj["h2"], dict):
+            raise _entry_error(obj, "h2", "top level", "an object")
         dims = {}
         data: dict[str, dict] = {"gysin": {}, "restrict": {}}
         parents_of = {s.label: s.parents.values() for s in strata}
         for label, entry in obj["h2"].items():
             if label not in parents_of:
                 raise ValueError(f"h2 {label}: not a stratum")
+            if not isinstance(entry, dict) or "dim" not in entry:
+                raise _entry_error(entry, "dim", f"h2 {label}", "an integer")
             dims[label] = entry["dim"]
             for kind, found in data.items():
-                for child, value in entry.get(kind, {}).items():
+                block = entry.get(kind, {})
+                if not isinstance(block, dict):
+                    raise _entry_error(entry, kind, f"h2 {label}", "an object")
+                for child, value in block.items():
                     if label not in parents_of.get(child, ()):
                         raise ValueError(f"h2 {label}: {child} is not a child of {label}")
                     rows = value if kind == "restrict" else [value]

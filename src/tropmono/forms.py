@@ -18,7 +18,7 @@ from bisect import bisect
 from typing import Mapping, Sequence
 
 from .linalg import QMatrix, as_fraction, shuffle_sign
-from .poly import Poly, _index_tuple, _Terms, accumulate
+from .poly import Poly, _accumulate, _derivative, _index_tuple, _Terms
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -36,11 +36,7 @@ def _append_row(minors: dict, row: Sequence) -> dict:
             k = bisect(cols, j)
             key = cols[:k] + (j,) + cols[k:]
             # column j moves past the len(cols) - k columns after it
-            total = out.get(key, 0) + (-c * x if (len(cols) - k) % 2 else c * x)
-            if total:
-                out[key] = total
-            else:
-                out.pop(key, None)
+            _accumulate(out, key, -c * x if (len(cols) - k) % 2 else c * x)
     return out
 
 
@@ -77,45 +73,22 @@ class Superform(_Terms):
                 if (len(i2) * len(j1)) % 2:
                     sign = -sign
                 term = f * g
-                accumulate(acc, (sh_i[1], sh_j[1]), term if sign > 0 else -term)
+                _accumulate(acc, (sh_i[1], sh_j[1]), term if sign > 0 else -term)
         return self._made(acc)
 
     def d_prime(self) -> "Superform":
-        acc: dict[Key, Poly] = {}
-        for (dpr, dsec), f in self.terms.items():
-            for i in range(self.nvars):
-                g = f.derivative(i)
-                if g.is_zero():
-                    continue
-                sh = shuffle_sign((i,), dpr)
-                if sh is None:
-                    continue
-                sign, merged = sh
-                accumulate(acc, (merged, dsec), g if sign > 0 else -g)
-        return self._made(acc)
+        return _derivative(self, 0)
 
     def d_second(self) -> "Superform":
         # the new d'' factor crosses the whole d' block, hence the (-1)^p
-        acc: dict[Key, Poly] = {}
-        for (dpr, dsec), f in self.terms.items():
-            lead = -1 if len(dpr) % 2 else 1
-            for i in range(self.nvars):
-                g = f.derivative(i)
-                if g.is_zero():
-                    continue
-                sh = shuffle_sign((i,), dsec)
-                if sh is None:
-                    continue
-                sign, merged = sh
-                accumulate(acc, (dpr, merged), g if lead * sign > 0 else -g)
-        return self._made(acc)
+        return _derivative(self, 1, lambda key: len(key[0]))
 
     def flip(self) -> "Superform":
         """Swap the two blocks wholesale; costs (-1)^(p*q) per monomial."""
         acc: dict[Key, Poly] = {}
         for (dpr, dsec), f in self.terms.items():
             sign = -1 if (len(dpr) * len(dsec)) % 2 else 1
-            accumulate(acc, (dsec, dpr), f if sign > 0 else -f)
+            _accumulate(acc, (dsec, dpr), f if sign > 0 else -f)
         return self._made(acc)
 
     def monodromy(self) -> "Superform":
@@ -134,7 +107,7 @@ class Superform(_Terms):
                 if (p - 1 - k) % 2:
                     sign = -sign
                 reduced = dpr[:k] + dpr[k + 1:]
-                accumulate(acc, (reduced, merged), f if sign > 0 else -f)
+                _accumulate(acc, (reduced, merged), f if sign > 0 else -f)
         return self._made(acc)
 
     def to_json_obj(self) -> list[dict]:
@@ -217,5 +190,5 @@ class AffineMap:
                  else Poly.const(n2, f.eval_point(self.translation)))
             for cols_p, a in left.items():
                 for cols_s, b in right.items():
-                    accumulate(acc, (cols_p, cols_s), g * (a * b))
+                    _accumulate(acc, (cols_p, cols_s), g * (a * b))
         return Superform.zero(n2)._made(acc)

@@ -23,10 +23,10 @@ from math import factorial
 from typing import Mapping, Optional, Sequence
 
 from . import linalg
-from .dual_complex import SemistableCombinatorics
+from .dual_complex import SemistableCombinatorics, _entry_error
 from .forms import Superform, _append_row
 from .linalg import QMatrix, as_fraction, perm_sign
-from .poly import Poly
+from .poly import Poly, _accumulate
 from .simplex import SimplexContext, SimplexForm, beta_recursion
 
 Flag = tuple[int, ...]
@@ -121,9 +121,11 @@ class Presentation:
         flags = obj.get("flags", {})
         if not isinstance(flags, dict):
             raise TypeError(f"{where}: flags must be an object")
-        component, weights = obj["component"], obj["weights"]
+        if "component" not in obj:
+            raise _entry_error(obj, "component", where, "an integer")
+        component, weights = obj["component"], obj.get("weights")
         if not isinstance(weights, list):
-            raise ValueError(f"{where}: weights must be a list")
+            raise _entry_error(obj, "weights", where, "a list")
         try:
             keyed = {}
             for key, mats in flags.items():
@@ -187,14 +189,22 @@ def ord_vector(presentations: Sequence[Presentation],
     return OrdVector(p, values)
 
 
+def _minors(rows: Sequence[Sequence]) -> dict:
+    """{J: det R[:, J]} over the column tuples J of the rows R, nonzero
+    minors only: the Cauchy-Binet step of pullback folded over the rows."""
+    minors: dict = {(): 1}
+    for row in rows:
+        minors = _append_row(minors, row)
+    return minors
+
+
 def tau_pullback(rows: Sequence[Sequence], ncols: Optional[int] = None) -> Superform:
     """Chart-level pullback of the standard wedge along exponent rows.
 
     Each row lists the exponents of one function in the wall coordinates;
     the result is the sum over column subsets of minor determinants times
-    the corresponding wedge of first-kind differentials, the minors built
-    one row at a time by the Cauchy-Binet step that pullback uses.  More
-    rows than columns produce the zero form.
+    the corresponding wedge of first-kind differentials.  More rows than
+    columns produce the zero form.
     """
     mat = [tuple(as_fraction(x) for x in row) for row in rows]
     if mat:
@@ -206,22 +216,8 @@ def tau_pullback(rows: Sequence[Sequence], ncols: Optional[int] = None) -> Super
         ncols = width
     elif ncols is None:
         raise ValueError("ncols required for an empty exponent matrix")
-    minors: dict = {(): 1}
-    for row in mat:
-        minors = _append_row(minors, row)
     return Superform(ncols, {(cols, ()): Poly.const(ncols, value)
-                             for cols, value in minors.items()})
-
-
-def presentation_tau(weights: Sequence, matrices: Sequence[Sequence[Sequence]],
-                     ncols: int) -> Superform:
-    """Weighted sum of chart pullbacks, one exponent matrix per weight."""
-    if len(weights) != len(matrices):
-        raise ValueError("one matrix per weight required")
-    total = Superform.zero(ncols)
-    for w, mat in zip(weights, matrices):
-        total = total + as_fraction(w) * tau_pullback(mat, ncols)
-    return total
+                             for cols, value in _minors(mat).items()})
 
 
 # --- the Cech-to-simplex descent on a simplicial stratum complex ----------
@@ -316,11 +312,16 @@ def dolbeault_ladder(presentations: Sequence[Presentation],
                       for pres, flag, _ in covers.get(z.index_set, ())]
         if not candidates:
             raise ValueError(f"no presentation covers stratum {z.label}")
-        # each candidate's tau read on the simplex: the weighted wedge of its
-        # rows, as linear forms in the vertex coordinates
-        built = [SimplexForm(nvars, {dpr: f for (dpr, _), f
-                                     in presentation_tau(w, t, nvars).terms.items()})
-                 for w, t in candidates]
+        # each candidate's tau read on the simplex: the weighted minors of
+        # its rows, as a constant form in the vertex coordinates
+        built = []
+        for weights, tensor in candidates:
+            acc: dict = {}
+            for w, rows in zip(weights, tensor):
+                for cols, minor in _minors(rows).items():
+                    _accumulate(acc, cols, w * minor)
+            built.append(SimplexForm(nvars, {
+                cols: Poly.const(nvars, c) for cols, c in acc.items()}))
         if not all(built[0].equal_on_simplex(other) for other in built[1:]):
             raise ValueError(f"presentations disagree on stratum {z.label}")
         # the first candidate stands for the top: a face value is the form
@@ -334,8 +335,6 @@ def dolbeault_ladder(presentations: Sequence[Presentation],
                 continue
             positions = [z.index_set.index(v) for v in s.index_set]
             found.append(_derived_ord(*tensors[z.label], positions))
-        if not found:
-            raise ValueError(f"stratum {s.label} is not covered")
         if any(v != found[0] for v in found[1:]):
             raise ValueError(f"inconsistent order data at stratum {s.label}")
         ord_values[s.label] = found[0]

@@ -8,9 +8,9 @@ the unit interval.
 
 The same immutable sparse container also carries Superform (forms) and
 SimplexForm (simplex): the private base _Terms owns construction, addition,
-negation, scaling, equality and hashing, and accumulate() is the one
-zero-dropping sum into a term dict.  Each subclass supplies only its key and
-coefficient checks and its own operations.
+negation, scaling, equality and hashing, _accumulate() is the one zero-dropping
+sum into a term dict and _derivative() the one exterior derivative loop.  Each
+subclass supplies only its key and coefficient checks and its own operations.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .linalg import as_fraction, rat_str
+from .linalg import as_fraction, rat_str, shuffle_sign
 
 
 def _index_tuple(indices, size: int) -> tuple[int, ...]:
@@ -32,7 +32,7 @@ def _index_tuple(indices, size: int) -> tuple[int, ...]:
     return out
 
 
-def accumulate(acc: dict, key, value):
+def _accumulate(acc: dict, key, value):
     """Add value into acc[key]; a key whose sum is zero is dropped."""
     prev = acc.get(key)
     total = value if prev is None else prev + value
@@ -40,6 +40,23 @@ def accumulate(acc: dict, key, value):
         acc[key] = total
     else:
         acc.pop(key, None)
+
+
+def _derivative(form, block, crossed=None):
+    """d of a container: each f dx_K gains sum_i (df/dx_i) dx_i, dx_i shuffled
+    into the block of K at position block (None: K) past crossed(K) factors."""
+    acc: dict = {}
+    for key, f in form.terms.items():
+        indices = key if block is None else key[block]
+        lead = -1 if crossed is not None and crossed(key) % 2 else 1
+        for i in range(form.nvars):
+            g = None if i in indices else f.derivative(i)
+            if g:
+                sign, merged = shuffle_sign((i,), indices)
+                if block is not None:
+                    merged = key[:block] + (merged,) + key[block + 1:]
+                _accumulate(acc, merged, g if lead * sign > 0 else -g)
+    return form._made(acc)
 
 
 class _Terms:
@@ -55,7 +72,7 @@ class _Terms:
         cleaned: dict = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for raw, coeff in items:
-            accumulate(cleaned, self._key(nvars, raw), self._coeff(nvars, coeff))
+            _accumulate(cleaned, self._key(nvars, raw), self._coeff(nvars, coeff))
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", cleaned)
 
@@ -93,7 +110,7 @@ class _Terms:
         self._check(other)
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
-            accumulate(terms, key, coeff)
+            _accumulate(terms, key, coeff)
         return self._made(terms)
 
     def __neg__(self):
@@ -171,7 +188,7 @@ class Poly(_Terms):
         terms: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                accumulate(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                _accumulate(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         return self._made(terms)
 
     def derivative(self, i: int) -> "Poly":
@@ -221,7 +238,7 @@ class Poly(_Terms):
             raise ValueError("no variable to integrate")
         terms: dict[tuple[int, ...], Fraction] = {}
         for exps, c in self.terms.items():
-            accumulate(terms, exps[:-1], c / (exps[-1] + 1))
+            _accumulate(terms, exps[:-1], c / (exps[-1] + 1))
         return Poly(self.nvars - 1, terms)
 
     def __repr__(self) -> str:

@@ -16,14 +16,13 @@ from .poly import Poly
 from .simplex import SimplexForm
 
 
-def rand_fraction(rng: random.Random, span: int = 4, max_den: int = 3) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
+def rand_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
 
 
-def rand_poly(rng: random.Random, nvars: int, max_degree: int = 2,
-              max_terms: int = 3) -> Poly:
+def rand_poly(rng: random.Random, nvars: int, max_degree: int = 2) -> Poly:
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 3)):
         exps = [0] * nvars
         budget = rng.randint(0, max_degree)
         for _ in range(budget):
@@ -32,17 +31,16 @@ def rand_poly(rng: random.Random, nvars: int, max_degree: int = 2,
     return Poly(nvars, terms)
 
 
-def rand_superform(rng: random.Random, nvars: int, p: int, q: int,
-                   max_terms: int = 2, max_degree: int = 2) -> Superform:
-    """Homogeneous (p, q) form with a couple of random monomials."""
+def rand_superform(rng: random.Random, nvars: int, p: int, q: int) -> Superform:
+    """Homogeneous (p, q) form with one or two random monomials."""
     if p > nvars or q > nvars:
         raise ValueError("block degree exceeds the dimension")
     total = Superform.zero(nvars)
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 2)):
         dpr = tuple(sorted(rng.sample(range(nvars), p)))
         dsec = tuple(sorted(rng.sample(range(nvars), q)))
         total = total + Superform.monomial(
-            nvars, dpr, dsec, rand_poly(rng, nvars, max_degree))
+            nvars, dpr, dsec, rand_poly(rng, nvars))
     return total
 
 
@@ -72,23 +70,23 @@ def rand_affine_map(rng: random.Random, source: int, target: int,
     return AffineMap(QMatrix(rows, ncols=source), translation)
 
 
-def rand_constant_simplex_form(rng: random.Random, nvars: int, degree: int,
-                               max_terms: int = 3) -> SimplexForm:
+def rand_constant_simplex_form(rng: random.Random, nvars: int,
+                               degree: int) -> SimplexForm:
     """Constant-coefficient ambient form of one degree."""
     subsets = list(itertools.combinations(range(nvars), degree))
     total = SimplexForm.zero(nvars)
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 3)):
         subset = subsets[rng.randrange(len(subsets))]
         total = total + SimplexForm.monomial(
             nvars, subset, Poly.const(nvars, rand_fraction(rng)))
     return total
 
 
-def rand_poly_simplex_form(rng: random.Random, nvars: int, degree: int,
-                           max_terms: int = 2) -> SimplexForm:
+def rand_poly_simplex_form(rng: random.Random, nvars: int,
+                           degree: int) -> SimplexForm:
     subsets = list(itertools.combinations(range(nvars), degree))
     total = SimplexForm.zero(nvars)
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 2)):
         subset = subsets[rng.randrange(len(subsets))]
         total = total + SimplexForm.monomial(
             nvars, subset, rand_poly(rng, nvars))

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from .linalg import as_fraction, shuffle_sign
-from .poly import Poly, _index_tuple, _Terms, accumulate
+from .poly import Poly, _accumulate, _derivative, _index_tuple, _Terms
 
 IndexTuple = tuple[int, ...]
 
@@ -75,18 +75,7 @@ class SimplexForm(_Terms):
     is_zero_raw = _Terms.is_zero
 
     def exterior_derivative(self) -> "SimplexForm":
-        acc: dict[IndexTuple, Poly] = {}
-        for indices, f in self.terms.items():
-            for i in range(self.nvars):
-                g = f.derivative(i)
-                if g.is_zero():
-                    continue
-                sh = shuffle_sign((i,), indices)
-                if sh is None:
-                    continue
-                sign, merged = sh
-                accumulate(acc, merged, g if sign > 0 else -g)
-        return self._made(acc)
+        return _derivative(self, None)
 
     def contract(self, vector: Sequence) -> "SimplexForm":
         """Left interior product with a constant vector; degree-0 terms are
@@ -104,7 +93,7 @@ class SimplexForm(_Terms):
                 term = f * vals[ik]
                 if k % 2:
                     term = -term
-                accumulate(acc, indices[:k] + indices[k + 1:], term)
+                _accumulate(acc, indices[:k] + indices[k + 1:], term)
         return self._made(acc)
 
     def ray_integrate(self, base: Sequence) -> "SimplexForm":
@@ -131,7 +120,7 @@ class SimplexForm(_Terms):
                     piece = {zero[:ik] + (1,) + zero[ik + 1:]: ck}
                     if base_vals[ik]:
                         piece[zero] = -ck * base_vals[ik]
-                    accumulate(acc, indices[:k] + indices[k + 1:], f._made(piece))
+                    _accumulate(acc, indices[:k] + indices[k + 1:], f._made(piece))
                 continue
             if subs is None:
                 # x_i -> base_i + t (x_i - base_i), in the ring with one
@@ -147,7 +136,7 @@ class SimplexForm(_Terms):
                 piece = (g * linear).integrate_last_unit()
                 if k % 2:
                     piece = -piece
-                accumulate(acc, indices[:k] + indices[k + 1:], piece)
+                _accumulate(acc, indices[:k] + indices[k + 1:], piece)
         return self._made(acc)
 
     def star_integrate(self, base: Sequence) -> "SimplexForm":
@@ -195,7 +184,7 @@ class SimplexForm(_Terms):
                 if f2.is_zero():
                     continue
             if pivot not in indices:
-                accumulate(acc, indices, f2)
+                _accumulate(acc, indices, f2)
                 continue
             k = indices.index(pivot)
             rest = indices[:k] + indices[k + 1:]
@@ -206,7 +195,7 @@ class SimplexForm(_Terms):
                 if sh is None:
                     continue
                 sign, merged = sh
-                accumulate(acc, merged, f2 * (lead * sign))
+                _accumulate(acc, merged, f2 * (lead * sign))
         return self._made(acc)
 
     def equal_on_simplex(self, other: "SimplexForm") -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -9,6 +10,7 @@ from tropmono.cli import main, run
 from tropmono.dual_complex import (SemistableCombinatorics, Stratum,
                                    complex_to_json, relabel_components,
                                    unit_h2)
+from tropmono.forms import AffineMap, Superform
 from tropmono.library import (all_ones_h2, cycle_complex,
                               cycle_orientation_presentations,
                               cycle_validation_h2, point_complex,
@@ -213,6 +215,41 @@ def test_dolbeault_results_pinned(tmp_path, name):
     assert digest == PINNED_DOLBEAULT[name]
 
 
+# SHA-256 over (operator, argv, exit code, report) of the superform battery
+# with one operator broken at a time; the failing reports carry the drawn
+# forms and maps, so this pins the draws, the witness format and which
+# identity catches which fault.  Recorded before the battery became a table.
+PINNED_BATTERY_FAULTS = \
+    "14a1b8461d5b145957a361d4e043bc8fd7e818f053f36dc5d9c12b57936caad5"
+
+
+def _doubled(fn, input_of):
+    """fn, except that its result doubles whenever its input form has more
+    than one term."""
+    def broken(obj, *args):
+        out = fn(obj, *args)
+        return out * 2 if len(input_of(obj, args).terms) > 1 else out
+    return broken
+
+
+def test_superform_battery_under_faults_pinned(monkeypatch):
+    digest = hashlib.sha256()
+    operators = [(Superform, name) for name in
+                 ("flip", "d_prime", "d_second", "monodromy", "wedge")]
+    operators.append((AffineMap, "pullback"))
+    for owner, name in operators:
+        with monkeypatch.context() as patch:
+            input_of = ((lambda obj, args: args[0]) if owner is AffineMap
+                        else (lambda obj, args: obj))
+            patch.setattr(owner, name, _doubled(getattr(owner, name), input_of))
+            for n, seed, fmt in itertools.product((2, 3), (1, 7), ("json", "tsv")):
+                argv = ["check", "superform", "--n", str(n), "--cases", "3",
+                        "--seed", str(seed), "--format", fmt]
+                code, text = run(argv)
+                digest.update(json.dumps([name, argv, code, text]).encode())
+    assert digest.hexdigest() == PINNED_BATTERY_FAULTS
+
+
 
 # SHA-256 of the `ord compute` result block on cycles where the presentations
 # of both endpoints cover every edge, recorded before ord_vector indexed the
@@ -272,6 +309,24 @@ def test_ss_e2_needs_a_level_beyond_0(tmp_path):
     code, text = run(["ss", "e2", "--input", path])
     assert code == 2
     assert text == "error: the complex has no strata beyond level 0\n"
+
+
+@pytest.mark.parametrize("sub", ["validate", "ord_check"])
+def test_h2_without_classes_exits_2(tmp_path, sub):
+    # before, both passed: the checked map lands in a zero space
+    obj = complex_to_json(cycle_complex(4))
+    obj["h2"] = {s["label"]: {"dim": 0} for s in obj["strata"]}
+    path = write_json(tmp_path / "zero.json", obj)
+    if sub == "validate":
+        argv, level = ["ss", "validate", "--input", path], 1
+    else:
+        pres = [p.to_json_obj() for p in cycle_orientation_presentations(4)]
+        pres_path = write_json(tmp_path / "pres.json", pres)
+        argv, level = ["ord", "check", "--complex", path, "--pres", pres_path,
+                       "--p", "1"], 0
+    code, text = run(argv)
+    assert code == 2
+    assert text == f"error: {path}: h2 has no classes at level {level}\n"
 
 
 def test_ss_validate_needs_h2(tmp_path):
@@ -416,12 +471,25 @@ COMPLEX_FAULTS = {
     "no_components": "a complex needs at least one component",
     "gysin_entry_is_true":
         "h2 Y1: gysin E1_2: cannot interpret True as a rational number",
-    "components_is_a_string": "components must be a list",
+    "components_is_a_string": "top level: components must be a list",
     "gysin_is_a_string": "h2 Y1: gysin E1_2 must be a list",
     "restrict_is_ragged": "h2 Y1: restrict E1_2: ragged rows",
     "parents_key_is_not_a_number":
         "stratum E1_2: parents: invalid literal for int() with base 10: 'x'",
     "dim_is_negative": "h2 Y1: dim must be a nonnegative integer",
+    "stratum_is_a_string": "stratum 0 must be an object",
+    "parents_is_a_list": "stratum E1_2: parents must be an object",
+    "h2_is_a_list": "top level: h2 must be an object",
+    "gysin_is_a_list": "h2 Y1: gysin must be an object",
+    "h2_entry_is_a_number": "h2 Y1 must be an object",
+    "top_level_is_a_list": "top level must be an object",
+    "components_missing": "top level: missing key 'components'",
+    "label_missing": "stratum 4: missing key 'label'",
+    "index_set_missing": "stratum E1_2: missing key 'indexSet'",
+    "dim_missing": "h2 Y1: missing key 'dim'",
+    "component_is_a_list": "components must be strings",
+    "label_is_a_number": "stratum 4: label must be a string",
+    "parent_label_is_a_number": "stratum E1_2: parent labels must be strings",
 }
 
 
@@ -456,6 +524,26 @@ def _malformed_complex(case):
         obj["strata"][4]["parents"] = {"x": "Y2", "2": "Y1"}
     elif case == "dim_is_negative":
         obj["h2"]["Y1"]["dim"] = -1
+    elif case == "gysin_is_a_list":
+        obj["h2"]["Y1"]["gysin"] = [["1"]]
+    elif case == "h2_entry_is_a_number":
+        obj["h2"]["Y1"] = 1
+    elif case == "top_level_is_a_list":
+        obj = [obj]
+    elif case == "components_missing":
+        del obj["components"]
+    elif case == "label_missing":
+        del obj["strata"][4]["label"]
+    elif case == "index_set_missing":
+        del obj["strata"][4]["indexSet"]
+    elif case == "dim_missing":
+        del obj["h2"]["Y1"]["dim"]
+    elif case == "component_is_a_list":
+        obj["components"][0] = [obj["components"][0]]
+    elif case == "label_is_a_number":
+        obj["strata"][4]["label"] = 12
+    elif case == "parent_label_is_a_number":
+        obj["strata"][4]["parents"]["1"] = 1
     else:
         obj["h2"] = [obj["h2"]["Y1"]]
     return obj
@@ -467,12 +555,17 @@ def _malformed_complex(case):
     "gysin_unknown_child", "gysin_not_a_child", "restrict_unknown_child",
     "no_components", "gysin_entry_is_true", "components_is_a_string",
     "gysin_is_a_string", "restrict_is_ragged", "parents_key_is_not_a_number",
-    "dim_is_negative"])
+    "dim_is_negative", "gysin_is_a_list", "h2_entry_is_a_number",
+    "top_level_is_a_list", "components_missing", "label_missing",
+    "index_set_missing", "dim_missing", "component_is_a_list",
+    "label_is_a_number", "parent_label_is_a_number"])
 def test_malformed_complex_exits_2(tmp_path, case):
     # before, the unknown labels were kept and `ss monodromy` reported an
     # isomorphism; `ss e2` on the empty complex passed zero checks; a Gysin
     # entry true was read as 1; the strings "ABCD" and "1" were read as the
-    # lists of their characters; the last three named no stratum
+    # lists of their characters; the last three named no stratum; a list
+    # where an object belongs and a missing key named neither the place nor
+    # the rule, and a component ["A"] was named "['A']"
     path = write_json(tmp_path / "bad.json", _malformed_complex(case))
     if case == "no_components":
         argv = ["ss", "e2", "--input", path]
@@ -554,12 +647,14 @@ PRESENTATION_EDITS = {
      "presentation 0: flag 1,2: one exponent matrix per weight required"),
     ("two_columns_for_one_wall",
      "presentation 0: flag 1,2: one matrix column per wall required"),
+    ("component_missing", "presentation 0: missing key 'component'"),
+    ("weights_missing", "presentation 0: missing key 'weights'"),
 ])
 def test_malformed_presentations_exit_2(tmp_path, case, message):
     # before, an exponent 1.5 was truncated to 1, a component 2.7 to 2, a
     # weight true read as 1 and the weights "12" as 1 and 2; a flag 5 failed
     # with "'int' object is not iterable"; the flag faults named no
-    # presentation or flag
+    # presentation or flag, and a missing key was named bare
     complex_path, _ = cycle_files(tmp_path, 5)
     if case == "entry_is_a_string":
         pres = ["x"]
@@ -573,6 +668,9 @@ def test_malformed_presentations_exit_2(tmp_path, case, message):
             pres[0]["flags"]["1,2"] = 5
         else:
             pres[0]["weights"] = [True]
+    elif case in ("component_missing", "weights_missing"):
+        pres = [p.to_json_obj() for p in cycle_orientation_presentations(5)]
+        del pres[0][case.split("_")[0]]
     elif case in PRESENTATION_EDITS:
         pres = [p.to_json_obj() for p in cycle_orientation_presentations(5)]
         pres[0].update(PRESENTATION_EDITS[case])

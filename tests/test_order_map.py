@@ -12,8 +12,7 @@ from tropmono.library import (cycle_complex, cycle_orientation_presentations,
                               tetrahedron_complex)
 from tropmono.order_map import (Presentation, dolbeault_ladder,
                                 flag_normalization, ord_vector,
-                                presentation_tau, require_simplicial,
-                                tau_pullback)
+                                require_simplicial, tau_pullback)
 from tropmono.poly import Poly
 from tropmono.randgen import (rand_constant_simplex_form, rand_fraction,
                               rand_int_matrix)
@@ -240,20 +239,6 @@ def test_tau_pullback_minors_match_oracle():
             want = det_cofactor(sub)
             got = tau.terms.get((subset, ()), Poly.zero(n)).constant_value()
             assert got == want
-
-
-def test_presentation_tau_is_the_weighted_sum():
-    rng = random.Random(63)
-    for _ in range(30):
-        p = rng.randint(1, 3)
-        n = rng.randint(p, 4)
-        w1, w2 = rand_fraction(rng), rand_fraction(rng)
-        m1 = rand_int_matrix(rng, p, n)
-        m2 = rand_int_matrix(rng, p, n)
-        total = presentation_tau((w1, w2), (m1, m2), n)
-        assert total == w1 * tau_pullback(m1) + w2 * tau_pullback(m2)
-    with pytest.raises(ValueError, match="one matrix per weight"):
-        presentation_tau((1, 2), ([[1]],), 1)
 
 
 def test_presentation_validation():
