@@ -280,14 +280,13 @@ def cmd_ss_e2(args) -> RunReport:
     top = complex_.max_level
     if top < 1:
         raise CliError("the complex has no strata beyond level 0")
+    if args.p is not None and not 0 <= args.p <= top:
+        raise CliError(f"--p must lie between 0 and {top}")
     for p in range(0, top):
-        left = dual_complex.delta_pullback(complex_, p + 1)
-        right = dual_complex.delta_pullback(complex_, p)
-        composite = left @ right
-        report.add_check(f"restriction_squares_to_zero[p={p}]",
-                         composite.is_zero(),
-                         None if composite.is_zero()
-                         else {"composite": composite.to_json_obj()})
+        square = dual_complex.restriction_square(complex_, p)
+        report.add_check(f"restriction_squares_to_zero[p={p}]", square is None,
+                         None if square is None
+                         else {"composite": square.to_json_obj()})
     dims = {}
     reps = {}
     for p in range(0, top + 1):
@@ -296,8 +295,6 @@ def cmd_ss_e2(args) -> RunReport:
         reps[str(p)] = [[rat_str(x) for x in v] for v in summary.representatives]
     result = {"dims": dims}
     if args.p is not None:
-        if not 0 <= args.p <= top:
-            raise CliError(f"--p must lie between 0 and {top}")
         result["representatives"] = reps[str(args.p)]
         result["p"] = args.p
     report.result = result

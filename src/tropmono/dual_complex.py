@@ -180,75 +180,93 @@ def unit_h2(complex_: SemistableCombinatorics, level: int = 0) -> H2Model:
     return H2Model(dims, gysin)
 
 
+# Each map between levels is built once, as sparse rows ({column: nonzero
+# entry} per row) read off the parents of its higher level.
+
+def _restriction_rows(complex_: SemistableCombinatorics, p: int) -> list[dict]:
+    col = {s.label: k for k, s in enumerate(complex_.level(p))}
+    return [{col[w]: removal_sign(z.index_set, i) for i, w in z.parents.items()}
+            for z in complex_.level(p + 1)]
+
+
+def _h2_offsets(complex_: SemistableCombinatorics, h2: H2Model,
+                p: int) -> tuple[dict[str, int], int]:
+    """Where each level-p stratum starts in the stacked H2 space; its size."""
+    offsets, total = {}, 0
+    for s in complex_.level(p):
+        offsets[s.label], total = total, total + h2.dim(s.label)
+    return offsets, total
+
+
+def _gysin_rows(complex_: SemistableCombinatorics, h2: H2Model, p: int) -> list[dict]:
+    offsets, total = _h2_offsets(complex_, h2, p - 1)
+    rows: list[dict] = [{} for _ in range(total)]
+    for c, z in enumerate(complex_.level(p)):
+        for i, w in z.parents.items():
+            sign = removal_sign(z.index_set, i)
+            for k, val in enumerate(h2.gysin_vector(w, z.label)):
+                if val:
+                    rows[offsets[w] + k][c] = sign * val
+    return rows
+
+
+def _h2_restriction_rows(complex_: SemistableCombinatorics, h2: H2Model,
+                         p: int) -> list[dict]:
+    """Alternating restriction on the H2 level, stacked level-p blocks to
+    stacked level-(p+1) blocks.  Restriction data is required for every
+    pair of positive dimensions, zero Gysin vector or not."""
+    offsets, _ = _h2_offsets(complex_, h2, p)
+    rows: list[dict] = []
+    for z in complex_.level(p + 1):
+        block: list[dict] = [{} for _ in range(h2.dim(z.label))]
+        for i, w in z.parents.items():
+            if block and h2.dim(w):
+                sign = removal_sign(z.index_set, i)
+                for out, row in zip(block, h2.restriction(w, z.label).data):
+                    out.update((offsets[w] + j, sign * v) for j, v in enumerate(row) if v)
+        rows += block
+    return rows
+
+
+def _product(pairs) -> list[dict]:
+    """Rows of the sum of left @ right over the (left, right) pairs of
+    sparse rows, touching only nonzero entries; zero sums are dropped."""
+    out = []
+    for i in range(len(pairs[0][0])):
+        acc: dict = {}
+        for left, right in pairs:
+            for k, a in left[i].items():
+                for j, b in right[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+        out.append({j: v for j, v in acc.items() if v})
+    return out
+
+
+def _dense(rows: list[dict], ncols: int) -> QMatrix:
+    return QMatrix([[row.get(j, 0) for j in range(ncols)] for row in rows],
+                   ncols=ncols)
+
+
 def delta_pullback(complex_: SemistableCombinatorics, p: int) -> QMatrix:
     """Alternating restriction map from level-p to level-(p+1) H^0 spaces:
     rows are level p+1 strata, columns level p, entry (-1)^j when the column
     is the row's parent at its j-th component."""
-    rows = complex_.level(p + 1)
-    cols = complex_.level(p)
-    col_pos = {s.label: k for k, s in enumerate(cols)}
-    data = [[0] * len(cols) for _ in rows]
-    for r, z in enumerate(rows):
-        for removed, parent_label in z.parents.items():
-            data[r][col_pos[parent_label]] += removal_sign(z.index_set, removed)
-    return QMatrix(data, ncols=len(cols))
-
-
-def h2_offsets(complex_: SemistableCombinatorics, h2: H2Model, p: int) -> dict[str, int]:
-    """Starting row of each level-p stratum inside the stacked H2 space."""
-    offsets = {}
-    total = 0
-    for s in complex_.level(p):
-        offsets[s.label] = total
-        total += h2.dim(s.label)
-    return offsets
+    return _dense(_restriction_rows(complex_, p), len(complex_.level(p)))
 
 
 def delta_pushforward(complex_: SemistableCombinatorics, h2: H2Model, p: int) -> QMatrix:
     """Gysin map from level-p H^0 into the stacked level-(p-1) H2 spaces.
     The column of a stratum Z places sign(removal) times its Gysin vector in
     each parent's block."""
-    if p < 1:
-        return QMatrix.zeros(0, len(complex_.level(p)))
-    cols = complex_.level(p)
-    offsets = h2_offsets(complex_, h2, p - 1)
-    nrows = sum(h2.dim(s.label) for s in complex_.level(p - 1))
-    data = [[Fraction(0)] * len(cols) for _ in range(nrows)]
-    for c, z in enumerate(cols):
-        for removed, parent_label in z.parents.items():
-            sign = removal_sign(z.index_set, removed)
-            vec = h2.gysin_vector(parent_label, z.label)
-            base = offsets[parent_label]
-            for k, val in enumerate(vec):
-                data[base + k][c] += sign * val
-    return QMatrix(data, ncols=len(cols))
+    return _dense(_gysin_rows(complex_, h2, p), len(complex_.level(p)))
 
 
-def h2_pullback(complex_: SemistableCombinatorics, h2: H2Model, p: int) -> QMatrix:
-    """Alternating restriction on the H2 level, stacked level-p blocks to
-    stacked level-(p+1) blocks.  Needs restriction matrices."""
-    src = complex_.level(p)
-    dst = complex_.level(p + 1)
-    src_off = h2_offsets(complex_, h2, p)
-    dst_off = h2_offsets(complex_, h2, p + 1)
-    nrows = sum(h2.dim(s.label) for s in dst)
-    ncols = sum(h2.dim(s.label) for s in src)
-    data = [[Fraction(0)] * ncols for _ in range(nrows)]
-    for z in dst:
-        dz = h2.dim(z.label)
-        if dz == 0:
-            continue
-        for removed, parent_label in z.parents.items():
-            dw = h2.dim(parent_label)
-            if dw == 0:
-                continue
-            sign = removal_sign(z.index_set, removed)
-            mat = h2.restriction(parent_label, z.label)
-            rb, cb = dst_off[z.label], src_off[parent_label]
-            for i in range(dz):
-                for j in range(dw):
-                    data[rb + i][cb + j] += sign * mat[i, j]
-    return QMatrix(data, ncols=ncols)
+def restriction_square(complex_: SemistableCombinatorics, p: int) -> Optional[QMatrix]:
+    """The level-(p+1) restriction after the level-p one, which vanishes on
+    every complex: None when it does, else the composite as a witness."""
+    rows = _product([(_restriction_rows(complex_, p + 1),
+                      _restriction_rows(complex_, p))])
+    return _dense(rows, len(complex_.level(p))) if any(rows) else None
 
 
 def relation_composite(complex_: SemistableCombinatorics, h2: H2Model, p: int) -> QMatrix:
@@ -258,9 +276,9 @@ def relation_composite(complex_: SemistableCombinatorics, h2: H2Model, p: int) -
     wherever both its dimension and a child dimension are positive."""
     if p < 1:
         raise ValueError("the relation pairs levels p-1 and p+1; need p >= 1")
-    first = h2_pullback(complex_, h2, p - 1) @ delta_pushforward(complex_, h2, p)
-    second = delta_pushforward(complex_, h2, p + 1) @ delta_pullback(complex_, p)
-    return first + second
+    first = (_h2_restriction_rows(complex_, h2, p - 1), _gysin_rows(complex_, h2, p))
+    second = (_gysin_rows(complex_, h2, p + 1), _restriction_rows(complex_, p))
+    return _dense(_product([first, second]), len(complex_.level(p)))
 
 
 @dataclass(frozen=True)
@@ -332,9 +350,11 @@ def check_vanishing_vector(complex_: SemistableCombinatorics, h2: H2Model, p: in
                            vector: Sequence) -> tuple[bool, bool]:
     """(pullback vanishes, pushforward vanishes) for a level-p vector."""
     vec = [as_fraction(x) for x in vector]
-    pull = delta_pullback(complex_, p).matvec(vec)
-    push = delta_pushforward(complex_, h2, p).matvec(vec)
-    return (all(x == 0 for x in pull), all(x == 0 for x in push))
+    if len(vec) != len(complex_.level(p)):
+        raise ValueError("length mismatch")
+    return tuple(all(sum(v * vec[j] for j, v in row.items()) == 0 for row in rows)
+                 for rows in (_restriction_rows(complex_, p),
+                              _gysin_rows(complex_, h2, p)))
 
 
 def relabel_components(complex_: SemistableCombinatorics,

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import cycle_presentations, json_digest
+from tropmono import dual_complex
 from tropmono.cli import main, run
 from tropmono.dual_complex import (SemistableCombinatorics, Stratum,
                                    complex_to_json, relabel_components,
@@ -309,6 +310,18 @@ def test_ss_e2_needs_a_level_beyond_0(tmp_path):
     code, text = run(["ss", "e2", "--input", path])
     assert code == 2
     assert text == "error: the complex has no strata beyond level 0\n"
+
+
+@pytest.mark.parametrize("p", ["-1", "2", "9"])
+def test_ss_e2_refuses_p_out_of_range_before_any_work(tmp_path, monkeypatch, p):
+    # before, every squares check and every E2 level ran first
+    path = write_json(tmp_path / "c14.json", complex_to_json(cycle_complex(14)))
+    calls = []
+    for name in ("restriction_square", "e2_p0"):
+        monkeypatch.setattr(dual_complex, name,
+                            lambda *args, name=name: calls.append(name))
+    code, text = run(["ss", "e2", "--input", path, "--p", p])
+    assert (code, text, calls) == (2, "error: --p must lie between 0 and 1\n", [])
 
 
 @pytest.mark.parametrize("sub", ["validate", "ord_check"])

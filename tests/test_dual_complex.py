@@ -1,20 +1,28 @@
 import json
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from conftest import nerve_cohomology_dims
+from tropmono import dual_complex
 from tropmono.dual_complex import (H2Model, SemistableCombinatorics, Stratum,
                                    check_vanishing_vector, complex_from_json,
                                    complex_to_json, corner_monodromy,
                                    delta_pullback, delta_pushforward, e2_p0,
-                                   h2_pullback, relabel_components,
-                                   relation_composite, removal_sign, unit_h2)
+                                   relabel_components, relation_composite,
+                                   removal_sign, restriction_square, unit_h2)
 from tropmono.library import (all_ones_h2, chain_complex, cycle_complex,
                               cycle_validation_h2, point_complex,
                               tetrahedron_complex)
 from tropmono.linalg import QMatrix
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "bench"))
+
+import fixtures  # noqa: E402
 
 
 def bundled():
@@ -199,6 +207,169 @@ def test_pushforward_frozen_on_the_chain():
     assert [mat[0, 0], mat[1, 0]] == [-1, 1]
     empty = delta_pushforward(cx, h2, 0)
     assert (empty.nrows, empty.ncols) == (0, 2)
+
+
+# The dense general path that the sparse products replaced, kept as their
+# oracle: each map is a full Fraction matrix, and the composites are
+# QMatrix products.
+
+def dense_pullback(cx, p, sign=removal_sign):
+    rows, cols = cx.level(p + 1), cx.level(p)
+    col_pos = {s.label: k for k, s in enumerate(cols)}
+    data = [[0] * len(cols) for _ in rows]
+    for r, z in enumerate(rows):
+        for removed, parent_label in z.parents.items():
+            data[r][col_pos[parent_label]] += sign(z.index_set, removed)
+    return QMatrix(data, ncols=len(cols))
+
+
+def h2_offsets(cx, h2, p):
+    offsets, total = {}, 0
+    for s in cx.level(p):
+        offsets[s.label] = total
+        total += h2.dim(s.label)
+    return offsets, total
+
+
+def dense_pushforward(cx, h2, p):
+    cols = cx.level(p)
+    if p < 1:
+        return QMatrix.zeros(0, len(cols))
+    offsets, nrows = h2_offsets(cx, h2, p - 1)
+    data = [[Fraction(0)] * len(cols) for _ in range(nrows)]
+    for c, z in enumerate(cols):
+        for removed, parent_label in z.parents.items():
+            sign = removal_sign(z.index_set, removed)
+            base = offsets[parent_label]
+            for k, val in enumerate(h2.gysin_vector(parent_label, z.label)):
+                data[base + k][c] += sign * val
+    return QMatrix(data, ncols=len(cols))
+
+
+def h2_pullback(cx, h2, p):
+    """Alternating restriction on the H2 level, stacked level-p blocks to
+    stacked level-(p+1) blocks."""
+    src_off, ncols = h2_offsets(cx, h2, p)
+    dst_off, nrows = h2_offsets(cx, h2, p + 1)
+    data = [[Fraction(0)] * ncols for _ in range(nrows)]
+    for z in cx.level(p + 1):
+        dz = h2.dim(z.label)
+        if dz == 0:
+            continue
+        for removed, parent_label in z.parents.items():
+            dw = h2.dim(parent_label)
+            if dw == 0:
+                continue
+            sign = removal_sign(z.index_set, removed)
+            mat = h2.restriction(parent_label, z.label)
+            rb, cb = dst_off[z.label], src_off[parent_label]
+            for i in range(dz):
+                for j in range(dw):
+                    data[rb + i][cb + j] += sign * mat[i, j]
+    return QMatrix(data, ncols=ncols)
+
+
+def dense_composite(cx, h2, p):
+    if p < 1:
+        raise ValueError("the relation pairs levels p-1 and p+1; need p >= 1")
+    return (h2_pullback(cx, h2, p - 1) @ dense_pushforward(cx, h2, p)
+            + dense_pushforward(cx, h2, p + 1) @ dense_pullback(cx, p))
+
+
+def outcome(fn, *args):
+    """The value of a call, or the type and text of what it raised."""
+    try:
+        return fn(*args)
+    except (KeyError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def random_complex(rng):
+    """A shuffled cycle, simplex boundary or skeleton, its strata also listed
+    in a random order within each level."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        cx = cycle_complex(rng.randint(3, 8))
+    elif kind == 1:
+        cx = fixtures.simplex_boundary(rng.randint(2, 4))
+    else:
+        vertices = rng.randint(3, 5)
+        cx = fixtures.simplex_skeleton(vertices, rng.randint(1, min(3, vertices - 1)))
+    cx = fixtures.shuffled(cx, rng)
+    strata = [s for lvl in range(cx.max_level + 1) for s in cx.level(lvl)]
+    rng.shuffle(strata)
+    return SemistableCombinatorics(cx.components, strata)
+
+
+RATIONALS = (0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4))
+
+
+def random_h2(cx, rng):
+    """Dims 0-3 at every level and rational data, some of it zero; a few
+    pairs get no restriction, or one of the wrong shape."""
+    dims = {s.label: rng.randint(0, 3)
+            for lvl in range(cx.max_level + 1) for s in cx.level(lvl)}
+    gysin, restrict = {}, {}
+    for lvl in range(1, cx.max_level + 1):
+        for z in cx.level(lvl):
+            for parent in z.parents.values():
+                dz, dw = dims[z.label], dims[parent]
+                if rng.random() < 0.8:
+                    gysin[parent, z.label] = [rng.choice(RATIONALS) for _ in range(dw)]
+                roll = rng.random()
+                if roll < 0.04:
+                    continue
+                rows = dz + 1 if roll < 0.07 else dz
+                restrict[parent, z.label] = QMatrix(
+                    [[rng.choice(RATIONALS) for _ in range(dw)] for _ in range(rows)],
+                    ncols=dw)
+    return H2Model(dims, gysin, restrict)
+
+
+def test_sparse_products_match_the_dense_oracle():
+    rng = random.Random(1010)
+    seen = {"equal": 0, "nonzero": 0, "missing": 0, "shape": 0, "vectors": 0}
+    for _ in range(120):
+        cx = random_complex(rng)
+        h2 = random_h2(cx, rng)
+        for p in range(cx.max_level + 1):
+            assert delta_pullback(cx, p) == dense_pullback(cx, p)
+            assert delta_pushforward(cx, h2, p) == dense_pushforward(cx, h2, p)
+            want = dense_pullback(cx, p + 1) @ dense_pullback(cx, p)
+            assert restriction_square(cx, p) is None and want.is_zero()
+            got = outcome(relation_composite, cx, h2, p)
+            assert got == outcome(dense_composite, cx, h2, p)
+            if isinstance(got, QMatrix):
+                seen["equal"] += 1
+                seen["nonzero"] += not got.is_zero()
+            elif p:
+                seen["missing" if "missing" in got[1] else "shape"] += 1
+            ncols = len(cx.level(p))
+            kernel = e2_p0(cx, p).kernel
+            dense = (dense_pullback(cx, p), dense_pushforward(cx, h2, p))
+            for vec in ([rng.choice(RATIONALS) for _ in range(ncols)],
+                        [0] * ncols,
+                        rng.choice(kernel) if kernel else [1] * ncols,
+                        [1] * (ncols + 1)):
+                want = outcome(lambda: tuple(all(x == 0 for x in m.matvec(vec))
+                                             for m in dense))
+                assert outcome(check_vanishing_vector, cx, h2, p, vec) == want
+                seen["vectors"] += want in ((True, True), (True, False),
+                                            (False, True), (False, False))
+    assert seen["equal"] > 100 and seen["nonzero"] > 90
+    assert seen["missing"] > 30 and seen["shape"] > 25
+    assert seen["vectors"] > 800
+
+
+def test_restriction_square_witness_matches_the_dense_product(monkeypatch):
+    # with every removal sign +1 the squares no longer cancel
+    monkeypatch.setattr(dual_complex, "removal_sign", lambda index_set, removed: 1)
+    cx = fixtures.simplex_boundary(3)
+    for p in range(cx.max_level - 1):
+        want = dense_pullback(cx, p + 1, dual_complex.removal_sign) @ \
+            dense_pullback(cx, p, dual_complex.removal_sign)
+        assert not want.is_zero()
+        assert restriction_square(cx, p) == want
 
 
 def test_h2_pullback_frozen_on_the_chain():

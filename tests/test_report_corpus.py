@@ -13,13 +13,14 @@ import json
 import os
 import random
 import sys
+from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench"))
 
 import fixtures  # noqa: E402
 from tropmono.cli import run  # noqa: E402
-from tropmono.dual_complex import complex_to_json  # noqa: E402
+from tropmono.dual_complex import H2Model, complex_to_json  # noqa: E402
 from tropmono.library import (all_ones_h2, cycle_complex,  # noqa: E402
                               cycle_orientation_presentations,
                               simplicial_presentations_from_tensors,
@@ -27,6 +28,8 @@ from tropmono.library import (all_ones_h2, cycle_complex,  # noqa: E402
 
 # recorded before the order data was computed through one Cauchy-Binet step
 CORPUS_DIGEST = "27d8b09bdb09880010dc7450baa0ecee74e5ad2d4a94d38d5c9354818dec2e92"
+# the larger ss inputs, recorded while the coboundary products were dense
+LARGE_SS_DIGEST = "2adb226f47857ace27cc28463f2397daea253196de7def9bf49363acf8e1d8ed"
 
 
 class _Corpus:
@@ -152,11 +155,91 @@ def _towers_and_batteries(corpus: _Corpus):
                    "--seed", seed)
 
 
-def corpus_digest() -> tuple[str, int]:
+def _edited(h2: H2Model, gysin=None, restrict=None, drop=None) -> H2Model:
+    """The model with some Gysin vectors or restrictions replaced, and one
+    restriction left out."""
+    kept = {key: mat for key, mat in h2.restrict.items() if key != drop}
+    return H2Model(h2.dims, {**h2.gysin, **(gysin or {})},
+                   {**kept, **(restrict or {})})
+
+
+def _top_model(complex_) -> H2Model:
+    """The cycle validation pattern one level up: dim 2 below the top, dim 1
+    at the top, Gysin (1, 1) and restriction (1, -1), so the relation
+    cancels at the top level and fails below it."""
+    top = complex_.max_level
+    dims = {s.label: 2 for s in complex_.level(top - 1)}
+    dims.update({s.label: 1 for s in complex_.level(top)})
+    gysin, restrict = {}, {}
+    for z in complex_.level(top):
+        for parent in z.parents.values():
+            gysin[parent, z.label] = (Fraction(1), Fraction(1))
+            restrict[parent, z.label] = [[1, -1]]
+    return H2Model(dims, gysin, restrict)
+
+
+def _large_validate(corpus: _Corpus):
+    rng = random.Random(7005)
+    cases = [(f"cycle{m}", fixtures.shuffled(cycle_complex(m), rng))
+             for m in (14, 16, 40)]
+    for cx in (fixtures.simplex_skeleton(5, 2), fixtures.simplex_boundary(4)):
+        cases.append((f"skeleton{len(cx.components)}-{cx.max_level}",
+                      fixtures.shuffled(cx, rng)))
+    for name, cx in cases:
+        good = fixtures.validation_h2(cx) if cx.max_level == 1 else _top_model(cx)
+        key = sorted(good.gysin)[rng.randrange(len(good.gysin))]
+        flipped = (good.gysin[key][0], -good.gysin[key][1])
+        rational = (Fraction(1, 3), Fraction(-5, 2))
+        rkey = sorted(good.restrict)[rng.randrange(len(good.restrict))]
+        models = {"good": good,
+                  "flipped": _edited(good, gysin={key: flipped}),
+                  "rational": _edited(good, gysin={key: rational}),
+                  "restrict-flipped": _edited(good, restrict={rkey: [[1, 1]]}),
+                  "no-restrict": _edited(good, drop=rkey),
+                  "wrong-shape": _edited(good, restrict={rkey: [[1, -1], [0, 1]]}),
+                  # the restriction is still required where the Gysin
+                  # vector is zero, and the first fault in walk order wins
+                  "zero-gysin-no-restrict": _edited(
+                      good, gysin={rkey: (0, 0)}, drop=rkey),
+                  "two-faults": _edited(
+                      good, restrict={key: [[1, -1], [1, -1]]}, drop=rkey),
+                  "ones": all_ones_h2(cx)}
+        top = cx.max_level
+        for stem, h2 in models.items():
+            path = corpus.write(f"{name}-{stem}", complex_to_json(cx, h2))
+            corpus.add("ss", "validate", "--input", path)
+            if top > 1:
+                corpus.add("ss", "validate", "--input", path, "--p", top)
+
+
+def _large_orders(corpus: _Corpus):
+    rng = random.Random(7006)
+    for m in (30, 40):
+        cx = cycle_complex(m)
+        kernel, _ = fixtures.cycle_kernel_presentations(m, rng)
+        units = {s.label: 1 for s in cx.level(0)}
+        gysin = {(parent, z.label): (Fraction(1),)
+                 for z in cx.level(1) for parent in z.parents.values()}
+        edge = cx.level(1)[rng.randrange(m)]
+        skewed = dict(gysin)
+        skewed[edge.parents[edge.index_set[0]], edge.label] = (Fraction(3, 2),)
+        bare = corpus.write(f"ord-cycle{m}", complex_to_json(cx))
+        skew = corpus.write(f"ord-cycle{m}-skewed",
+                            complex_to_json(cx, H2Model(units, skewed)))
+        for stem, pres in (("kernel", kernel),
+                           ("oriented", cycle_orientation_presentations(m))):
+            pres_path = corpus.pres(f"ord-cycle{m}-{stem}", pres)
+            for path in (bare, skew):
+                corpus.add("ord", "check", "--complex", path, "--pres",
+                           pres_path, "--p", 1)
+
+
+def corpus_digest(parts=(_cycles, _boundaries, _ladders, _orders,
+                         _towers_and_batteries)) -> tuple[str, int]:
     """(SHA-256 over every report, number of reports); writes its inputs
     into the working directory."""
     corpus = _Corpus()
-    for part in (_cycles, _boundaries, _ladders, _orders, _towers_and_batteries):
+    for part in parts:
         part(corpus)
     digest = hashlib.sha256()
     reports = 0
@@ -174,3 +257,10 @@ def test_report_corpus_is_unchanged(tmp_path, monkeypatch):
     digest, reports = corpus_digest()
     assert reports > 300
     assert digest == CORPUS_DIGEST
+
+
+def test_large_ss_corpus_is_unchanged(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    digest, reports = corpus_digest((_large_validate, _large_orders))
+    assert reports == 142
+    assert digest == LARGE_SS_DIGEST
