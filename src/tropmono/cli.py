@@ -349,7 +349,7 @@ def cmd_ss_validate(args) -> RunReport:
             composite = dual_complex.relation_composite(complex_, h2, p)
         except (KeyError, ValueError) as exc:
             raise CliError(f"{args.input}: incomplete h2 data: {exc}")
-        ok = composite.is_zero()
+        ok = composite is None
         report.add_check(f"cancellation[p={p}]", ok,
                          None if ok else {"composite": composite.to_json_obj()})
     report.result = {"levels": levels}

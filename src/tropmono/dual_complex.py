@@ -181,7 +181,8 @@ def unit_h2(complex_: SemistableCombinatorics, level: int = 0) -> H2Model:
 
 
 # Each map between levels is built once, as sparse rows ({column: nonzero
-# entry} per row) read off the parents of its higher level.
+# entry} per row) read off the parents of its higher level; products and
+# elimination take these rows as they are.
 
 def _restriction_rows(complex_: SemistableCombinatorics, p: int) -> list[dict]:
     col = {s.label: k for k, s in enumerate(complex_.level(p))}
@@ -247,20 +248,6 @@ def _dense(rows: list[dict], ncols: int) -> QMatrix:
                    ncols=ncols)
 
 
-def delta_pullback(complex_: SemistableCombinatorics, p: int) -> QMatrix:
-    """Alternating restriction map from level-p to level-(p+1) H^0 spaces:
-    rows are level p+1 strata, columns level p, entry (-1)^j when the column
-    is the row's parent at its j-th component."""
-    return _dense(_restriction_rows(complex_, p), len(complex_.level(p)))
-
-
-def delta_pushforward(complex_: SemistableCombinatorics, h2: H2Model, p: int) -> QMatrix:
-    """Gysin map from level-p H^0 into the stacked level-(p-1) H2 spaces.
-    The column of a stratum Z places sign(removal) times its Gysin vector in
-    each parent's block."""
-    return _dense(_gysin_rows(complex_, h2, p), len(complex_.level(p)))
-
-
 def restriction_square(complex_: SemistableCombinatorics, p: int) -> Optional[QMatrix]:
     """The level-(p+1) restriction after the level-p one, which vanishes on
     every complex: None when it does, else the composite as a witness."""
@@ -269,16 +256,19 @@ def restriction_square(complex_: SemistableCombinatorics, p: int) -> Optional[QM
     return _dense(rows, len(complex_.level(p))) if any(rows) else None
 
 
-def relation_composite(complex_: SemistableCombinatorics, h2: H2Model, p: int) -> QMatrix:
+def relation_composite(complex_: SemistableCombinatorics, h2: H2Model,
+                       p: int) -> Optional[QMatrix]:
     """Restricting after pushing forward plus pushing forward after
-    restricting, as maps out of level-p H^0; the relation holds when this is
-    zero.  Defined for p >= 1; the p-1 level must carry restriction data
-    wherever both its dimension and a child dimension are positive."""
+    restricting, as maps out of level-p H^0; the relation holds when this
+    vanishes: None when it does, else the composite as a witness.  Defined
+    for p >= 1; the p-1 level must carry restriction data wherever both its
+    dimension and a child dimension are positive."""
     if p < 1:
         raise ValueError("the relation pairs levels p-1 and p+1; need p >= 1")
     first = (_h2_restriction_rows(complex_, h2, p - 1), _gysin_rows(complex_, h2, p))
     second = (_gysin_rows(complex_, h2, p + 1), _restriction_rows(complex_, p))
-    return _dense(_product([first, second]), len(complex_.level(p)))
+    rows = _product([first, second])
+    return _dense(rows, len(complex_.level(p))) if any(rows) else None
 
 
 @dataclass(frozen=True)
@@ -290,19 +280,44 @@ class E2Summary:
     representatives: tuple[Vector, ...]
 
 
+def _columns(rows: list[dict], n: int) -> list[dict]:
+    """The n columns of sparse rows, each as a sparse vector."""
+    columns: list[dict] = [{} for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            columns[j][i] = v
+    return columns
+
+
+def _second_page(complex_: SemistableCombinatorics, p: int):
+    """(kernel, image, representatives) at level p as sparse vectors: the
+    image columns, then the kernel vectors, pass in order through one
+    echelon, and the first independent ones in scan order are kept."""
+    ncols = len(complex_.level(p))
+    ker = linalg.kernel_basis(_restriction_rows(complex_, p), ncols)
+    echelon = linalg.Echelon(ncols)
+    image = [] if p == 0 else [
+        v for v in _columns(_restriction_rows(complex_, p - 1),
+                            len(complex_.level(p - 1)))
+        if echelon.add(v)]
+    return ker, image, [v for v in ker if echelon.add(v)]
+
+
+def _vector(v: Mapping[int, Fraction], n: int) -> Vector:
+    """A sparse vector as a dense Fraction tuple of length n."""
+    out = [Fraction(0)] * n
+    for j, x in v.items():
+        out[j] = Fraction(x)
+    return tuple(out)
+
+
 def e2_p0(complex_: SemistableCombinatorics, p: int) -> E2Summary:
     """Kernel of the level-p restriction modulo the image from level p-1,
-    with deterministic representatives: the image columns, then the kernel
-    vectors, pass in order through one echelon, and the first independent
-    ones in scan order are kept."""
-    ncols = len(complex_.level(p))
-    ker = linalg.kernel_basis(delta_pullback(complex_, p))
-    echelon = linalg.Echelon(ncols)
-    image = ([] if p == 0 else
-             [v for v in delta_pullback(complex_, p - 1).transpose().data
-              if echelon.add(v)])
-    reps = [v for v in ker if echelon.add(v)]
-    return E2Summary(p, len(reps), tuple(ker), tuple(image), tuple(reps))
+    with deterministic representatives (see _second_page)."""
+    n = len(complex_.level(p))
+    ker, image, reps = _second_page(complex_, p)
+    return E2Summary(p, len(reps), *(tuple(_vector(v, n) for v in vectors)
+                                     for vectors in (ker, image, reps)))
 
 
 @dataclass(frozen=True)
@@ -324,25 +339,26 @@ def corner_monodromy(complex_: SemistableCombinatorics, h2: H2Model, p: int) -> 
     restriction and the Gysin pushforward into the restriction quotient: each
     kernel vector is expressed in the image basis plus quotient
     representatives, and only the representative coordinates survive."""
+    ncols = len(complex_.level(p))
     corner = linalg.kernel_basis(
-        delta_pullback(complex_, p).vstack(delta_pushforward(complex_, h2, p)))
-    summary = e2_p0(complex_, p)
-    mixed = list(summary.image) + list(summary.representatives)
-    cols = QMatrix.from_columns(mixed, nrows=len(complex_.level(p)))
+        _restriction_rows(complex_, p) + _gysin_rows(complex_, h2, p), ncols)
+    _, image, reps = _second_page(complex_, p)
+    mixed = image + reps
     out_cols = []
-    for coords in linalg.solve_many(cols, corner):
+    for coords in linalg.solve_many(_columns(mixed, ncols), len(mixed), corner):
         if coords is None:
             raise RuntimeError("corner kernel does not lie in the restriction kernel")
-        out_cols.append(coords[len(summary.image):])
-    matrix = QMatrix.from_columns(out_cols, nrows=summary.dim)
-    r = linalg.rank(matrix)
+        out_cols.append({k - len(image): x for k, x in coords.items() if k >= len(image)})
+    echelon = linalg.Echelon(len(reps))
+    r = sum(echelon.add(v) for v in out_cols)
     return CornerMonodromy(
         p=p,
-        matrix=matrix,
+        matrix=QMatrix([[v.get(i, 0) for v in out_cols] for i in range(len(reps))],
+                       ncols=len(out_cols)),
         domain_dim=len(corner),
-        codomain_dim=summary.dim,
+        codomain_dim=len(reps),
         injective=(r == len(corner)),
-        surjective=(r == summary.dim),
+        surjective=(r == len(reps)),
     )
 
 

@@ -1,20 +1,25 @@
 """Exact rational linear algebra and ordered-index bookkeeping.
 
-Everything here runs over Fraction; no floats anywhere.  One elimination
-routine serves rank, det, rref, kernel_basis and solve_many: rows are
-cleared of denominators and pushed, in order, through the integer-preserving
-step of Bareiss (Math. Comp. 1968), each kept row pivoting on its first
-nonzero entry.  ``Echelon`` exposes the same step incrementally: ``add`` keeps a
-vector only when it raises the rank, so feeding candidates in scan order
-selects the first independent ones and repeated runs yield byte-identical
-bases.
+Everything here runs over Fraction and int; no floats anywhere.  One
+elimination routine serves det, kernel_basis, solve_many and ``Echelon``:
+rows are sparse ``{column: nonzero}`` maps, cleared of denominators and
+pushed, in the order they arrive, through the integer-preserving step of
+Bareiss (Math. Comp. 1968), each kept row pivoting on its first nonzero
+column; every step touches nonzero entries only.  kernel_basis and
+solve_many back-substitute the echelon to the reduced row echelon form,
+which the row space fixes, so the sparse vectors they return do not depend
+on the order of elimination.  ``Echelon.add`` keeps a sparse vector only
+when it raises the rank, so feeding candidates in scan order selects the
+first independent ones and repeated runs yield byte-identical bases.  det
+alone takes a dense ``QMatrix``, and feeds its rows through the same
+routine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from math import lcm
+from typing import Iterable, Mapping, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
 
@@ -71,8 +76,10 @@ def shuffle_sign(a: Sequence[int], b: Sequence[int]):
 
 
 class QMatrix:
-    """Immutable dense matrix over Fraction. Rows may be empty; pass ncols
-    explicitly for matrices with zero rows."""
+    """Immutable dense matrix over Fraction, for data that is a dense matrix:
+    an affine map, an H2 restriction block, a printed comparison matrix or a
+    failure witness.  Rows may be empty; pass ncols explicitly for matrices
+    with zero rows."""
 
     __slots__ = ("nrows", "ncols", "data")
 
@@ -94,59 +101,12 @@ class QMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("QMatrix is immutable")
 
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "QMatrix":
-        return cls([[0] * ncols for _ in range(nrows)], ncols=ncols)
-
-    @classmethod
-    def from_columns(cls, cols: Sequence[Sequence], nrows: Optional[int] = None) -> "QMatrix":
-        if cols:
-            nrows = len(cols[0])
-        elif nrows is None:
-            nrows = 0
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(nrows)],
-                   ncols=len(cols))
-
     def __getitem__(self, idx):
         i, j = idx
         return self.data[i][j]
 
     def row(self, i: int) -> Vector:
         return self.data[i]
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix([[self.data[i][j] for i in range(self.nrows)]
-                        for j in range(self.ncols)], ncols=self.nrows)
-
-    def __add__(self, other: "QMatrix") -> "QMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return QMatrix([[a + b for a, b in zip(r1, r2)]
-                        for r1, r2 in zip(self.data, other.data)], ncols=self.ncols)
-
-    def __matmul__(self, other: "QMatrix") -> "QMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        return QMatrix(
-            [[sum((self.data[i][k] * other.data[k][j] for k in range(self.ncols)),
-                  Fraction(0)) for j in range(other.ncols)]
-             for i in range(self.nrows)],
-            ncols=other.ncols)
-
-    def matvec(self, v: Sequence) -> Vector:
-        if len(v) != self.ncols:
-            raise ValueError("length mismatch")
-        vv = [as_fraction(x) for x in v]
-        return tuple(sum((r[k] * vv[k] for k in range(self.ncols)), Fraction(0))
-                     for r in self.data)
-
-    def vstack(self, other: "QMatrix") -> "QMatrix":
-        if self.ncols != other.ncols:
-            raise ValueError("width mismatch")
-        return QMatrix(self.data + other.data, ncols=self.ncols)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, QMatrix) and self.ncols == other.ncols
@@ -162,90 +122,93 @@ class QMatrix:
         return [[rat_str(x) for x in row] for row in self.data]
 
 
-def _clear(row: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(multiplier, integer row): clear denominators.  Row scaling preserves
-    row space, rank, kernel, and pivot positions."""
-    mult = lcm(*(x.denominator for x in row))
-    return mult, [x.numerator * (mult // x.denominator) for x in row]
+Pivot = tuple[int, int, dict]  # (pivot column, pivot value, Bareiss row)
 
 
-Pivot = tuple[int, int, list[int]]  # (pivot column, pivot value, Bareiss row)
+def _clear(row: Mapping) -> tuple[int, dict[int, int]]:
+    """(multiplier, integer row): clear the denominators of a sparse row of
+    ints and Fractions, dropping zeros.  Row scaling preserves row space,
+    rank, kernel, and pivot positions."""
+    mult = lcm(*(x.denominator for x in row.values()))
+    return mult, {j: x.numerator * (mult // x.denominator)
+                  for j, x in row.items() if x}
 
 
-def _reduce(row: list[int], stored: Sequence[Pivot]) -> list[int]:
-    """Bareiss steps of every stored pivot row, in order; entries stay
-    integer minors (Sylvester), so each division is exact.  A step on a 0
-    in its pivot column only rescales, so that factor waits in num/den."""
-    num = den = prev = 1
+def _reduce(row: dict[int, int], stored: Sequence[Pivot]) -> dict[int, int]:
+    """Bareiss steps of every stored pivot row, in order, on nonzero entries
+    only; entries stay integer minors (Sylvester), so each division is
+    exact.  A step on a 0 in its pivot column only scales the row by its
+    pivot over the previous one; such factors telescope, so the row catches
+    up (from pivot ``last`` to ``prev``) just before a step that changes
+    it, and at the end."""
+    last = prev = 1
     for c, p, srow in stored:
-        if row[c]:
-            if num != den:
-                row = [x * num // den for x in row]
-                num = den = 1
-            a = row[c]
-            row = [(p * x - a * y) // prev for x, y in zip(row, srow)]
-        else:
-            num *= p
-            den *= prev
+        a = row.get(c)
+        if a:
+            if prev != last:
+                row = {j: x * prev // last for j, x in row.items()}
+                a = row[c]
+            row = {j: p * x for j, x in row.items()}
+            for j, y in srow.items():
+                x = row.get(j, 0) - a * y
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            if prev != 1:
+                row = {j: x // prev for j, x in row.items()}
+            last = p
         prev = p
-    if num != den:
-        row = [x * num // den for x in row]
+    if prev != last:
+        row = {j: x * prev // last for j, x in row.items()}
     return row
 
 
-def _push(stored: list[Pivot], row: list[int]) -> bool:
-    """Keep a nonzero remainder as a pivot row on its first nonzero entry."""
+def _push(stored: list[Pivot], row: dict[int, int]) -> bool:
+    """Keep a nonzero remainder as a pivot row on its first nonzero column."""
     row = _reduce(row, stored)
-    c = next((c for c, x in enumerate(row) if x), None)
-    if c is not None:
+    if row:
+        c = min(row)
         stored.append((c, row[c], row))
-    return c is not None
+    return bool(row)
 
 
-def _echelon(m: QMatrix) -> list[Pivot]:
-    """Fraction-free echelon of the rows of m, taken in order; the single
-    elimination routine behind rank, det, rref, kernel_basis and solve_many."""
+def _rref(rows: Iterable[Mapping]) -> dict[int, dict[int, Fraction]]:
+    """Reduced row echelon form of sparse rows, as {pivot column: the row's
+    entries in the free columns}; each row is 1 at its pivot column and 0 at
+    the others.  Back substitution runs from the last pivot column up, each
+    echelon row subtracting the reduced rows of the later pivot columns it
+    meets, so no row is cleared above its pivot during the forward pass."""
     stored: list[Pivot] = []
-    for row in m.data:
+    for row in rows:
         _push(stored, _clear(row)[1])
-    return stored
+    reduced: dict[int, dict[int, Fraction]] = {}
+    for c, p, row in sorted(stored, key=lambda piv: -piv[0]):
+        out: dict = {}
+        for j, x in row.items():
+            below = reduced.get(j)
+            if below is not None:
+                for k, y in below.items():
+                    out[k] = out.get(k, 0) - x * y
+            elif j != c:
+                out[j] = out.get(j, 0) + x
+        reduced[c] = {k: Fraction(v, p) for k, v in out.items() if v}
+    return reduced
 
 
 class Echelon:
-    """Incremental fraction-free echelon: ``add(v)`` keeps v, and returns
-    True, only when its remainder is nonzero, that is, when v raises the rank."""
+    """Incremental fraction-free echelon over vectors of the given length:
+    ``add(v)`` keeps the sparse vector v, and returns True, only when its
+    remainder is nonzero, that is, when v raises the rank."""
 
     def __init__(self, length: int):
         self.length = length
         self._stored: list[Pivot] = []
 
-    def add(self, v: Sequence) -> bool:
-        if len(v) != self.length:
-            raise ValueError("length mismatch")
-        return _push(self._stored, _clear([as_fraction(x) for x in v])[1])
-
-
-def rref(m: QMatrix) -> tuple[list[Vector], tuple[int, ...]]:
-    """Reduced row echelon form with unit pivots; deterministic."""
-    stored = sorted(_echelon(m), key=lambda piv: piv[0])
-    pivots = tuple(c for c, _, _ in stored)
-    rows = [row for _, _, row in stored]
-    for r in range(len(rows) - 1, 0, -1):
-        c, low = pivots[r], rows[r]
-        p = low[c]
-        for i in range(r):
-            f = rows[i][c]
-            if f:
-                g = gcd(p, f)
-                row = [(p // g) * x - (f // g) * y for x, y in zip(rows[i], low)]
-                g = gcd(*row)
-                rows[i] = [x // g for x in row] if g > 1 else row
-    return ([tuple(Fraction(x, row[c]) for x in row) for row, c in zip(rows, pivots)],
-            pivots)
-
-
-def rank(m: QMatrix) -> int:
-    return len(_echelon(m))
+    def add(self, v: Mapping) -> bool:
+        if any(not 0 <= j < self.length for j in v):
+            raise ValueError("index out of range")
+        return _push(self._stored, _clear(v)[1])
 
 
 def det(m: QMatrix) -> Fraction:
@@ -255,7 +218,7 @@ def det(m: QMatrix) -> Fraction:
     stored: list[Pivot] = []
     scale = 1
     for row in m.data:
-        mult, ints = _clear(row)
+        mult, ints = _clear(dict(enumerate(row)))
         if not _push(stored, ints):
             return Fraction(0)
         scale *= mult
@@ -264,36 +227,37 @@ def det(m: QMatrix) -> Fraction:
     return Fraction(perm_sign([c for c, _, _ in stored]) * stored[-1][1], scale)
 
 
-def kernel_basis(m: QMatrix) -> list[Vector]:
-    """Basis of the right kernel; one vector per free column, unit at the
-    free position, in increasing column order."""
-    reduced, pivots = rref(m)
-    free = [c for c in range(m.ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * m.ncols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -reduced[r][f]
-        basis.append(tuple(v))
-    return basis
+def kernel_basis(rows: Sequence[Mapping], ncols: int) -> list[dict[int, Fraction]]:
+    """Basis of the right kernel of the matrix with the given sparse rows and
+    ncols columns, as sparse vectors; one per free column, 1 at the free
+    position, in increasing column order."""
+    reduced = _rref(rows)
+    basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in reduced}
+    for c, row in reduced.items():
+        for f, x in row.items():
+            basis[f][c] = -x
+    return list(basis.values())
 
 
-def solve_many(m: QMatrix, rhs: Sequence[Sequence]) -> list[Optional[Vector]]:
-    """For each b in rhs, one exact solution of m x = b with free variables
-    set to 0, or None.  m is reduced once, augmented by every b."""
-    targets = [[as_fraction(x) for x in b] for b in rhs]
-    if any(len(b) != m.nrows for b in targets):
-        raise ValueError("length mismatch")
-    n = m.ncols
-    aug = QMatrix([list(row) + [b[i] for b in targets]
-                   for i, row in enumerate(m.data)], ncols=n + len(targets))
-    reduced, pivots = rref(aug)
-    r = sum(1 for c in pivots if c < n)
-    out: list[Optional[Vector]] = []
-    for col in range(n, n + len(targets)):
-        x = [Fraction(0)] * n
-        for row, c in zip(reduced, pivots[:r]):
-            x[c] = row[col]
-        out.append(None if any(row[col] for row in reduced[r:]) else tuple(x))
-    return out
+def solve_many(rows: Sequence[Mapping], ncols: int,
+               rhs: Sequence[Mapping]) -> list[Optional[dict[int, Fraction]]]:
+    """For each sparse b in rhs, one exact solution of m x = b with free
+    variables set to 0, as a sparse vector, or None, where m has the given
+    sparse rows and ncols columns.  m is reduced once, augmented by every b
+    in the columns after its own."""
+    if any(not 0 <= i < len(rows) for b in rhs for i in b):
+        raise ValueError("index out of range")
+    aug = [dict(row) for row in rows]
+    for t, b in enumerate(rhs):
+        for i, x in b.items():
+            aug[i][ncols + t] = x
+    reduced = _rref(aug)
+    # a reduced row pivoting past m reads 0 = (its entries in b's columns)
+    inconsistent = set()
+    for c, row in reduced.items():
+        if c >= ncols:
+            inconsistent.add(c)
+            inconsistent.update(row)
+    return [None if col in inconsistent else
+            {c: row[col] for c, row in reduced.items() if c < ncols and col in row}
+            for col in range(ncols, ncols + len(rhs))]

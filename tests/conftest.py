@@ -12,7 +12,9 @@ import itertools
 import json
 from fractions import Fraction
 
+from tropmono.dual_complex import removal_sign
 from tropmono.library import cycle_complex, simplicial_presentations_from_tensors
+from tropmono.linalg import QMatrix
 
 
 def json_digest(obj) -> str:
@@ -64,21 +66,18 @@ def sort_sign(items):
     return sign
 
 
-def rank_gauss(rows):
-    """Row-reduction rank over Fraction, written independently of the
-    package's elimination."""
+def rref_gauss(rows, ncols=None):
+    """Reduced row echelon form over Fraction by Gauss-Jordan elimination,
+    written independently of the package's elimination: (the nonzero rows,
+    their pivot columns)."""
     mat = [[Fraction(x) for x in row] for row in rows]
+    if ncols is None:
+        ncols = len(mat[0]) if mat else 0
     rank = 0
-    col = 0
-    ncols = len(mat[0]) if mat else 0
-    while rank < len(mat) and col < ncols:
-        pivot = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != 0:
-                pivot = r
-                break
+    pivots = []
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
         if pivot is None:
-            col += 1
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
         pv = mat[rank][col]
@@ -87,9 +86,58 @@ def rank_gauss(rows):
             if r != rank and mat[r][col] != 0:
                 f = mat[r][col]
                 mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        pivots.append(col)
         rank += 1
-        col += 1
-    return rank
+    return mat[:rank], pivots
+
+
+def rank_gauss(rows):
+    """Row-reduction rank over Fraction, written independently of the
+    package's elimination."""
+    return len(rref_gauss(rows)[1])
+
+
+def kernel_gauss(rows, ncols):
+    """Right kernel basis read off rref_gauss: one vector per free column,
+    unit there, in increasing column order."""
+    reduced, pivots = rref_gauss(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, c in zip(reduced, pivots):
+            v[c] = -row[f]
+        basis.append(tuple(v))
+    return basis
+
+
+def solve_rref(rows, ncols, b):
+    """The solution of m x = b with free variables 0, or None, read off
+    rref_gauss of the augmented matrix."""
+    reduced, pivots = rref_gauss([list(row) + [b[i]] for i, row in enumerate(rows)],
+                                 ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, c in zip(reduced, pivots):
+        x[c] = row[ncols]
+    return tuple(x)
+
+
+def select_by_ranks(sub, vectors):
+    """Keep a vector when it raises the rank of everything kept so far (sub
+    first), with each rank from rank_gauss: the scan-order rule."""
+    kept = [list(v) for v in sub]
+    r = rank_gauss(kept)
+    chosen = []
+    for v in vectors:
+        if rank_gauss(kept + [list(v)]) > r:
+            chosen.append(tuple(Fraction(x) for x in v))
+            kept.append(list(v))
+            r += 1
+    return chosen
 
 
 def solve_gauss(rows, rhs):
@@ -147,3 +195,93 @@ def nerve_cohomology_dims(index_sets):
         rank_in = rank_gauss(into) if into and ncells else 0
         dims.append(ker - rank_in)
     return dims
+
+
+# Dense matrix algebra on QMatrix, which the package no longer needs.
+
+def matmul(a, b):
+    if a.ncols != b.nrows:
+        raise ValueError("shape mismatch")
+    return QMatrix([[sum((a[i, k] * b[k, j] for k in range(a.ncols)), Fraction(0))
+                     for j in range(b.ncols)] for i in range(a.nrows)],
+                   ncols=b.ncols)
+
+
+def matadd(a, b):
+    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
+        raise ValueError("shape mismatch")
+    return QMatrix([[x + y for x, y in zip(r, s)] for r, s in zip(a.data, b.data)],
+                   ncols=a.ncols)
+
+
+def matvec(m, v):
+    if len(v) != m.ncols:
+        raise ValueError("length mismatch")
+    return tuple(sum((x * Fraction(y) for x, y in zip(row, v)), Fraction(0))
+                 for row in m.data)
+
+
+def transpose(m):
+    return QMatrix([[m[i, j] for i in range(m.nrows)] for j in range(m.ncols)],
+                   ncols=m.nrows)
+
+
+def is_zero(m):
+    return all(x == 0 for row in m.data for x in row)
+
+
+def sparse(v):
+    """A dense vector as a {position: nonzero} map."""
+    return {j: x for j, x in enumerate(v) if x}
+
+
+def dense(v, n):
+    """A {position: nonzero} map as a dense Fraction tuple of length n."""
+    return tuple(Fraction(v.get(j, 0)) for j in range(n))
+
+
+def sparse_rows(m):
+    """The rows of a QMatrix as {column: nonzero} maps."""
+    return [sparse(row) for row in m.data]
+
+
+# The dense general path that the sparse level maps replaced, kept as their
+# oracle: each map between levels is a full Fraction matrix.
+
+def dense_pullback(cx, p, sign=removal_sign):
+    """Alternating restriction from level p to level p+1: rows are level
+    p+1 strata, columns level p, entry (-1)^j when the column is the row's
+    parent at its j-th component."""
+    rows, cols = cx.level(p + 1), cx.level(p)
+    col_pos = {s.label: k for k, s in enumerate(cols)}
+    data = [[0] * len(cols) for _ in rows]
+    for r, z in enumerate(rows):
+        for removed, parent_label in z.parents.items():
+            data[r][col_pos[parent_label]] += sign(z.index_set, removed)
+    return QMatrix(data, ncols=len(cols))
+
+
+def h2_offsets(cx, h2, p):
+    offsets, total = {}, 0
+    for s in cx.level(p):
+        offsets[s.label] = total
+        total += h2.dim(s.label)
+    return offsets, total
+
+
+def dense_pushforward(cx, h2, p):
+    """Gysin map from level-p H^0 into the stacked level-(p-1) H2 spaces:
+    the column of a stratum Z places sign(removal) times its Gysin vector in
+    each parent's block."""
+    cols = cx.level(p)
+    if p < 1:
+        return QMatrix([], ncols=len(cols))
+    offsets, nrows = h2_offsets(cx, h2, p - 1)
+    data = [[Fraction(0)] * len(cols) for _ in range(nrows)]
+    for c, z in enumerate(cols):
+        for removed, parent_label in z.parents.items():
+            sign = removal_sign(z.index_set, removed)
+            base = offsets[parent_label]
+            for k, val in enumerate(h2.gysin_vector(parent_label, z.label)):
+                data[base + k][c] += sign * val
+    return QMatrix(data, ncols=len(cols))

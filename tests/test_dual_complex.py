@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import nerve_cohomology_dims
+from conftest import (dense_pullback, dense_pushforward, h2_offsets,
+                      is_zero, kernel_gauss, matadd, matmul, matvec,
+                      nerve_cohomology_dims, rank_gauss, select_by_ranks,
+                      solve_rref, transpose)
 from tropmono import dual_complex
 from tropmono.dual_complex import (H2Model, SemistableCombinatorics, Stratum,
                                    check_vanishing_vector, complex_from_json,
-                                   complex_to_json, corner_monodromy,
-                                   delta_pullback, delta_pushforward, e2_p0,
+                                   complex_to_json, corner_monodromy, e2_p0,
                                    relabel_components, relation_composite,
                                    removal_sign, restriction_square, unit_h2)
 from tropmono.library import (all_ones_h2, chain_complex, cycle_complex,
@@ -45,7 +47,8 @@ def test_removal_sign_frozen():
 
 def test_chain_restriction_signs_frozen():
     # value on the double stratum is (value on Y2) - (value on Y1)
-    mat = delta_pullback(chain_complex(), 0)
+    assert dual_complex._restriction_rows(chain_complex(), 0) == [{0: -1, 1: 1}]
+    mat = dense_pullback(chain_complex(), 0)
     assert (mat.nrows, mat.ncols) == (1, 2)
     assert [mat[0, 0], mat[0, 1]] == [-1, 1]
 
@@ -53,8 +56,8 @@ def test_chain_restriction_signs_frozen():
 def test_restriction_squares_to_zero():
     for cx in bundled():
         for p in range(max(cx.max_level - 1, 0)):
-            prod = delta_pullback(cx, p + 1) @ delta_pullback(cx, p)
-            assert prod.is_zero()
+            assert restriction_square(cx, p) is None
+            assert is_zero(matmul(dense_pullback(cx, p + 1), dense_pullback(cx, p)))
 
 
 def test_e2_dims_match_brute_force():
@@ -81,9 +84,9 @@ def test_e2_representatives_live_in_the_kernel():
     for cx in bundled():
         for p in range(cx.max_level + 1):
             summary = e2_p0(cx, p)
-            pull = delta_pullback(cx, p)
+            pull = dense_pullback(cx, p)
             for vec in summary.representatives + summary.image:
-                assert all(x == 0 for x in pull.matvec(vec))
+                assert all(x == 0 for x in matvec(pull, vec))
             assert summary.dim == len(summary.kernel) - len(summary.image)
 
 
@@ -126,14 +129,14 @@ def test_corner_monodromy_point_complex():
 def test_validation_model_satisfies_the_cancellation():
     for m in range(3, 8):
         cx = cycle_complex(m)
-        assert relation_composite(cx, cycle_validation_h2(m), 1).is_zero()
+        assert relation_composite(cx, cycle_validation_h2(m), 1) is None
 
 
 def test_unit_model_passes_trivially():
     # edge spaces are zero dimensional, so the composite lands in nothing
     for m in (3, 5):
         cx = cycle_complex(m)
-        assert relation_composite(cx, unit_h2(cx), 1).is_zero()
+        assert relation_composite(cx, unit_h2(cx), 1) is None
 
 
 def flipped_models(m):
@@ -158,15 +161,15 @@ def test_any_single_sign_flip_breaks_the_cancellation():
     for m in (3, 4, 5):
         cx = cycle_complex(m)
         for h2 in flipped_models(m):
-            assert not relation_composite(cx, h2, 1).is_zero()
+            assert relation_composite(cx, h2, 1) is not None
 
 
 def test_all_ones_model_is_flagged_inconsistent():
     for m in (3, 4, 5):
         cx = cycle_complex(m)
         h2 = all_ones_h2(cx)
-        assert not relation_composite(cx, h2, 1).is_zero()
         composite = relation_composite(cx, h2, 1)
+        assert composite is not None
         for i in range(composite.nrows):
             assert composite[i, i] == 2
 
@@ -192,8 +195,8 @@ def test_relabeling_components_changes_nothing():
             got = [e2_p0(shuffled, p).dim for p in range(shuffled.max_level + 1)]
             assert got == dims
             if h2 is not None:
-                assert relation_composite(shuffled, h2, 1).is_zero() == \
-                    relation_composite(cx, h2, 1).is_zero()
+                assert (relation_composite(shuffled, h2, 1) is None) == \
+                    (relation_composite(cx, h2, 1) is None)
                 before = corner_monodromy(cx, h2, 1)
                 after = corner_monodromy(shuffled, h2, 1)
                 assert after.isomorphism == before.isomorphism
@@ -202,49 +205,20 @@ def test_relabeling_components_changes_nothing():
 def test_pushforward_frozen_on_the_chain():
     cx = chain_complex()
     h2 = unit_h2(cx)
-    mat = delta_pushforward(cx, h2, 1)
+    assert dual_complex._gysin_rows(cx, h2, 1) == [{0: -1}, {0: 1}]
+    assert dual_complex._gysin_rows(cx, h2, 0) == []
+    mat = dense_pushforward(cx, h2, 1)
     assert (mat.nrows, mat.ncols) == (2, 1)
     assert [mat[0, 0], mat[1, 0]] == [-1, 1]
-    empty = delta_pushforward(cx, h2, 0)
+    empty = dense_pushforward(cx, h2, 0)
     assert (empty.nrows, empty.ncols) == (0, 2)
 
 
-# The dense general path that the sparse products replaced, kept as their
-# oracle: each map is a full Fraction matrix, and the composites are
-# QMatrix products.
-
-def dense_pullback(cx, p, sign=removal_sign):
-    rows, cols = cx.level(p + 1), cx.level(p)
-    col_pos = {s.label: k for k, s in enumerate(cols)}
-    data = [[0] * len(cols) for _ in rows]
-    for r, z in enumerate(rows):
-        for removed, parent_label in z.parents.items():
-            data[r][col_pos[parent_label]] += sign(z.index_set, removed)
-    return QMatrix(data, ncols=len(cols))
-
-
-def h2_offsets(cx, h2, p):
-    offsets, total = {}, 0
-    for s in cx.level(p):
-        offsets[s.label] = total
-        total += h2.dim(s.label)
-    return offsets, total
-
-
-def dense_pushforward(cx, h2, p):
-    cols = cx.level(p)
-    if p < 1:
-        return QMatrix.zeros(0, len(cols))
-    offsets, nrows = h2_offsets(cx, h2, p - 1)
-    data = [[Fraction(0)] * len(cols) for _ in range(nrows)]
-    for c, z in enumerate(cols):
-        for removed, parent_label in z.parents.items():
-            sign = removal_sign(z.index_set, removed)
-            base = offsets[parent_label]
-            for k, val in enumerate(h2.gysin_vector(parent_label, z.label)):
-                data[base + k][c] += sign * val
-    return QMatrix(data, ncols=len(cols))
-
+# The dense general path that the sparse products and the sparse
+# elimination replaced, kept as their oracle: dense_pullback and
+# dense_pushforward (conftest) give each map as a full Fraction matrix, the
+# composites are QMatrix products, and the second page and the corner come
+# from conftest's Gauss-Jordan elimination.
 
 def h2_pullback(cx, h2, p):
     """Alternating restriction on the H2 level, stacked level-p blocks to
@@ -272,8 +246,32 @@ def h2_pullback(cx, h2, p):
 def dense_composite(cx, h2, p):
     if p < 1:
         raise ValueError("the relation pairs levels p-1 and p+1; need p >= 1")
-    return (h2_pullback(cx, h2, p - 1) @ dense_pushforward(cx, h2, p)
-            + dense_pushforward(cx, h2, p + 1) @ dense_pullback(cx, p))
+    composite = matadd(matmul(h2_pullback(cx, h2, p - 1), dense_pushforward(cx, h2, p)),
+                       matmul(dense_pushforward(cx, h2, p + 1), dense_pullback(cx, p)))
+    return None if is_zero(composite) else composite
+
+
+def dense_e2(cx, p):
+    """(kernel, image, representatives) of the second page at level p."""
+    kernel = kernel_gauss(dense_pullback(cx, p).data, len(cx.level(p)))
+    columns = transpose(dense_pullback(cx, p - 1)).data if p else ()
+    image = select_by_ranks([], columns)
+    return tuple(kernel), tuple(image), tuple(select_by_ranks(image, kernel))
+
+
+def dense_corner(cx, h2, p, image, reps):
+    """(matrix, injective, surjective) of the corner comparison, given the
+    image and representatives of the second page."""
+    ncols = len(cx.level(p))
+    corner = kernel_gauss(dense_pullback(cx, p).data + dense_pushforward(cx, h2, p).data,
+                          ncols)
+    mixed = transpose(QMatrix(image + reps, ncols=ncols)).data
+    coords = [solve_rref(mixed, len(image) + len(reps), v)[len(image):]
+              for v in corner]
+    matrix = QMatrix([[c[i] for c in coords] for i in range(len(reps))],
+                     ncols=len(coords))
+    r = rank_gauss(matrix.data)
+    return matrix, r == len(corner), r == len(reps)
 
 
 def outcome(fn, *args):
@@ -328,37 +326,52 @@ def random_h2(cx, rng):
 
 def test_sparse_products_match_the_dense_oracle():
     rng = random.Random(1010)
-    seen = {"equal": 0, "nonzero": 0, "missing": 0, "shape": 0, "vectors": 0}
+    seen = {"equal": 0, "nonzero": 0, "missing": 0, "shape": 0, "vectors": 0,
+            "image": 0, "iso": 0, "not injective": 0, "not surjective": 0}
     for _ in range(120):
         cx = random_complex(rng)
         h2 = random_h2(cx, rng)
         for p in range(cx.max_level + 1):
-            assert delta_pullback(cx, p) == dense_pullback(cx, p)
-            assert delta_pushforward(cx, h2, p) == dense_pushforward(cx, h2, p)
-            want = dense_pullback(cx, p + 1) @ dense_pullback(cx, p)
-            assert restriction_square(cx, p) is None and want.is_zero()
+            ncols = len(cx.level(p))
+            assert dual_complex._dense(dual_complex._restriction_rows(cx, p), ncols) \
+                == dense_pullback(cx, p)
+            assert dual_complex._dense(dual_complex._gysin_rows(cx, h2, p), ncols) \
+                == dense_pushforward(cx, h2, p)
+            want = matmul(dense_pullback(cx, p + 1), dense_pullback(cx, p))
+            assert restriction_square(cx, p) is None and is_zero(want)
             got = outcome(relation_composite, cx, h2, p)
             assert got == outcome(dense_composite, cx, h2, p)
-            if isinstance(got, QMatrix):
+            if got is None or isinstance(got, QMatrix):
                 seen["equal"] += 1
-                seen["nonzero"] += not got.is_zero()
+                seen["nonzero"] += got is not None
             elif p:
                 seen["missing" if "missing" in got[1] else "shape"] += 1
-            ncols = len(cx.level(p))
-            kernel = e2_p0(cx, p).kernel
+            summary = e2_p0(cx, p)
+            kernel, image, reps = dense_e2(cx, p)
+            assert (summary.kernel, summary.image, summary.representatives) == \
+                (kernel, image, reps)
+            assert summary.dim == len(summary.representatives)
+            seen["image"] += bool(summary.image)
+            corner = corner_monodromy(cx, h2, p)
+            assert (corner.matrix, corner.injective, corner.surjective) == \
+                dense_corner(cx, h2, p, image, reps)
+            seen["iso" if corner.isomorphism else
+                 "not injective" if not corner.injective else "not surjective"] += 1
             dense = (dense_pullback(cx, p), dense_pushforward(cx, h2, p))
             for vec in ([rng.choice(RATIONALS) for _ in range(ncols)],
                         [0] * ncols,
                         rng.choice(kernel) if kernel else [1] * ncols,
                         [1] * (ncols + 1)):
-                want = outcome(lambda: tuple(all(x == 0 for x in m.matvec(vec))
+                want = outcome(lambda: tuple(all(x == 0 for x in matvec(m, vec))
                                              for m in dense))
                 assert outcome(check_vanishing_vector, cx, h2, p, vec) == want
                 seen["vectors"] += want in ((True, True), (True, False),
                                             (False, True), (False, False))
     assert seen["equal"] > 100 and seen["nonzero"] > 90
     assert seen["missing"] > 30 and seen["shape"] > 25
-    assert seen["vectors"] > 800
+    assert seen["vectors"] > 800 and seen["image"] > 150
+    assert seen["iso"] > 150 and seen["not injective"] > 25
+    assert seen["not surjective"] > 40
 
 
 def test_restriction_square_witness_matches_the_dense_product(monkeypatch):
@@ -366,9 +379,9 @@ def test_restriction_square_witness_matches_the_dense_product(monkeypatch):
     monkeypatch.setattr(dual_complex, "removal_sign", lambda index_set, removed: 1)
     cx = fixtures.simplex_boundary(3)
     for p in range(cx.max_level - 1):
-        want = dense_pullback(cx, p + 1, dual_complex.removal_sign) @ \
-            dense_pullback(cx, p, dual_complex.removal_sign)
-        assert not want.is_zero()
+        want = matmul(dense_pullback(cx, p + 1, dual_complex.removal_sign),
+                      dense_pullback(cx, p, dual_complex.removal_sign))
+        assert not is_zero(want)
         assert restriction_square(cx, p) == want
 
 

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import det_cofactor, rank_gauss, sort_sign
+from conftest import (dense, det_cofactor, kernel_gauss, matmul, matvec,
+                      rank_gauss, select_by_ranks, solve_rref, sort_sign, sparse,
+                      sparse_rows, transpose)
 from tropmono import linalg
 from tropmono.linalg import QMatrix
 
@@ -76,8 +78,14 @@ def test_det_multiplicative_and_transpose_invariant():
         n = rng.randint(1, 4)
         a = rand_matrix(rng, n, n)
         b = rand_matrix(rng, n, n)
-        assert linalg.det(a @ b) == linalg.det(a) * linalg.det(b)
-        assert linalg.det(a.transpose()) == linalg.det(a)
+        assert linalg.det(matmul(a, b)) == linalg.det(a) * linalg.det(b)
+        assert linalg.det(transpose(a)) == linalg.det(a)
+
+
+def echelon_rank(m):
+    """The number of rows of m that one Echelon keeps."""
+    echelon = linalg.Echelon(m.ncols)
+    return sum(echelon.add(row) for row in sparse_rows(m))
 
 
 def test_rank_matches_independent_elimination():
@@ -85,25 +93,27 @@ def test_rank_matches_independent_elimination():
     for _ in range(80):
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
         m = rand_matrix(rng, nr, nc)
-        assert linalg.rank(m) == rank_gauss([list(r) for r in m.data])
-    assert linalg.rank(QMatrix.zeros(3, 4)) == 0
-    assert linalg.rank(QMatrix([[int(i == j) for j in range(5)]
-                                for i in range(5)])) == 5
+        want = rank_gauss([list(r) for r in m.data])
+        assert echelon_rank(m) == want
+        assert len(linalg.kernel_basis(sparse_rows(m), nc)) == nc - want
+    assert echelon_rank(QMatrix([[0] * 4] * 3)) == 0
+    assert echelon_rank(QMatrix([[int(i == j) for j in range(5)]
+                                 for i in range(5)])) == 5
 
 
 def test_kernel_frozen_and_property():
-    ker = linalg.kernel_basis(QMatrix([[1, 1], [2, 2]], ncols=2))
+    ker = linalg.kernel_basis([{0: 1, 1: 1}, {0: 2, 1: 2}], 2)
     assert len(ker) == 1
-    x, y = ker[0]
+    x, y = dense(ker[0], 2)
     assert x + y == 0 and (x, y) != (0, 0)
     rng = random.Random(7)
     for _ in range(60):
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
         m = rand_matrix(rng, nr, nc)
-        basis = linalg.kernel_basis(m)
-        assert len(basis) == nc - linalg.rank(m)
+        basis = [dense(v, nc) for v in linalg.kernel_basis(sparse_rows(m), nc)]
+        assert len(basis) == nc - rank_gauss([list(r) for r in m.data])
         for v in basis:
-            assert all(x == 0 for x in m.matvec(v))
+            assert all(x == 0 for x in matvec(m, v))
         # kernel vectors are linearly independent
         assert rank_gauss([list(v) for v in basis]) == len(basis)
 
@@ -115,19 +125,20 @@ def test_solve_recovers_solutions_and_detects_inconsistency():
         m = rand_matrix(rng, nr, nc)
         x0 = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
               for _ in range(nc)]
-        b = m.matvec(x0)
-        x = linalg.solve_many(m, [b])[0]
+        b = matvec(m, x0)
+        x = linalg.solve_many(sparse_rows(m), nc, [sparse(b)])[0]
         assert x is not None
-        assert m.matvec(x) == tuple(b)
+        assert matvec(m, dense(x, nc)) == tuple(b)
     # 0 = 1 has no solution
-    assert linalg.solve_many(QMatrix([[0]], ncols=1), [[1]]) == [None]
-    assert linalg.solve_many(QMatrix([[1, 1], [1, 1]], ncols=2), [[0, 1]]) == [None]
+    assert linalg.solve_many([{}], 1, [{0: 1}]) == [None]
+    assert linalg.solve_many([{0: 1, 1: 1}, {0: 1, 1: 1}], 2, [{1: 1}]) == [None]
 
 
 def test_rref_reports_pivots():
-    rows, pivots = linalg.rref(QMatrix([[0, 2, 1], [0, 4, 2]], ncols=3))
-    assert pivots == (1,)
-    assert rows[0] == (Fraction(0), Fraction(1), Fraction(1, 2))
+    # the reduced form of both rows is (0, 1, 1/2): pivot column 1, so the
+    # kernel is spanned by the free columns 0 and 2
+    assert linalg.kernel_basis([{1: 2, 2: 1}, {1: 4, 2: 2}], 3) == [
+        {0: 1}, {1: Fraction(-1, 2), 2: 1}]
 
 
 def echelon_selection(sub, vectors, length):
@@ -135,8 +146,8 @@ def echelon_selection(sub, vectors, length):
     in scan order: the rule e2_p0 picks its representatives by."""
     echelon = linalg.Echelon(length)
     for v in sub:
-        echelon.add(v)
-    return [tuple(Fraction(x) for x in v) for v in vectors if echelon.add(v)]
+        echelon.add(sparse(v))
+    return [tuple(Fraction(x) for x in v) for v in vectors if echelon.add(sparse(v))]
 
 
 def test_extend_basis_builds_a_transversal():
@@ -147,20 +158,6 @@ def test_extend_basis_builds_a_transversal():
     assert rank_gauss([list(v) for v in sub + reps]) == 3
     # deterministic: first independent candidates win
     assert reps[0] == (Fraction(1), Fraction(1), Fraction(0), Fraction(0))
-
-
-def extend_basis_by_ranks(sub, vectors):
-    """Reference selection: keep a vector when it raises the rank of
-    everything kept so far, with each rank from conftest's oracle."""
-    kept = [list(v) for v in sub]
-    r = rank_gauss(kept)
-    chosen = []
-    for v in vectors:
-        if rank_gauss(kept + [list(v)]) > r:
-            chosen.append(tuple(Fraction(x) for x in v))
-            kept.append(list(v))
-            r += 1
-    return chosen
 
 
 def rand_vectors(rng, count, length):
@@ -192,7 +189,7 @@ def test_extend_basis_matches_repeated_rank_reference():
         cut = rng.randint(0, len(pool))
         sub, vectors = pool[:cut], pool[cut:]
         got = echelon_selection(sub, vectors, length)
-        assert got == extend_basis_by_ranks(sub, vectors)
+        assert got == select_by_ranks(sub, vectors)
 
 
 def test_echelon_add_reports_rank_increase():
@@ -203,11 +200,11 @@ def test_echelon_add_reports_rank_increase():
         kept = []
         for v in rand_vectors(rng, rng.randint(1, 10), length):
             raised = rank_gauss(kept + [list(v)]) > rank_gauss(kept)
-            assert echelon.add(v) == raised
+            assert echelon.add(sparse(v)) == raised
             if raised:
                 kept.append(list(v))
     with pytest.raises(ValueError):
-        linalg.Echelon(2).add((1, 2, 3))
+        linalg.Echelon(2).add({2: 3})
 
 
 def test_solve_many_matches_per_vector_solve():
@@ -220,41 +217,84 @@ def test_solve_many_matches_per_vector_solve():
             if rng.random() < 0.5:
                 x0 = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                       for _ in range(nc)]
-                rhs.append(m.matvec(x0))
+                rhs.append(matvec(m, x0))
             else:
                 rhs.append(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                                  for _ in range(nr)))
-        got = linalg.solve_many(m, rhs)
-        assert got == [linalg.solve_many(m, [b])[0] for b in rhs]
+        rows = sparse_rows(m)
+        got = linalg.solve_many(rows, nc, [sparse(b) for b in rhs])
+        assert got == [linalg.solve_many(rows, nc, [sparse(b)])[0] for b in rhs]
         for b, x in zip(rhs, got):
             aug = [list(row) + [b[i]] for i, row in enumerate(m.data)]
             consistent = rank_gauss(aug) == rank_gauss([list(r) for r in m.data])
             assert (x is not None) == consistent
             if x is not None:
-                assert m.matvec(x) == tuple(b)
+                assert matvec(m, dense(x, nc)) == tuple(b)
     # one consistent and one inconsistent right-hand side in the same call
-    m = QMatrix([[1, 1], [1, 1]], ncols=2)
-    assert linalg.solve_many(m, [[2, 2], [0, 1]]) == [
-        (Fraction(2), Fraction(0)), None]
+    rows = [{0: 1, 1: 1}, {0: 1, 1: 1}]
+    assert linalg.solve_many(rows, 2, [{0: 2, 1: 2}, {1: 1}]) == [{0: 2}, None]
     with pytest.raises(ValueError):
-        linalg.solve_many(m, [[1, 2, 3]])
+        linalg.solve_many(rows, 2, [{2: 3}])
 
 
 def test_matrix_shape_errors():
     with pytest.raises(ValueError):
         QMatrix([[1, 2], [3]], ncols=2)
     with pytest.raises(ValueError):
-        QMatrix([[1]], ncols=1) @ QMatrix([[1, 2]], ncols=2).transpose().transpose() @ QMatrix([[1, 2]], ncols=2) @ QMatrix([[1, 2]], ncols=2)
-    with pytest.raises(ValueError):
-        QMatrix([[1]], ncols=1) + QMatrix([[1, 2]], ncols=2)
+        QMatrix([[1, 2]], ncols=3)
 
 
 def test_zero_row_matrices_keep_their_width():
-    z = QMatrix.zeros(0, 3)
+    z = QMatrix([], ncols=3)
     assert z.ncols == 3 and z.nrows == 0
-    assert (z @ QMatrix.zeros(3, 2)).ncols == 2
-    assert linalg.kernel_basis(z) == [
-        (Fraction(1), Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(1)),
-    ]
+    assert matmul(z, QMatrix([[0, 0]] * 3)).ncols == 2
+    assert linalg.kernel_basis([], 3) == [{0: 1}, {1: 1}, {2: 1}]
+
+
+def rand_system(rng):
+    """Rows for elimination, square about half the time: either generic
+    rationals, or sparse rationals with zero rows and rows planted as
+    combinations of earlier ones; sometimes a duplicated row; all in
+    shuffled order."""
+    nc = rng.randint(1, 6)
+    nr = nc if rng.random() < 0.5 else rng.randint(0, 7)
+    rows = (list(rand_matrix(rng, nr, nc).data) if rng.random() < 0.4
+            else rand_vectors(rng, nr, nc))
+    if rows and rng.random() < 0.3:
+        rows[rng.randrange(nr)] = rng.choice(rows)
+    rng.shuffle(rows)
+    return rows, nc
+
+
+def test_sparse_elimination_matches_the_gauss_oracles():
+    rng = random.Random(12)
+    seen = {"singular": 0, "regular": 0, "zero row": 0, "duplicate": 0,
+            "inconsistent": 0, "solved": 0}
+    for _ in range(400):
+        rows, nc = rand_system(rng)
+        sparse_m = [sparse(r) for r in rows]
+        seen["zero row"] += {} in sparse_m
+        seen["duplicate"] += len(set(rows)) < len(rows)
+        kernel = linalg.kernel_basis(sparse_m, nc)
+        assert [dense(v, nc) for v in kernel] == kernel_gauss(rows, nc)
+        # the reduced form, not the order of elimination, fixes the basis
+        assert linalg.kernel_basis(rng.sample(sparse_m, len(sparse_m)), nc) == kernel
+        rhs = []
+        for _ in range(rng.randint(0, 3)):
+            x0 = [rng.choice((0, 1, -2, Fraction(1, 3))) for _ in range(nc)]
+            b = [sum((a * x for a, x in zip(r, x0)), Fraction(0)) for r in rows]
+            if rows and rng.random() < 0.5:
+                b[rng.randrange(len(b))] += Fraction(rng.randint(1, 4), rng.randint(1, 3))
+            rhs.append(b)
+        got = linalg.solve_many(sparse_m, nc, [sparse(b) for b in rhs])
+        assert [None if x is None else dense(x, nc) for x in got] == \
+            [solve_rref(rows, nc, b) for b in rhs]
+        seen["inconsistent"] += got.count(None)
+        seen["solved"] += len(got) - got.count(None)
+        echelon = linalg.Echelon(nc)
+        assert [r for r in rows if echelon.add(sparse(r))] == select_by_ranks([], rows)
+        if len(rows) == nc:
+            want = det_cofactor([list(r) for r in rows])
+            assert linalg.det(QMatrix(rows, ncols=nc)) == want
+            seen["singular" if want == 0 else "regular"] += 1
+    assert min(seen.values()) > 40, seen
