@@ -22,7 +22,6 @@ import sys
 from . import dual_complex
 from .dual_complex import complex_from_json, unit_h2
 from .forms import AffineMap, Superform
-from .linalg import rat_str
 from .order_map import (Presentation, dolbeault_ladder, ord_vector,
                         require_simplicial)
 from .poly import Poly
@@ -74,6 +73,9 @@ def _load_json(path: str, report: RunReport):
         raise CliError(f"{path}: not utf-8 ({exc})")
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    except (RecursionError, ValueError) as exc:
+        # nesting too deep to parse, or an integer literal too long to read
+        raise CliError(f"{path}: {exc}")
 
 
 def _witness(case: int, drawn: dict) -> dict:
@@ -81,7 +83,7 @@ def _witness(case: int, drawn: dict) -> dict:
     def as_json(obj):
         if isinstance(obj, AffineMap):
             return {"matrix": obj.matrix.to_json_obj(),
-                    "translation": [rat_str(x) for x in obj.translation]}
+                    "translation": [str(x) for x in obj.translation]}
         if isinstance(obj, list):
             return [as_json(x) for x in obj]
         return obj if isinstance(obj, int) else obj.to_json_obj()
@@ -250,7 +252,7 @@ def cmd_simplex_starprop(args) -> RunReport:
                   and want.constant_value() == value)
             witness = None
             if not ok:
-                witness = {"subset": list(subset), "value": rat_str(value),
+                witness = {"subset": list(subset), "value": str(value),
                            "direct": want.to_json_obj()}
             name = f"match[{label}][" + ".".join(map(str, subset)) + "]"
             report.add_check(name, ok, witness)
@@ -264,7 +266,7 @@ def _load_complex(path: str, report: RunReport):
     obj = _load_json(path, report)
     try:
         return complex_from_json(obj)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"{path}: bad complex data: {exc}")
 
 
@@ -292,7 +294,7 @@ def cmd_ss_e2(args) -> RunReport:
     for p in range(0, top + 1):
         summary = dual_complex.e2_p0(complex_, p)
         dims[str(p)] = summary.dim
-        reps[str(p)] = [[rat_str(x) for x in v] for v in summary.representatives]
+        reps[str(p)] = [[str(x) for x in v] for v in summary.representatives]
     result = {"dims": dims}
     if args.p is not None:
         result["representatives"] = reps[str(args.p)]
@@ -347,7 +349,7 @@ def cmd_ss_validate(args) -> RunReport:
         _require_classes(args.input, complex_, h2, p)
         try:
             composite = dual_complex.relation_composite(complex_, h2, p)
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise CliError(f"{args.input}: incomplete h2 data: {exc}")
         ok = composite is None
         report.add_check(f"cancellation[p={p}]", ok,
@@ -367,7 +369,7 @@ def _load_presentations(path: str, report: RunReport) -> list[Presentation]:
     try:
         return [Presentation.from_json_obj(entry, f"presentation {k}")
                 for k, entry in enumerate(obj)]
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"{path}: bad presentation data: {exc}")
 
 
@@ -388,7 +390,7 @@ def cmd_ord(args) -> RunReport:
         report.add_check("cover_and_agree", False, {"error": str(exc)})
         return report
     report.add_check("cover_and_agree", True)
-    values = {label: rat_str(v) for label, v in vector.values.items()}
+    values = {label: str(v) for label, v in vector.values.items()}
     report.result = {"p": args.p, "values": values}
     if args.ord_cmd == "check":
         if h2 is None:
@@ -424,17 +426,17 @@ def cmd_dolbeault(args) -> RunReport:
         return report
     report.add_check("presentations_cover_and_agree", True)
     failing = [
-        {"top": top_label, "face": face, "value": rat_str(value),
-         "expected": rat_str(expected)}
+        {"top": top_label, "face": face, "value": str(value),
+         "expected": str(expected)}
         for top_label, face, value, expected, ok in ladder.comparisons
         if not ok]
     report.add_check("tower_closes_on_order", ladder.final_check,
                      None if ladder.final_check else {"mismatches": failing})
     report.result = {
         "p": ladder.p,
-        "constant": rat_str(ladder.constant),
+        "constant": str(ladder.constant),
         "finalCheck": ladder.final_check,
-        "ord": {label: rat_str(v) for label, v in ladder.ord_values.items()},
+        "ord": {label: str(v) for label, v in ladder.ord_values.items()},
         "comparisons": len(ladder.comparisons),
     }
     return report

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from . import linalg
-from .linalg import QMatrix, Vector, as_fraction, rat_str
+from .linalg import QMatrix, Vector, as_fraction
 
 IndexSet = tuple[int, ...]
 
@@ -138,7 +138,7 @@ class H2Model:
         for (parent, child), vec in dict(gysin).items():
             try:
                 vec = tuple(as_fraction(x) for x in vec)
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"h2 {parent}: gysin {child}: {exc}") from None
             if len(vec) != self.dim(parent):
                 raise ValueError(f"Gysin vector for {child} in {parent} has wrong length")
@@ -149,7 +149,7 @@ class H2Model:
                 self.restrict[parent, child] = (
                     mat if isinstance(mat, QMatrix)
                     else QMatrix(mat, ncols=self.dim(parent)))
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"h2 {parent}: restrict {child}: {exc}") from None
 
     def dim(self, label: str) -> int:
@@ -408,7 +408,7 @@ def complex_to_json(complex_: SemistableCombinatorics,
             h2_obj[label] = {"dim": d}
         for (parent, child), vec in sorted(h2.gysin.items()):
             h2_obj.setdefault(parent, {"dim": h2.dim(parent)})
-            h2_obj[parent].setdefault("gysin", {})[child] = [rat_str(x) for x in vec]
+            h2_obj[parent].setdefault("gysin", {})[child] = [str(x) for x in vec]
         for (parent, child), mat in sorted(h2.restrict.items()):
             h2_obj.setdefault(parent, {"dim": h2.dim(parent)})
             h2_obj[parent].setdefault("restrict", {})[child] = mat.to_json_obj()

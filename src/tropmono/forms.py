@@ -15,7 +15,7 @@ use 1-based indices.
 from __future__ import annotations
 
 from bisect import bisect
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .linalg import QMatrix, as_fraction, shuffle_sign
 from .poly import Poly, _accumulate, _derivative, _index_tuple, _Terms
@@ -119,15 +119,6 @@ class Superform(_Terms):
                 "coeff": self.terms[(dpr, dsec)].to_json_obj(),
             })
         return out
-
-    @classmethod
-    def from_json_obj(cls, nvars: int, data: Sequence[Mapping]) -> "Superform":
-        terms = []
-        for entry in data:
-            dpr = tuple(int(i) - 1 for i in entry["dprime"])
-            dsec = tuple(int(i) - 1 for i in entry["dsecond"])
-            terms.append(((dpr, dsec), Poly.from_json_obj(nvars, entry["coeff"])))
-        return cls(nvars, terms)
 
     def __repr__(self) -> str:
         if not self.terms:

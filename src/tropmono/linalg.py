@@ -25,19 +25,17 @@ Vector = tuple[Fraction, ...]
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce int (not bool), str ("a/b" or "a"), or Fraction to Fraction."""
+    """Read an int (not a bool), a string ("a/b" or "a") or a Fraction as a
+    Fraction; any other value, a bad literal or a zero denominator is
+    refused with a ValueError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as a rational number")
-
-
-def rat_str(value: Fraction) -> str:
-    """Serialize a rational as "a/b", or "a" when the denominator is 1."""
-    return str(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"cannot interpret {value!r} as a rational number")
 
 
 def perm_sign(perm: Sequence[int]) -> int:
@@ -119,7 +117,7 @@ class QMatrix:
         return f"QMatrix({[[str(x) for x in r] for r in self.data]}, ncols={self.ncols})"
 
     def to_json_obj(self):
-        return [[rat_str(x) for x in row] for row in self.data]
+        return [[str(x) for x in row] for row in self.data]
 
 
 Pivot = tuple[int, int, dict]  # (pivot column, pivot value, Bareiss row)

@@ -48,7 +48,7 @@ class Presentation:
             raise ValueError("component must be an integer")
         try:
             weights = tuple(as_fraction(w) for w in self.weights)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"weights: {exc}") from None
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_degree", None)
@@ -117,10 +117,10 @@ class Presentation:
         """Read the JSON form: weights a list, flags an object keyed by
         comma-separated members.  Errors name ``where``."""
         if not isinstance(obj, dict):
-            raise TypeError(f"{where} is not an object")
+            raise ValueError(f"{where} is not an object")
         flags = obj.get("flags", {})
         if not isinstance(flags, dict):
-            raise TypeError(f"{where}: flags must be an object")
+            raise ValueError(f"{where}: flags must be an object")
         if "component" not in obj:
             raise _entry_error(obj, "component", where, "an integer")
         component, weights = obj["component"], obj.get("weights")
@@ -134,7 +134,7 @@ class Presentation:
             raise ValueError(f"{where}: flag {key}: {exc}") from None
         try:
             return cls(component=component, weights=weights, flags=keyed)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
 
 
@@ -206,18 +206,11 @@ def tau_pullback(rows: Sequence[Sequence], ncols: Optional[int] = None) -> Super
     the corresponding wedge of first-kind differentials.  More rows than
     columns produce the zero form.
     """
-    mat = [tuple(as_fraction(x) for x in row) for row in rows]
-    if mat:
-        width = len(mat[0])
-        if any(len(r) != width for r in mat):
-            raise ValueError("ragged exponent rows")
-        if ncols is not None and ncols != width:
-            raise ValueError("ncols disagrees with row width")
-        ncols = width
-    elif ncols is None:
+    mat = QMatrix(rows, ncols)
+    if not mat.nrows and ncols is None:
         raise ValueError("ncols required for an empty exponent matrix")
-    return Superform(ncols, {(cols, ()): Poly.const(ncols, value)
-                             for cols, value in _minors(mat).items()})
+    return Superform(mat.ncols, {(cols, ()): Poly.const(mat.ncols, value)
+                                 for cols, value in _minors(mat.data).items()})
 
 
 # --- the Cech-to-simplex descent on a simplicial stratum complex ----------

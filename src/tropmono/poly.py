@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .linalg import as_fraction, rat_str, shuffle_sign
+from .linalg import as_fraction, shuffle_sign
 
 
 def _index_tuple(indices, size: int) -> tuple[int, ...]:
@@ -255,13 +255,5 @@ class Poly(_Terms):
     def to_json_obj(self) -> dict[str, str]:
         out = {}
         for exps in sorted(self.terms):
-            out[",".join(str(e) for e in exps)] = rat_str(self.terms[exps])
+            out[",".join(str(e) for e in exps)] = str(self.terms[exps])
         return out
-
-    @classmethod
-    def from_json_obj(cls, nvars: int, obj: Mapping[str, str]) -> "Poly":
-        terms = {}
-        for key, val in obj.items():
-            exps = tuple(int(p) for p in key.split(",")) if key else ()
-            terms[exps] = as_fraction(val)
-        return cls(nvars, terms)

@@ -460,6 +460,31 @@ def test_bad_json_reports_position(tmp_path):
     assert f"{bad}:3:1:" in text
 
 
+# a nesting the decoder cannot follow, and an integer literal longer than
+# Python reads from a string, where no integer would be valid input
+DEEP_NESTING = "[" * 100_000 + "]" * 100_000
+LONG_INTEGER = '{"components": [], "strata": [{"level": ' + "7" * 5000 + "}]}"
+
+
+@pytest.mark.parametrize("text", [DEEP_NESTING, LONG_INTEGER],
+                         ids=["nested_100000_deep", "integer_of_5000_digits"])
+@pytest.mark.parametrize("role", ["complex", "presentations"])
+def test_json_beyond_the_decoder_exits_2(tmp_path, text, role):
+    # before, these escaped as a RecursionError and a ValueError
+    complex_path, pres_path = cycle_files(tmp_path, 3)
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    if role == "complex":
+        complex_path = str(bad)
+    else:
+        pres_path = str(bad)
+    code, out = run(["ord", "compute", "--complex", complex_path,
+                     "--pres", pres_path, "--p", "1"])
+    assert code == 2
+    assert out.startswith(f"error: {bad}:")
+    assert "Traceback" not in out
+
+
 def test_unreadable_file(tmp_path):
     code, text = run(["ss", "e2", "--input", str(tmp_path / "absent.json")])
     assert code == 2
@@ -484,6 +509,10 @@ COMPLEX_FAULTS = {
     "no_components": "a complex needs at least one component",
     "gysin_entry_is_true":
         "h2 Y1: gysin E1_2: cannot interpret True as a rational number",
+    "gysin_entry_divides_by_zero":
+        "h2 Y1: gysin E1_2: cannot interpret '1/0' as a rational number",
+    "restrict_entry_divides_by_zero":
+        "h2 Y1: restrict E1_2: cannot interpret '1/0' as a rational number",
     "components_is_a_string": "top level: components must be a list",
     "gysin_is_a_string": "h2 Y1: gysin E1_2 must be a list",
     "restrict_is_ragged": "h2 Y1: restrict E1_2: ragged rows",
@@ -527,6 +556,10 @@ def _malformed_complex(case):
         obj = {"components": [], "strata": []}
     elif case == "gysin_entry_is_true":
         obj["h2"]["Y1"]["gysin"]["E1_2"] = [True]
+    elif case == "gysin_entry_divides_by_zero":
+        obj["h2"]["Y1"]["gysin"]["E1_2"] = ["1/0"]
+    elif case == "restrict_entry_divides_by_zero":
+        obj["h2"]["Y1"]["restrict"] = {"E1_2": [["1/0"]]}
     elif case == "components_is_a_string":
         obj["components"] = "ABCD"
     elif case == "gysin_is_a_string":
@@ -571,11 +604,13 @@ def _malformed_complex(case):
     "dim_is_negative", "gysin_is_a_list", "h2_entry_is_a_number",
     "top_level_is_a_list", "components_missing", "label_missing",
     "index_set_missing", "dim_missing", "component_is_a_list",
-    "label_is_a_number", "parent_label_is_a_number"])
+    "label_is_a_number", "parent_label_is_a_number",
+    "gysin_entry_divides_by_zero", "restrict_entry_divides_by_zero"])
 def test_malformed_complex_exits_2(tmp_path, case):
     # before, the unknown labels were kept and `ss monodromy` reported an
     # isomorphism; `ss e2` on the empty complex passed zero checks; a Gysin
-    # entry true was read as 1; the strings "ABCD" and "1" were read as the
+    # entry true was read as 1, and an entry "1/0" escaped as a
+    # ZeroDivisionError; the strings "ABCD" and "1" were read as the
     # lists of their characters; the last three named no stratum; a list
     # where an object belongs and a missing key named neither the place nor
     # the rule, and a component ["A"] was named "['A']"
@@ -649,6 +684,8 @@ PRESENTATION_EDITS = {
      "presentation 0: flag 1,2: expected a list of exponent matrices"),
     ("weight_is_true",
      "presentation 0: weights: cannot interpret True as a rational number"),
+    ("weight_divides_by_zero",
+     "presentation 0: weights: cannot interpret '1/0' as a rational number"),
     ("weights_is_a_string", "presentation 0: weights must be a list"),
     ("flag_key_is_not_a_number",
      "presentation 0: flag 1,x: invalid literal for int() with base 10: 'x'"),
@@ -665,7 +702,8 @@ PRESENTATION_EDITS = {
 ])
 def test_malformed_presentations_exit_2(tmp_path, case, message):
     # before, an exponent 1.5 was truncated to 1, a component 2.7 to 2, a
-    # weight true read as 1 and the weights "12" as 1 and 2; a flag 5 failed
+    # weight true read as 1 and the weights "12" as 1 and 2, and a weight
+    # "1/0" escaped as a ZeroDivisionError; a flag 5 failed
     # with "'int' object is not iterable"; the flag faults named no
     # presentation or flag, and a missing key was named bare
     complex_path, _ = cycle_files(tmp_path, 5)
@@ -675,12 +713,13 @@ def test_malformed_presentations_exit_2(tmp_path, case, message):
         pres = [cycle_orientation_presentations(5)[0].to_json_obj(), [1, 2]]
     elif case == "flags_is_a_list":
         pres = [{"component": 1, "weights": ["1"], "flags": []}]
-    elif case in ("flag_is_an_integer", "weight_is_true"):
+    elif case in ("flag_is_an_integer", "weight_is_true",
+                  "weight_divides_by_zero"):
         pres = [p.to_json_obj() for p in cycle_orientation_presentations(5)]
         if case == "flag_is_an_integer":
             pres[0]["flags"]["1,2"] = 5
         else:
-            pres[0]["weights"] = [True]
+            pres[0]["weights"] = [True if case == "weight_is_true" else "1/0"]
     elif case in ("component_missing", "weights_missing"):
         pres = [p.to_json_obj() for p in cycle_orientation_presentations(5)]
         del pres[0][case.split("_")[0]]
@@ -701,6 +740,66 @@ def test_malformed_presentations_exit_2(tmp_path, case, message):
                       "--pres", pres_path, "--p", "1"])
     assert code == 2
     assert text == f"error: {pres_path}: bad presentation data: {message}\n"
+
+
+SWEEP_VALUES = [None, True, 1.5, "x", "1/0", [], {}, -1]
+DELETE = object()
+
+
+def _single_node_mutations(obj):
+    """Copies of obj with one node replaced by each sweep value, or with one
+    key deleted, for every node and every key in turn."""
+    def walk(node, path):
+        yield path
+        if isinstance(node, (dict, list)):
+            for key in node if isinstance(node, dict) else range(len(node)):
+                yield from walk(node[key], path + (key,))
+    text = json.dumps(obj)
+    for path in list(walk(obj, ())):
+        keyed = path and isinstance(path[-1], str)
+        for value in SWEEP_VALUES + ([DELETE] if keyed else []):
+            if not path:
+                yield value
+                continue
+            out = json.loads(text)
+            parent = out
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            yield out
+
+
+def test_single_node_mutations_exit_without_raising(tmp_path):
+    # before, "1/0" as a Gysin entry, a restriction entry or a weight
+    # escaped `run` as a ZeroDivisionError
+    cx = cycle_complex(3)
+    good = {"complex": complex_to_json(cx, cycle_validation_h2(3)),
+            "pres": [p.to_json_obj() for p in cycle_orientation_presentations(3)]}
+    paths = {name: write_json(tmp_path / f"{name}.json", obj)
+             for name, obj in good.items()}
+    argvs = [["ss", "validate", "--input", paths["complex"]],
+             ["ss", "monodromy", "--input", paths["complex"], "--p", "1"],
+             ["ord", "check", "--complex", paths["complex"],
+              "--pres", paths["pres"], "--p", "1"]]
+    assert [run(argv)[0] for argv in argvs] == [0, 0, 0]
+    runs = 0
+    for name, obj in good.items():
+        for mutated in _single_node_mutations(obj):
+            write_json(tmp_path / f"{name}.json", mutated)
+            for argv in argvs:
+                try:
+                    code, _ = run(argv)
+                except Exception as exc:
+                    pytest.fail(f"{argv[:2]} on {name} {json.dumps(mutated)} "
+                                f"raised {exc!r}")
+                assert code in (0, 1, 2)
+                runs += 1
+        write_json(tmp_path / f"{name}.json", obj)
+    assert runs == 3 * (932 + 236)  # mutations of the complex, presentations
+
 
 def test_missing_arguments_exit_2():
     with pytest.raises(SystemExit) as err:
