@@ -74,7 +74,7 @@ class Superform(_Terms):
                     sign = -sign
                 term = f * g
                 _accumulate(acc, (sh_i[1], sh_j[1]), term if sign > 0 else -term)
-        return self._made(acc)
+        return self._made(self.nvars, acc)
 
     def d_prime(self) -> "Superform":
         return _derivative(self, 0)
@@ -89,7 +89,7 @@ class Superform(_Terms):
         for (dpr, dsec), f in self.terms.items():
             sign = -1 if (len(dpr) * len(dsec)) % 2 else 1
             _accumulate(acc, (dsec, dpr), f if sign > 0 else -f)
-        return self._made(acc)
+        return self._made(self.nvars, acc)
 
     def monodromy(self) -> "Superform":
         """Trade one d' factor for the matching d'' factor, summed over the
@@ -108,7 +108,7 @@ class Superform(_Terms):
                     sign = -sign
                 reduced = dpr[:k] + dpr[k + 1:]
                 _accumulate(acc, (reduced, merged), f if sign > 0 else -f)
-        return self._made(acc)
+        return self._made(self.nvars, acc)
 
     def to_json_obj(self) -> list[dict]:
         out = []
@@ -132,9 +132,10 @@ class Superform(_Terms):
 
 
 class AffineMap:
-    """x = A y + b from R^(source) to R^(target); A is target x source."""
+    """x = A y + b from R^(source) to R^(target); A is target x source.  Its
+    substitutes and block minors are built once, for every pullback."""
 
-    __slots__ = ("matrix", "translation")
+    __slots__ = ("matrix", "translation", "_subs", "_minors")
 
     def __init__(self, matrix: QMatrix, translation: Sequence = None):
         if translation is None:
@@ -144,6 +145,10 @@ class AffineMap:
             raise ValueError("translation length must match the target dimension")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "translation", translation)
+        object.__setattr__(self, "_subs", tuple(
+            Poly.affine(matrix.ncols, matrix.row(i), t)
+            for i, t in enumerate(translation)))
+        object.__setattr__(self, "_minors", {(): {(): 1}})
 
     def __setattr__(self, name, value):
         raise AttributeError("AffineMap is immutable")
@@ -162,14 +167,12 @@ class AffineMap:
         minors append one more row of A to those of its prefix."""
         if omega.nvars != self.target_dim:
             raise ValueError("form does not live on the target space")
-        n2 = self.source_dim
-        rows = [self.matrix.row(i) for i in range(self.target_dim)]
-        subs = [Poly.affine(n2, row, t) for row, t in zip(rows, self.translation)]
-        minors: dict[tuple[int, ...], dict] = {(): {(): 1}}
+        n2, subs, minors = self.source_dim, self._subs, self._minors
 
         def block(index: tuple[int, ...]) -> dict:
             if index not in minors:
-                minors[index] = _append_row(block(index[:-1]), rows[index[-1]])
+                minors[index] = _append_row(block(index[:-1]),
+                                            self.matrix.row(index[-1]))
             return minors[index]
 
         acc: dict[Key, Poly] = {}
@@ -182,4 +185,4 @@ class AffineMap:
             for cols_p, a in left.items():
                 for cols_s, b in right.items():
                     _accumulate(acc, (cols_p, cols_s), g * (a * b))
-        return Superform.zero(n2)._made(acc)
+        return Superform._made(n2, acc)

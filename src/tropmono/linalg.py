@@ -17,11 +17,17 @@ routine.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
+
+
+# an optionally signed decimal integer, optionally over an unsigned one: with
+# no exponent, point, separator or padding, a short literal is a small number
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def as_fraction(value) -> Fraction:
@@ -30,7 +36,8 @@ def as_fraction(value) -> Fraction:
     refused with a ValueError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
+    if (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, str) and _RATIONAL.fullmatch(value)):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):

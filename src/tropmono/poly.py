@@ -11,6 +11,10 @@ SimplexForm (simplex): the private base _Terms owns construction, addition,
 negation, scaling, equality and hashing, _accumulate() is the one zero-dropping
 sum into a term dict and _derivative() the one exterior derivative loop.  Each
 subclass supplies only its key and coefficient checks and its own operations.
+Validation happens once, where outside input enters: Poly(...), Superform(...)
+and SimplexForm(...) check every key and coefficient, while code that builds
+clean terms itself (operators, const/variable/affine, substitution, randgen)
+wraps them unchecked through the one trusted route, _made.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ def _derivative(form, block, crossed=None):
                 if block is not None:
                     merged = key[:block] + (merged,) + key[block + 1:]
                 _accumulate(acc, merged, g if lead * sign > 0 else -g)
-    return form._made(acc)
+    return form._made(form.nvars, acc)
 
 
 class _Terms:
@@ -82,10 +86,12 @@ class _Terms:
             raise ValueError("coefficient lives in the wrong ring")
         return coeff
 
-    def _made(self, terms: dict):
-        """Same class and variable count; terms must be valid and nonzero."""
-        out = type(self).__new__(type(self))
-        object.__setattr__(out, "nvars", self.nvars)
+    @classmethod
+    def _made(cls, nvars: int, terms: dict):
+        """The trusted route: wraps terms unchecked, so its keys must be
+        valid and its coefficients nonzero."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "nvars", nvars)
         object.__setattr__(out, "terms", terms)
         return out
 
@@ -111,10 +117,10 @@ class _Terms:
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
             _accumulate(terms, key, coeff)
-        return self._made(terms)
+        return self._made(self.nvars, terms)
 
     def __neg__(self):
-        return self._made({k: -v for k, v in self.terms.items()})
+        return self._made(self.nvars, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -122,8 +128,8 @@ class _Terms:
     def __mul__(self, scalar):
         c = as_fraction(scalar)
         if not c:
-            return self._made({})
-        return self._made({k: v * c for k, v in self.terms.items()})
+            return self._made(self.nvars, {})
+        return self._made(self.nvars, {k: v * c for k, v in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -153,25 +159,23 @@ class Poly(_Terms):
 
     @classmethod
     def const(cls, nvars: int, value) -> "Poly":
-        return cls(nvars, {(0,) * nvars: value})
+        c = as_fraction(value)
+        return cls._made(nvars, {(0,) * nvars: c} if c else {})
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Poly":
         if not 0 <= i < nvars:
             raise ValueError("variable index out of range")
-        exps = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {exps: 1})
+        return cls.affine(nvars, [int(j == i) for j in range(nvars)])
 
     @classmethod
     def affine(cls, nvars: int, coeffs: Sequence, constant=0) -> "Poly":
         """constant + sum(coeffs[i] * x_i)."""
         if len(coeffs) != nvars:
             raise ValueError("coefficient list has wrong length")
-        terms = {(0,) * nvars: as_fraction(constant)}
-        for i, c in enumerate(coeffs):
-            exps = tuple(1 if j == i else 0 for j in range(nvars))
-            terms[exps] = as_fraction(c)
-        return cls(nvars, terms)
+        keys = [tuple(int(j == i) for j in range(nvars)) for i in range(-1, nvars)]
+        values = [as_fraction(c) for c in (constant, *coeffs)]
+        return cls._made(nvars, {k: c for k, c in zip(keys, values) if c})
 
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exps) for exps in self.terms)
@@ -189,14 +193,15 @@ class Poly(_Terms):
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 _accumulate(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return self._made(terms)
+        return self._made(self.nvars, terms)
 
     def derivative(self, i: int) -> "Poly":
         if not 0 <= i < self.nvars:
             raise ValueError("variable index out of range")
         # lowering a positive exponent is injective, so no terms collide
-        return self._made({exps[:i] + (exps[i] - 1,) + exps[i + 1:]: c * exps[i]
-                           for exps, c in self.terms.items() if exps[i]})
+        return self._made(self.nvars, {
+            exps[:i] + (exps[i] - 1,) + exps[i + 1:]: c * exps[i]
+            for exps, c in self.terms.items() if exps[i]})
 
     def eval_poly(self, args: Sequence["Poly"]) -> "Poly":
         """Substitute args[i] for variable i; args live in a common ring."""
@@ -207,18 +212,21 @@ class Poly(_Terms):
         target = args[0].nvars
         if any(a.nvars != target for a in args):
             raise ValueError("substitutes live in different rings")
-        powers: list[list[Poly]] = [[Poly.const(target, 1)] for _ in args]
-        out = Poly.zero(target)
+        # powers[i][e - 1] is args[i] ** e, built as exponents call for it
+        powers: list[list[Poly]] = [[a] for a in args]
+        zero = (0,) * target
+        acc: dict[tuple[int, ...], Fraction] = {}
         for exps, c in self.terms.items():
-            term = Poly.const(target, c)
+            term = None
             for i, e in enumerate(exps):
                 if e == 0:
                     continue
-                while len(powers[i]) <= e:
+                while len(powers[i]) < e:
                     powers[i].append(powers[i][-1] * args[i])
-                term = term * powers[i][e]
-            out = out + term
-        return out
+                term = powers[i][e - 1] if term is None else term * powers[i][e - 1]
+            for key, v in (term.terms if term is not None else {zero: 1}).items():
+                _accumulate(acc, key, v * c)
+        return Poly._made(target, acc)
 
     def eval_point(self, point: Sequence) -> Fraction:
         vals = [as_fraction(x) for x in point]
@@ -239,7 +247,7 @@ class Poly(_Terms):
         terms: dict[tuple[int, ...], Fraction] = {}
         for exps, c in self.terms.items():
             _accumulate(terms, exps[:-1], c / (exps[-1] + 1))
-        return Poly(self.nvars - 1, terms)
+        return self._made(self.nvars - 1, terms)
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .forms import AffineMap, Superform
 from .linalg import QMatrix
-from .poly import Poly
+from .poly import Poly, _accumulate
 from .simplex import SimplexForm
 
 
@@ -21,37 +21,36 @@ def rand_fraction(rng: random.Random) -> Fraction:
 
 
 def rand_poly(rng: random.Random, nvars: int, max_degree: int = 2) -> Poly:
-    terms = {}
+    terms: dict = {}
     for _ in range(rng.randint(1, 3)):
         exps = [0] * nvars
-        budget = rng.randint(0, max_degree)
-        for _ in range(budget):
+        for _ in range(rng.randint(0, max_degree)):
             exps[rng.randrange(nvars)] += 1
-        terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + rand_fraction(rng)
-    return Poly(nvars, terms)
+        _accumulate(terms, tuple(exps), rand_fraction(rng))
+    return Poly._made(nvars, terms)
 
 
 def rand_superform(rng: random.Random, nvars: int, p: int, q: int) -> Superform:
     """Homogeneous (p, q) form with one or two random monomials."""
     if p > nvars or q > nvars:
         raise ValueError("block degree exceeds the dimension")
-    total = Superform.zero(nvars)
+    terms: dict = {}
     for _ in range(rng.randint(1, 2)):
         dpr = tuple(sorted(rng.sample(range(nvars), p)))
         dsec = tuple(sorted(rng.sample(range(nvars), q)))
-        total = total + Superform.monomial(
-            nvars, dpr, dsec, rand_poly(rng, nvars))
-    return total
+        _accumulate(terms, (dpr, dsec), rand_poly(rng, nvars))
+    return Superform._made(nvars, terms)
 
 
 def rand_superform_mixed(rng: random.Random, nvars: int,
                          pieces: int = 2) -> Superform:
-    total = Superform.zero(nvars)
+    terms: dict = {}
     for _ in range(pieces):
         p = rng.randint(0, nvars)
         q = rng.randint(0, nvars)
-        total = total + rand_superform(rng, nvars, p, q)
-    return total
+        for key, f in rand_superform(rng, nvars, p, q).terms.items():
+            _accumulate(terms, key, f)
+    return Superform._made(nvars, terms)
 
 
 def rand_affine_map(rng: random.Random, source: int, target: int,
@@ -70,27 +69,29 @@ def rand_affine_map(rng: random.Random, source: int, target: int,
     return AffineMap(QMatrix(rows, ncols=source), translation)
 
 
+def _rand_simplex_form(rng: random.Random, nvars: int, degree: int,
+                      most: int, coeff) -> SimplexForm:
+    """Between one and most random monomials of one degree, each with the
+    coefficient coeff() drawn after its face."""
+    subsets = list(itertools.combinations(range(nvars), degree))
+    terms: dict = {}
+    for _ in range(rng.randint(1, most)):
+        subset = subsets[rng.randrange(len(subsets))]
+        _accumulate(terms, subset, coeff())
+    return SimplexForm._made(nvars, terms)
+
+
 def rand_constant_simplex_form(rng: random.Random, nvars: int,
                                degree: int) -> SimplexForm:
     """Constant-coefficient ambient form of one degree."""
-    subsets = list(itertools.combinations(range(nvars), degree))
-    total = SimplexForm.zero(nvars)
-    for _ in range(rng.randint(1, 3)):
-        subset = subsets[rng.randrange(len(subsets))]
-        total = total + SimplexForm.monomial(
-            nvars, subset, Poly.const(nvars, rand_fraction(rng)))
-    return total
+    return _rand_simplex_form(rng, nvars, degree, 3,
+                              lambda: Poly.const(nvars, rand_fraction(rng)))
 
 
 def rand_poly_simplex_form(rng: random.Random, nvars: int,
                            degree: int) -> SimplexForm:
-    subsets = list(itertools.combinations(range(nvars), degree))
-    total = SimplexForm.zero(nvars)
-    for _ in range(rng.randint(1, 2)):
-        subset = subsets[rng.randrange(len(subsets))]
-        total = total + SimplexForm.monomial(
-            nvars, subset, rand_poly(rng, nvars))
-    return total
+    return _rand_simplex_form(rng, nvars, degree, 2,
+                              lambda: rand_poly(rng, nvars))
 
 
 def rand_hyperplane_point(rng: random.Random, nvars: int) -> tuple[Fraction, ...]:

@@ -94,7 +94,7 @@ class SimplexForm(_Terms):
                 if k % 2:
                     term = -term
                 _accumulate(acc, indices[:k] + indices[k + 1:], term)
-        return self._made(acc)
+        return self._made(self.nvars, acc)
 
     def ray_integrate(self, base: Sequence) -> "SimplexForm":
         """Homotopy operator along straight rays from the base point:
@@ -120,7 +120,8 @@ class SimplexForm(_Terms):
                     piece = {zero[:ik] + (1,) + zero[ik + 1:]: ck}
                     if base_vals[ik]:
                         piece[zero] = -ck * base_vals[ik]
-                    _accumulate(acc, indices[:k] + indices[k + 1:], f._made(piece))
+                    _accumulate(acc, indices[:k] + indices[k + 1:],
+                                Poly._made(f.nvars, piece))
                 continue
             if subs is None:
                 # x_i -> base_i + t (x_i - base_i), in the ring with one
@@ -130,14 +131,12 @@ class SimplexForm(_Terms):
                         for i, b in enumerate(base_vals)]
             g = f.eval_poly(subs) * Poly(n1 + 1, {zero + (r - 1,): 1})
             for k, ik in enumerate(indices):
-                linear = Poly.affine(n1 + 1,
-                                     [1 if j == ik else 0 for j in range(n1 + 1)],
-                                     -base_vals[ik])
+                linear = Poly.variable(n1 + 1, ik) - Poly.const(n1 + 1, base_vals[ik])
                 piece = (g * linear).integrate_last_unit()
                 if k % 2:
                     piece = -piece
                 _accumulate(acc, indices[:k] + indices[k + 1:], piece)
-        return self._made(acc)
+        return self._made(self.nvars, acc)
 
     def star_integrate(self, base: Sequence) -> "SimplexForm":
         """Ray integration from a point of the simplex hyperplane (the
@@ -196,7 +195,7 @@ class SimplexForm(_Terms):
                     continue
                 sign, merged = sh
                 _accumulate(acc, merged, f2 * (lead * sign))
-        return self._made(acc)
+        return self._made(self.nvars, acc)
 
     def equal_on_simplex(self, other: "SimplexForm") -> bool:
         if self.nvars != other.nvars:

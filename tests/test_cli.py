@@ -513,6 +513,8 @@ COMPLEX_FAULTS = {
         "h2 Y1: gysin E1_2: cannot interpret '1/0' as a rational number",
     "restrict_entry_divides_by_zero":
         "h2 Y1: restrict E1_2: cannot interpret '1/0' as a rational number",
+    "gysin_entry_has_an_exponent":
+        "h2 Y1: gysin E1_2: cannot interpret '1e5000' as a rational number",
     "components_is_a_string": "top level: components must be a list",
     "gysin_is_a_string": "h2 Y1: gysin E1_2 must be a list",
     "restrict_is_ragged": "h2 Y1: restrict E1_2: ragged rows",
@@ -558,6 +560,8 @@ def _malformed_complex(case):
         obj["h2"]["Y1"]["gysin"]["E1_2"] = [True]
     elif case == "gysin_entry_divides_by_zero":
         obj["h2"]["Y1"]["gysin"]["E1_2"] = ["1/0"]
+    elif case == "gysin_entry_has_an_exponent":
+        obj["h2"]["Y1"]["gysin"]["E1_2"] = ["1e5000"]
     elif case == "restrict_entry_divides_by_zero":
         obj["h2"]["Y1"]["restrict"] = {"E1_2": [["1/0"]]}
     elif case == "components_is_a_string":
@@ -605,12 +609,14 @@ def _malformed_complex(case):
     "top_level_is_a_list", "components_missing", "label_missing",
     "index_set_missing", "dim_missing", "component_is_a_list",
     "label_is_a_number", "parent_label_is_a_number",
-    "gysin_entry_divides_by_zero", "restrict_entry_divides_by_zero"])
+    "gysin_entry_divides_by_zero", "restrict_entry_divides_by_zero",
+    "gysin_entry_has_an_exponent"])
 def test_malformed_complex_exits_2(tmp_path, case):
     # before, the unknown labels were kept and `ss monodromy` reported an
     # isomorphism; `ss e2` on the empty complex passed zero checks; a Gysin
     # entry true was read as 1, and an entry "1/0" escaped as a
-    # ZeroDivisionError; the strings "ABCD" and "1" were read as the
+    # ZeroDivisionError; an entry "1e5000" was read as a number too long
+    # to print; the strings "ABCD" and "1" were read as the
     # lists of their characters; the last three named no stratum; a list
     # where an object belongs and a missing key named neither the place nor
     # the rule, and a component ["A"] was named "['A']"
@@ -686,6 +692,8 @@ PRESENTATION_EDITS = {
      "presentation 0: weights: cannot interpret True as a rational number"),
     ("weight_divides_by_zero",
      "presentation 0: weights: cannot interpret '1/0' as a rational number"),
+    ("weight_has_an_exponent",
+     "presentation 0: weights: cannot interpret '1e5000' as a rational number"),
     ("weights_is_a_string", "presentation 0: weights must be a list"),
     ("flag_key_is_not_a_number",
      "presentation 0: flag 1,x: invalid literal for int() with base 10: 'x'"),
@@ -703,7 +711,8 @@ PRESENTATION_EDITS = {
 def test_malformed_presentations_exit_2(tmp_path, case, message):
     # before, an exponent 1.5 was truncated to 1, a component 2.7 to 2, a
     # weight true read as 1 and the weights "12" as 1 and 2, and a weight
-    # "1/0" escaped as a ZeroDivisionError; a flag 5 failed
+    # "1/0" escaped as a ZeroDivisionError and a weight "1e5000" as a
+    # ValueError from printing the order values; a flag 5 failed
     # with "'int' object is not iterable"; the flag faults named no
     # presentation or flag, and a missing key was named bare
     complex_path, _ = cycle_files(tmp_path, 5)
@@ -714,12 +723,14 @@ def test_malformed_presentations_exit_2(tmp_path, case, message):
     elif case == "flags_is_a_list":
         pres = [{"component": 1, "weights": ["1"], "flags": []}]
     elif case in ("flag_is_an_integer", "weight_is_true",
-                  "weight_divides_by_zero"):
+                  "weight_divides_by_zero", "weight_has_an_exponent"):
         pres = [p.to_json_obj() for p in cycle_orientation_presentations(5)]
         if case == "flag_is_an_integer":
             pres[0]["flags"]["1,2"] = 5
         else:
-            pres[0]["weights"] = [True if case == "weight_is_true" else "1/0"]
+            pres[0]["weights"] = [{"weight_is_true": True,
+                                   "weight_divides_by_zero": "1/0",
+                                   "weight_has_an_exponent": "1e5000"}[case]]
     elif case in ("component_missing", "weights_missing"):
         pres = [p.to_json_obj() for p in cycle_orientation_presentations(5)]
         del pres[0][case.split("_")[0]]
