@@ -161,8 +161,9 @@ def cmd_check_superform(args) -> RunReport:
         phi = rand_affine_map(rng, rng.randint(1, n), n,
                               rank_deficient=(case % 3 == 0))
         a = rand_superform_mixed(rng, n)
-        holds = (phi.pullback(a.d_prime()) == phi.pullback(a).d_prime()
-                 and phi.pullback(a.d_second()) == phi.pullback(a).d_second())
+        pulled = phi.pullback(a)
+        holds = (phi.pullback(a.d_prime()) == pulled.d_prime()
+                 and phi.pullback(a.d_second()) == pulled.d_second())
         return holds, {"map": phi, "form": a}
 
     def pullback_monodromy(rng, case):

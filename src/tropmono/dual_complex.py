@@ -425,6 +425,15 @@ def _entry_error(entry, key: str, where: str, kind: str) -> ValueError:
     return ValueError(f"{where}: {key} must be {kind}")
 
 
+def _plain_int(text: str) -> int:
+    """A JSON key as an int, in the one spelling str writes: "02", " 2",
+    "+2", "0_2" and non-ASCII digits are refused, so no two keys collapse."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"{text!r} is not a plain decimal integer")
+    return value
+
+
 def complex_from_json(obj: Mapping) -> tuple[SemistableCombinatorics, Optional[H2Model]]:
     """Read the JSON form: objects and lists where complex_to_json writes
     them, strings for components and labels.  Errors name the location."""
@@ -448,7 +457,7 @@ def complex_from_json(obj: Mapping) -> tuple[SemistableCombinatorics, Optional[H
         if not isinstance(parents, dict):
             raise _entry_error(entry, "parents", f"stratum {label}", "an object")
         try:
-            parents = {int(k): v for k, v in parents.items()}
+            parents = {_plain_int(k): v for k, v in parents.items()}
         except ValueError as exc:
             raise ValueError(f"stratum {label}: parents: {exc}") from None
         if any(not isinstance(v, str) for v in parents.values()):

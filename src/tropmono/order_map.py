@@ -23,7 +23,7 @@ from math import factorial
 from typing import Mapping, Optional, Sequence
 
 from . import linalg
-from .dual_complex import SemistableCombinatorics, _entry_error
+from .dual_complex import SemistableCombinatorics, _entry_error, _plain_int
 from .forms import Superform, _append_row
 from .linalg import QMatrix, as_fraction, perm_sign
 from .poly import Poly, _accumulate
@@ -129,7 +129,7 @@ class Presentation:
         try:
             keyed = {}
             for key, mats in flags.items():
-                keyed[tuple(int(part) for part in key.split(","))] = mats
+                keyed[tuple(_plain_int(part) for part in key.split(","))] = mats
         except ValueError as exc:
             raise ValueError(f"{where}: flag {key}: {exc}") from None
         try:
@@ -313,7 +313,8 @@ def dolbeault_ladder(presentations: Sequence[Presentation],
             for w, rows in zip(weights, tensor):
                 for cols, minor in _minors(rows).items():
                     _accumulate(acc, cols, w * minor)
-            built.append(SimplexForm(nvars, {
+            # clean by construction: increasing column tuples, no zero
+            built.append(SimplexForm._made(nvars, {
                 cols: Poly.const(nvars, c) for cols, c in acc.items()}))
         if not all(built[0].equal_on_simplex(other) for other in built[1:]):
             raise ValueError(f"presentations disagree on stratum {z.label}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .linalg import as_fraction, shuffle_sign
 from .poly import Poly, _accumulate, _derivative, _index_tuple, _Terms
@@ -238,57 +238,44 @@ class SimplexForm(_Terms):
 
 
 class SimplexCochain:
-    """Assignment of values to all vertex subsets of a fixed size r+1.
-
-    Values must support +, unary -, and scalar multiplication; in practice
-    they are SimplexForm or Fraction.
-    """
+    """Values fn(J) on every vertex subset J of a fixed size r+1, made in
+    itertools.combinations order: complete by construction, keyed by the
+    increasing tuples it generated.  Values support +, unary - and scalar
+    multiplication; in practice they are SimplexForm or Fraction."""
 
     __slots__ = ("n", "degree", "values")
 
-    def __init__(self, n: int, degree: int, values: Mapping[IndexTuple, object]):
+    def __init__(self, n: int, degree: int, fn: Callable[[IndexTuple], object]):
         if not 0 <= degree <= n:
             raise ValueError("cochain degree out of range")
-        expected = set(itertools.combinations(range(n + 1), degree + 1))
-        keys = {_index_tuple(k, n + 1) for k in values}
-        if keys != expected:
-            raise ValueError("cochain must assign a value to every subset "
-                             f"of size {degree + 1}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "values",
-                           {_index_tuple(k, n + 1): v for k, v in values.items()})
+        object.__setattr__(self, "values", {
+            J: fn(J) for J in itertools.combinations(range(n + 1), degree + 1)})
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplexCochain is immutable")
 
-    @classmethod
-    def build(cls, n: int, degree: int, fn: Callable[[IndexTuple], object]) -> "SimplexCochain":
-        return cls(n, degree, {J: fn(J)
-                               for J in itertools.combinations(range(n + 1), degree + 1)})
-
     def __getitem__(self, subset: Sequence[int]) -> object:
-        return self.values[_index_tuple(subset, self.n + 1)]
+        return self.values[tuple(subset)]
 
     def map_values(self, fn: Callable[[IndexTuple, object], object]) -> "SimplexCochain":
         return SimplexCochain(self.n, self.degree,
-                              {k: fn(k, v) for k, v in self.values.items()})
+                              lambda J: fn(J, self.values[J]))
 
     def coboundary(self) -> "SimplexCochain":
         """Alternating sum over facets: (dc)(J) = sum_j (-1)^j c(J minus its
         j-th smallest element)."""
         if self.degree == self.n:
             raise ValueError("no subsets above the top degree")
-        out = {}
-        for J in itertools.combinations(range(self.n + 1), self.degree + 2):
-            total = None
-            for j in range(len(J)):
-                v = self.values[J[:j] + J[j + 1:]]
-                if j % 2:
-                    v = -v
-                total = v if total is None else total + v
-            out[J] = total
-        return SimplexCochain(self.n, self.degree + 1, out)
+
+        def value(J: IndexTuple):
+            total = self.values[J[1:]]
+            for j in range(1, len(J)):
+                face = self.values[J[:j] + J[j + 1:]]
+                total = total + (-face if j % 2 else face)
+            return total
+        return SimplexCochain(self.n, self.degree + 1, value)
 
 
 def integrate_cochain(ctx: SimplexContext, cochain: SimplexCochain) -> SimplexCochain:
@@ -313,7 +300,7 @@ def beta_recursion(ctx: SimplexContext, beta: SimplexForm, p: int) -> list[Simpl
         raise ValueError("form must be homogeneous of the stated degree")
     if not beta.is_constant_on_simplex():
         raise ValueError("form must have constant coefficients on the simplex")
-    chain = [SimplexCochain.build(n, 0, lambda J: beta)]
+    chain = [SimplexCochain(n, 0, lambda J: beta)]
     for _ in range(p):
         chain.append(integrate_cochain(ctx, chain[-1]).coboundary())
     top = chain[p].map_values(lambda J, form: form.constant_value())

@@ -520,6 +520,16 @@ COMPLEX_FAULTS = {
     "restrict_is_ragged": "h2 Y1: restrict E1_2: ragged rows",
     "parents_key_is_not_a_number":
         "stratum E1_2: parents: invalid literal for int() with base 10: 'x'",
+    "parents_key_has_a_leading_zero":
+        "stratum E1_2: parents: '02' is not a plain decimal integer",
+    "parents_key_is_padded":
+        "stratum E1_2: parents: ' 2' is not a plain decimal integer",
+    "parents_key_has_a_digit_separator":
+        "stratum E1_2: parents: '0_2' is not a plain decimal integer",
+    "parents_key_has_a_plus_sign":
+        "stratum E1_2: parents: '+2' is not a plain decimal integer",
+    "parents_key_is_not_ascii":
+        "stratum E1_2: parents: '\u0662' is not a plain decimal integer",
     "dim_is_negative": "h2 Y1: dim must be a nonnegative integer",
     "stratum_is_a_string": "stratum 0 must be an object",
     "parents_is_a_list": "stratum E1_2: parents must be an object",
@@ -534,6 +544,16 @@ COMPLEX_FAULTS = {
     "component_is_a_list": "components must be strings",
     "label_is_a_number": "stratum 4: label must be a string",
     "parent_label_is_a_number": "stratum E1_2: parent labels must be strings",
+}
+
+
+# spellings of the parents key "2" of E1_2 that int() reads as 2 too
+PARENTS_KEYS = {
+    "parents_key_has_a_leading_zero": "02",
+    "parents_key_is_padded": " 2",
+    "parents_key_has_a_digit_separator": "0_2",
+    "parents_key_has_a_plus_sign": "+2",
+    "parents_key_is_not_ascii": "\u0662",
 }
 
 
@@ -572,6 +592,8 @@ def _malformed_complex(case):
         obj["h2"]["Y1"]["restrict"] = {"E1_2": [["1"], ["1", "2"]]}
     elif case == "parents_key_is_not_a_number":
         obj["strata"][4]["parents"] = {"x": "Y2", "2": "Y1"}
+    elif case in PARENTS_KEYS:
+        obj["strata"][4]["parents"] = {"1": "Y2", PARENTS_KEYS[case]: "Y1"}
     elif case == "dim_is_negative":
         obj["h2"]["Y1"]["dim"] = -1
     elif case == "gysin_is_a_list":
@@ -610,7 +632,7 @@ def _malformed_complex(case):
     "index_set_missing", "dim_missing", "component_is_a_list",
     "label_is_a_number", "parent_label_is_a_number",
     "gysin_entry_divides_by_zero", "restrict_entry_divides_by_zero",
-    "gysin_entry_has_an_exponent"])
+    "gysin_entry_has_an_exponent", *PARENTS_KEYS])
 def test_malformed_complex_exits_2(tmp_path, case):
     # before, the unknown labels were kept and `ss monodromy` reported an
     # isomorphism; `ss e2` on the empty complex passed zero checks; a Gysin
@@ -619,7 +641,8 @@ def test_malformed_complex_exits_2(tmp_path, case):
     # to print; the strings "ABCD" and "1" were read as the
     # lists of their characters; the last three named no stratum; a list
     # where an object belongs and a missing key named neither the place nor
-    # the rule, and a component ["A"] was named "['A']"
+    # the rule, and a component ["A"] was named "['A']"; a parents key "02",
+    # " 2", "0_2", "+2" or an Arabic-Indic two was read as 2
     path = write_json(tmp_path / "bad.json", _malformed_complex(case))
     if case == "no_components":
         argv = ["ss", "e2", "--input", path]
@@ -669,6 +692,12 @@ def test_complex_numbers_must_be_json_integers(tmp_path, field, value, where):
 PRESENTATION_EDITS = {
     "weights_is_a_string": {"weights": "12", "flags": {"1,2": [[[1]], [[1]]]}},
     "flag_key_is_not_a_number": {"flags": {"1,x": [[[1]]]}},
+    "flag_member_has_a_leading_zero": {"flags": {"1,02": [[[1]]]}},
+    "flag_member_is_padded": {"flags": {"1, 2": [[[1]]]}},
+    "flag_member_has_a_digit_separator": {"flags": {"1,0_2": [[[1]]]}},
+    "flag_member_has_a_plus_sign": {"flags": {"+1,2": [[[1]]]}},
+    "flag_member_is_not_ascii": {"flags": {"1,\u0662": [[[1]]]}},
+    "flag_spelled_twice": {"flags": {"1,2": [[[1]]], "1,02": [[[5]]]}},
     "flag_has_one_member": {"flags": {"1": [[[]]]}},
     "flag_rooted_elsewhere": {"flags": {"2,3": [[[1]]]}},
     "two_matrices_for_one_weight": {"flags": {"1,2": [[[1]], [[1]]]}},
@@ -697,6 +726,18 @@ PRESENTATION_EDITS = {
     ("weights_is_a_string", "presentation 0: weights must be a list"),
     ("flag_key_is_not_a_number",
      "presentation 0: flag 1,x: invalid literal for int() with base 10: 'x'"),
+    ("flag_member_has_a_leading_zero",
+     "presentation 0: flag 1,02: '02' is not a plain decimal integer"),
+    ("flag_member_is_padded",
+     "presentation 0: flag 1, 2: ' 2' is not a plain decimal integer"),
+    ("flag_member_has_a_digit_separator",
+     "presentation 0: flag 1,0_2: '0_2' is not a plain decimal integer"),
+    ("flag_member_has_a_plus_sign",
+     "presentation 0: flag +1,2: '+1' is not a plain decimal integer"),
+    ("flag_member_is_not_ascii",
+     "presentation 0: flag 1,\u0662: '\u0662' is not a plain decimal integer"),
+    ("flag_spelled_twice",
+     "presentation 0: flag 1,02: '02' is not a plain decimal integer"),
     ("flag_has_one_member",
      "presentation 0: flag 1: a flag needs at least one wall"),
     ("flag_rooted_elsewhere", "presentation 0: flag 2,3: flag must be rooted "
@@ -714,7 +755,9 @@ def test_malformed_presentations_exit_2(tmp_path, case, message):
     # "1/0" escaped as a ZeroDivisionError and a weight "1e5000" as a
     # ValueError from printing the order values; a flag 5 failed
     # with "'int' object is not iterable"; the flag faults named no
-    # presentation or flag, and a missing key was named bare
+    # presentation or flag, and a missing key was named bare; a flag member
+    # "02", " 2", "0_2", "+1" or an Arabic-Indic two was read as a plain
+    # integer, so the flags "1,2" and "1,02" collapsed into one
     complex_path, _ = cycle_files(tmp_path, 5)
     if case == "entry_is_a_string":
         pres = ["x"]

@@ -237,17 +237,31 @@ def test_coboundary_squares_to_zero():
     rng = random.Random(39)
     ctx = SimplexContext(3)
     for _ in range(20):
-        c = SimplexCochain.build(
-            3, 0, lambda J: rand_poly_simplex_form(rng, 4, 1))
+        c = SimplexCochain(3, 0, lambda J: rand_poly_simplex_form(rng, 4, 1))
         dd = c.coboundary().coboundary()
         assert all(v.is_zero_raw() for v in dd.values.values())
     with pytest.raises(ValueError):
-        SimplexCochain.build(3, 3, lambda J: 0).coboundary()
+        SimplexCochain(3, 3, lambda J: 0).coboundary()
 
 
-def test_cochain_requires_every_subset():
-    with pytest.raises(ValueError):
-        SimplexCochain(2, 0, {(0,): 1, (1,): 2})
+def test_cochain_builds_each_subset_once():
+    # a cochain makes its own keys, so it cannot miss a subset: fn runs once
+    # per subset, in combinations order, and its keys are those tuples
+    calls = []
+
+    def fn(J):
+        calls.append(J)
+        return Fraction(len(calls))
+
+    c = SimplexCochain(4, 2, fn)
+    assert calls == list(itertools.combinations(range(5), 3))
+    assert list(c.values) == calls
+    assert c[[0, 2, 4]] == c[(0, 2, 4)] == c.values[(0, 2, 4)]
+    with pytest.raises(ValueError, match="cochain degree out of range"):
+        SimplexCochain(2, 3, fn)
+    with pytest.raises(ValueError, match="cochain degree out of range"):
+        SimplexCochain(2, -1, fn)
+    assert len(calls) == 10
 
 
 def test_tower_frozen_values_on_the_segment():

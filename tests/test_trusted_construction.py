@@ -1,10 +1,11 @@
 """The trusted construction route against the validating constructors.
 
-Poly.const, Poly.variable, Poly.affine, eval_poly, AffineMap.pullback and
-the random generators wrap terms they built themselves without checking
-them again.  Every such result must equal its own terms passed through
-Poly(...), Superform(...) or SimplexForm(...), and hold only nonzero
-Fraction coefficients or nonzero Poly coefficients in the same ring.
+Poly.const, Poly.variable, Poly.affine, eval_poly, AffineMap.pullback, the
+random generators and the ladder's top-stratum forms wrap terms they built
+themselves without checking them again.  Every such result must equal its
+own terms passed through Poly(...), Superform(...) or SimplexForm(...), and
+hold only nonzero Fraction coefficients or nonzero Poly coefficients in the
+same ring.
 """
 
 import random
@@ -12,12 +13,16 @@ from fractions import Fraction
 
 import pytest
 
+from tropmono import order_map
 from tropmono.forms import AffineMap, Superform
+from tropmono.library import (cycle_complex,
+                              simplicial_presentations_from_tensors,
+                              tetrahedron_complex)
 from tropmono.poly import Poly, _Terms
 from tropmono.randgen import (rand_affine_map, rand_constant_simplex_form,
                               rand_fraction, rand_poly, rand_poly_simplex_form,
                               rand_superform, rand_superform_mixed)
-from tropmono.simplex import SimplexForm
+from tropmono.simplex import SimplexForm, beta_recursion
 
 
 def revalidated(x):
@@ -170,6 +175,36 @@ def test_reused_map_pulls_back_like_a_fresh_one():
             assert_trusted(got, phi.source_dim)
             assert got == AffineMap(phi.matrix, phi.translation).pullback(omega)
             assert got == _pullback_by_wedges(phi, omega)
+
+
+def test_ladder_top_forms_are_well_formed(monkeypatch):
+    # the ladder wraps each top stratum's weighted minors as a form; zero
+    # weights and cancelling minors must leave no zero or misordered term
+    seen = []
+
+    def recording(ctx, beta, p):
+        seen.append((beta, ctx.n + 1))
+        return beta_recursion(ctx, beta, p)
+
+    monkeypatch.setattr(order_map, "beta_recursion", recording)
+    rng = random.Random(2206)
+    for cx in (cycle_complex(5), tetrahedron_complex()):
+        n_top = cx.max_level
+        vertices = range(1, len(cx.components) + 1)
+        for p in range(1, n_top + 1):
+            for _ in range(4):
+                weights = [rng.choice([0, rand_fraction(rng)])
+                           for _ in range(rng.randint(1, 3))]
+                table = [[{v: rng.randint(-2, 2) for v in vertices}
+                          for _ in range(p)] for _ in weights]
+                tensors = {z.label: [[[row[v] for v in z.index_set]
+                                      for row in sheet] for sheet in table]
+                           for z in cx.level(n_top)}
+                pres = simplicial_presentations_from_tensors(cx, weights, tensors)
+                assert order_map.dolbeault_ladder(pres, cx, p).final_check
+    assert len(seen) == 4 * (5 + 2 * 4)
+    for beta, nvars in seen:
+        assert_trusted(beta, nvars)
 
 
 def test_public_constructors_still_refuse_bad_input():
