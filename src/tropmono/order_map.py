@@ -94,8 +94,11 @@ class Presentation:
         return self._degree
 
     def ord_value(self, flag: Flag) -> Fraction:
-        """Weighted determinant sum along a recorded square flag."""
-        flag = tuple(int(i) for i in flag)
+        """Weighted determinant sum along a recorded square flag.  Every
+        member must be an int (not a bool, a float or a string)."""
+        flag = tuple(flag)
+        if any(type(i) is not int for i in flag):
+            raise ValueError(f"flag {flag!r}: members must be integers")
         mats = self.flags.get(flag)
         if mats is None:
             raise KeyError(f"flag {flag} is not recorded")

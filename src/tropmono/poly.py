@@ -178,7 +178,7 @@ class Poly(_Terms):
         return cls._made(nvars, {k: c for k, c in zip(keys, values) if c})
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
+        return not any(map(any, self.terms))
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():

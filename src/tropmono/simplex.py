@@ -30,12 +30,13 @@ IndexTuple = tuple[int, ...]
 class SimplexContext:
     """Vertex bookkeeping for the simplex with vertices e_0 .. e_n."""
 
-    __slots__ = ("n",)
+    __slots__ = ("n", "_points")
 
     def __init__(self, n: int):
         if n < 0:
             raise ValueError("need n >= 0")
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_points", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplexContext is immutable")
@@ -44,9 +45,17 @@ class SimplexContext:
         subset = _index_tuple(subset, self.n + 1)
         if not subset:
             raise ValueError("barycenter of the empty face")
-        w = Fraction(1, len(subset))
-        return tuple(w if i in subset else Fraction(0)
-                     for i in range(self.n + 1))
+        return self._point(subset)
+
+    def _point(self, subset: IndexTuple) -> tuple[Fraction, ...]:
+        """The barycenter of a nonempty increasing subset of range(n + 1)
+        that the caller built or checked, made once per context."""
+        point = self._points.get(subset)
+        if point is None:
+            w, zero = Fraction(1, len(subset)), Fraction(0)
+            point = tuple(w if i in subset else zero for i in range(self.n + 1))
+            self._points[subset] = point
+        return point
 
 
 class SimplexForm(_Terms):
@@ -165,11 +174,12 @@ class SimplexForm(_Terms):
             raise ValueError("pivot must belong to the face")
         n1 = self.nvars
         keep_set = set(keep)
+        whole = len(keep) == n1
         others = [j for j in keep if j != pivot]
         subs = None
         acc: dict[IndexTuple, Poly] = {}
         for indices, f in self.terms.items():
-            if any(i not in keep_set for i in indices):
+            if not whole and any(i not in keep_set for i in indices):
                 continue
             if f.is_constant():
                 f2 = f  # a constant is its own image
@@ -189,12 +199,13 @@ class SimplexForm(_Terms):
             rest = indices[:k] + indices[k + 1:]
             # dx_pivot = -sum of the other face differentials
             lead = -1 if k % 2 == 0 else 1
+            neg = -f2
             for j in others:
                 sh = shuffle_sign((j,), rest)
                 if sh is None:
                     continue
                 sign, merged = sh
-                _accumulate(acc, merged, f2 * (lead * sign))
+                _accumulate(acc, merged, f2 if lead * sign > 0 else neg)
         return self._made(self.nvars, acc)
 
     def equal_on_simplex(self, other: "SimplexForm") -> bool:
@@ -240,8 +251,9 @@ class SimplexForm(_Terms):
 class SimplexCochain:
     """Values fn(J) on every vertex subset J of a fixed size r+1, made in
     itertools.combinations order: complete by construction, keyed by the
-    increasing tuples it generated.  Values support +, unary - and scalar
-    multiplication; in practice they are SimplexForm or Fraction."""
+    increasing tuples it generated.  A cochain that is differentiated
+    carries SimplexForms on its simplex; the top cochain of beta_recursion,
+    whose values are Fractions, never is."""
 
     __slots__ = ("n", "degree", "values")
 
@@ -269,19 +281,28 @@ class SimplexCochain:
         if self.degree == self.n:
             raise ValueError("no subsets above the top degree")
 
-        def value(J: IndexTuple):
-            total = self.values[J[1:]]
-            for j in range(1, len(J)):
-                face = self.values[J[:j] + J[j + 1:]]
-                total = total + (-face if j % 2 else face)
-            return total
+        nvars = self.n + 1
+        if any(type(v) is not SimplexForm or v.nvars != nvars
+               for v in self.values.values()):
+            raise ValueError("coboundary needs forms on this simplex")
+
+        def value(J: IndexTuple) -> SimplexForm:
+            acc: dict[IndexTuple, Poly] = {}
+            for j in range(len(J)):
+                for key, coeff in self.values[J[:j] + J[j + 1:]].terms.items():
+                    _accumulate(acc, key, -coeff if j % 2 else coeff)
+            return SimplexForm._made(nvars, acc)
         return SimplexCochain(self.n, self.degree + 1, value)
 
 
 def integrate_cochain(ctx: SimplexContext, cochain: SimplexCochain) -> SimplexCochain:
-    """Star-integrate each value at the barycenter of its own subset."""
+    """Star-integrate each value at the barycenter of its own subset.  The
+    points come from the context's memo and lie on the simplex hyperplane by
+    construction, so each value is ray-integrated there directly."""
+    if cochain.n != ctx.n:
+        raise ValueError("cochain does not live on this simplex")
     return cochain.map_values(
-        lambda J, form: form.star_integrate(ctx.barycenter(J)))
+        lambda J, form: form.ray_integrate(ctx._point(J)))
 
 
 def beta_recursion(ctx: SimplexContext, beta: SimplexForm, p: int) -> list[SimplexCochain]:
@@ -326,7 +347,7 @@ def star_closed_form(ctx: SimplexContext, beta: SimplexForm, p: int, r: int,
         omitted = subset[:j] + subset[j + 1:]
         piece = beta
         for idx in reversed(omitted):
-            piece = piece.contract(ctx.barycenter((idx,)))
+            piece = piece.contract(ctx._point((idx,)))
         if j % 2:
             piece = -piece
         total = piece if total is None else total + piece

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,16 @@ def test_ord_value_matches_weighted_determinants():
         want = sum((w * det_cofactor(m) for w, m in zip(weights, mats)),
                    Fraction(0))
         assert pres.ord_value(flag) == want
+
+
+@pytest.mark.parametrize("flag", [(1.9, 2.7), ("1", " 02"), (True, 2)])
+def test_ord_value_refuses_members_that_are_not_ints(flag):
+    # each of these once read as the recorded flag (1, 2)
+    pres = cycle_orientation_presentations(3)[0]
+    assert pres.ord_value((1, 2)) == 1
+    with pytest.raises(ValueError, match=re.escape(f"flag {flag!r}: members "
+                                                   "must be integers")):
+        pres.ord_value(flag)
 
 
 def test_epsilon_sigma_frozen():

@@ -10,7 +10,8 @@ from tropmono.randgen import (rand_constant_simplex_form,
                               rand_hyperplane_point, rand_point,
                               rand_poly_simplex_form)
 from tropmono.simplex import (SimplexCochain, SimplexContext, SimplexForm,
-                              beta_recursion, star_closed_form)
+                              beta_recursion, integrate_cochain,
+                              star_closed_form)
 
 
 def du(nvars, indices, coeff=1):
@@ -262,6 +263,81 @@ def test_cochain_builds_each_subset_once():
     with pytest.raises(ValueError, match="cochain degree out of range"):
         SimplexCochain(2, -1, fn)
     assert len(calls) == 10
+
+
+# The tower reads each barycenter from its context's memo, ray-integrates
+# there without the hyperplane check, and sums each coboundary into one
+# accumulator; each fast path is checked against the general one.
+
+def rand_simplex_form(rng, nvars, degree):
+    if rng.random() < 0.5:
+        return rand_constant_simplex_form(rng, nvars, degree)
+    return rand_poly_simplex_form(rng, nvars, degree)
+
+
+def test_memo_points_are_the_barycenters():
+    # contexts of every size side by side, so a memo shared between them
+    # hands one of them a point of the wrong length
+    contexts = [SimplexContext(n) for n in range(1, 6)]
+    for _ in range(2):
+        for ctx in contexts:
+            n1 = ctx.n + 1
+            for size in range(1, n1 + 1):
+                for J in itertools.combinations(range(n1), size):
+                    point = ctx._point(J)
+                    assert point == tuple(Fraction(1, size) if i in J else 0
+                                          for i in range(n1))
+                    assert sum(point) == 1
+                    assert ctx.barycenter(list(J)) is point
+
+
+def test_integrate_cochain_matches_star_integration():
+    rng = random.Random(44)
+    for n in range(1, 6):
+        ctx = SimplexContext(n)
+        for degree in range(n + 1):
+            for _ in range(2):
+                r = rng.randint(1, n + 1)
+                c = SimplexCochain(n, degree,
+                                   lambda J: rand_simplex_form(rng, n + 1, r))
+                got = integrate_cochain(ctx, c)
+                for J, form in c.values.items():
+                    assert got[J].raw_equal(
+                        form.star_integrate(ctx.barycenter(J)))
+    with pytest.raises(ValueError, match="cochain does not live on this simplex"):
+        integrate_cochain(SimplexContext(2), SimplexCochain(3, 0, lambda J: du(4, (0,))))
+
+
+def chained_coboundary(c: SimplexCochain) -> dict:
+    """(dc)(J) as a chain of whole-form negations and sums."""
+    out = {}
+    for J in itertools.combinations(range(c.n + 1), c.degree + 2):
+        total = c[J[1:]]
+        for j in range(1, len(J)):
+            face = c[J[:j] + J[j + 1:]]
+            total = total + (-face if j % 2 else face)
+        out[J] = total
+    return out
+
+
+def test_coboundary_matches_chained_alternating_sum():
+    rng = random.Random(45)
+    for n in range(1, 6):
+        for degree in range(n):
+            for _ in range(3):
+                # a small pool of mixed degrees, so faces repeat and cancel
+                pool = [rand_simplex_form(rng, n + 1, rng.randint(0, 2))
+                        for _ in range(3)]
+                c = SimplexCochain(n, degree, lambda J: rng.choice(pool))
+                got = c.coboundary()
+                want = chained_coboundary(c)
+                assert list(got.values) == list(want)
+                for J, form in want.items():
+                    assert got[J].raw_equal(form)
+    with pytest.raises(ValueError, match="coboundary needs forms"):
+        SimplexCochain(2, 0, lambda J: Fraction(1)).coboundary()
+    with pytest.raises(ValueError, match="coboundary needs forms"):
+        SimplexCochain(2, 0, lambda J: du(4, (0,))).coboundary()
 
 
 def test_tower_frozen_values_on_the_segment():
