@@ -28,7 +28,9 @@ from .linalg import as_fraction, shuffle_sign
 def _index_tuple(indices, size: int) -> tuple[int, ...]:
     """The indices as a tuple of ints, each in range(size), strictly
     increasing: the key check of forms and simplex faces."""
-    out = tuple(int(i) for i in indices)
+    out = tuple(indices)
+    if any(type(i) is not int for i in out):
+        raise ValueError("indices must be ints")
     if any(not 0 <= i < size for i in out):
         raise ValueError("index out of range")
     if any(out[k] >= out[k + 1] for k in range(len(out) - 1)):
@@ -146,7 +148,9 @@ class Poly(_Terms):
 
     @staticmethod
     def _key(nvars: int, exps) -> tuple[int, ...]:
-        exps = tuple(int(e) for e in exps)
+        exps = tuple(exps)
+        if any(type(e) is not int for e in exps):
+            raise ValueError("exponents must be ints")
         if len(exps) != nvars:
             raise ValueError("exponent tuple has wrong length")
         if any(e < 0 for e in exps):
@@ -164,7 +168,7 @@ class Poly(_Terms):
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Poly":
-        if not 0 <= i < nvars:
+        if type(i) is not int or not 0 <= i < nvars:
             raise ValueError("variable index out of range")
         return cls.affine(nvars, [int(j == i) for j in range(nvars)])
 

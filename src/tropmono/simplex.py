@@ -18,8 +18,9 @@ polynomial with rational coefficients throughout.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .linalg import as_fraction, shuffle_sign
 from .poly import Poly, _accumulate, _derivative, _index_tuple, _Terms
@@ -33,8 +34,8 @@ class SimplexContext:
     __slots__ = ("n", "_points")
 
     def __init__(self, n: int):
-        if n < 0:
-            raise ValueError("need n >= 0")
+        if type(n) is not int or n < 0:
+            raise ValueError("need an int n >= 0")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_points", {})
 
@@ -331,27 +332,27 @@ def beta_recursion(ctx: SimplexContext, beta: SimplexForm, p: int) -> list[Simpl
 
 def star_closed_form(ctx: SimplexContext, beta: SimplexForm, p: int, r: int,
                      subset: Sequence[int]) -> SimplexForm:
-    """Direct contraction formula for the degree-r stage of the tower at one
-    subset: alternating sum over omitted barycenters of iterated contractions,
-    scaled by (-1)^r over the falling factorial p (p-1) ... (p-r+1)."""
+    """Direct formula for the degree-r stage of the tower at one subset: the
+    alternating sum over j of beta contracted with the subset minus its j-th
+    vertex, largest vertex first, scaled by (-1)^r / p (p-1) ... (p-r+1).
+    Contracting f dx_K with the vertices O is an index pick: (-1)^(sum of
+    the positions of O in K) f dx_(K minus O) when O lies in K, else 0."""
     n = ctx.n
     if not 0 <= r <= p:
         raise ValueError("need 0 <= r <= p")
     subset = _index_tuple(subset, n + 1)
     if len(subset) != r + 1:
         raise ValueError("subset size must be r + 1")
-    if r == 0:
-        return beta
-    total: Optional[SimplexForm] = None
-    for j in range(r + 1):
-        omitted = subset[:j] + subset[j + 1:]
-        piece = beta
-        for idx in reversed(omitted):
-            piece = piece.contract(ctx._point((idx,)))
-        if j % 2:
-            piece = -piece
-        total = piece if total is None else total + piece
-    falling = 1
-    for k in range(r):
-        falling *= (p - k)
-    return total * Fraction((-1) ** r, falling)
+    if beta.nvars != n + 1:
+        raise ValueError("form does not live on this simplex")
+    if beta.degrees() not in ({p}, set()):
+        raise ValueError("form must be homogeneous of the stated degree")
+    acc: dict[IndexTuple, Poly] = {}
+    for indices, f in beta.terms.items():
+        for j in range(r + 1):
+            omitted = subset[:j] + subset[j + 1:]
+            pos = [k for k, i in enumerate(indices) if i in omitted]
+            if len(pos) == r:
+                rest = tuple(i for i in indices if i not in omitted)
+                _accumulate(acc, rest, -f if (j + sum(pos)) % 2 else f)
+    return SimplexForm._made(n + 1, acc) * Fraction((-1) ** r, math.perm(p, r))

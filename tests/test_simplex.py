@@ -379,6 +379,73 @@ def test_tower_agrees_with_direct_contraction_formula():
                             assert chain[r][I].is_constant_on_simplex()
 
 
+def chained_closed_form(ctx, beta, p, r, subset) -> SimplexForm:
+    """The closed form by its definition: for each j, contract beta with the
+    vertices of the subset minus its j-th vertex, largest first, then sum
+    with alternating signs and scale by (-1)^r / p (p-1) ... (p-r+1)."""
+    total = SimplexForm.zero(beta.nvars)
+    for j in range(r + 1):
+        piece = beta
+        for i in reversed(subset[:j] + subset[j + 1:]):
+            piece = piece.contract(ctx.barycenter((i,)))
+        total = total + (-piece if j % 2 else piece)
+    falling = 1
+    for k in range(r):
+        falling *= p - k
+    return total * Fraction((-1) ** r, falling)
+
+
+def test_closed_form_matches_contraction_chain():
+    rng = random.Random(46)
+    for n in range(1, 6):
+        ctx = SimplexContext(n)
+        n1 = n + 1
+        for p in range(1, n1 + 1):
+            betas = [SimplexForm.zero(n1),
+                     rand_constant_simplex_form(rng, n1, p),
+                     rand_poly_simplex_form(rng, n1, p),
+                     # more terms, so several meet each subset
+                     sum((rand_simplex_form(rng, n1, p) for _ in range(4)),
+                         SimplexForm.zero(n1))]
+            for beta in betas:
+                for r in range(p + 1):
+                    for I in itertools.combinations(range(n1), r + 1):
+                        got = star_closed_form(ctx, beta, p, r, I)
+                        assert got.raw_equal(chained_closed_form(ctx, beta, p, r, I))
+
+
+def test_closed_form_picks_indices_without_points(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("star_closed_form must not contract or fetch points")
+    ctx = SimplexContext(3)
+    beta = du(4, (0, 2)) + du(4, (1, 3), 5) + du(4, (0, 1), Fraction(-2, 3))
+    want = {I: chained_closed_form(ctx, beta, 2, r, I)
+            for r in range(3) for I in itertools.combinations(range(4), r + 1)}
+    monkeypatch.setattr(SimplexForm, "contract", refuse)
+    monkeypatch.setattr(SimplexContext, "_point", refuse)
+    monkeypatch.setattr(SimplexContext, "barycenter", refuse)
+    for I, form in want.items():
+        assert star_closed_form(ctx, beta, 2, len(I) - 1, I).raw_equal(form)
+
+
+def test_closed_form_input_validation():
+    ctx = SimplexContext(2)
+    # a form of the wrong degree is refused whatever its indices
+    for beta in (du(3, (2,)), du(3, (0,)), du(3, (0, 1, 2)),
+                 du(3, (0, 1)) + du(3, (2,))):
+        with pytest.raises(ValueError, match="homogeneous of the stated degree"):
+            star_closed_form(ctx, beta, 2, 2, (0, 1, 2))
+    with pytest.raises(ValueError, match="does not live on this simplex"):
+        star_closed_form(ctx, du(4, (0, 1)), 2, 1, (0, 1))
+    with pytest.raises(ValueError, match="need 0 <= r <= p"):
+        star_closed_form(ctx, du(3, (0,)), 1, 2, (0, 1, 2))
+    with pytest.raises(ValueError, match="subset size must be r \\+ 1"):
+        star_closed_form(ctx, du(3, (0,)), 1, 1, (0, 1, 2))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        star_closed_form(ctx, du(3, (0,)), 1, 1, (1, 0))
+    assert star_closed_form(ctx, SimplexForm.zero(3), 2, 2, (0, 1, 2)).is_zero_raw()
+
+
 def test_restriction_formula_on_faces():
     # beta restricted to a (p+1)-vertex face is the top tower value scaled
     # by (-1)^(p(p+1)/2) p!, in the chart that eliminates the first vertex

@@ -22,7 +22,7 @@ from tropmono.poly import Poly, _Terms
 from tropmono.randgen import (rand_affine_map, rand_constant_simplex_form,
                               rand_fraction, rand_poly, rand_poly_simplex_form,
                               rand_superform, rand_superform_mixed)
-from tropmono.simplex import SimplexForm, beta_recursion
+from tropmono.simplex import SimplexContext, SimplexForm, beta_recursion
 
 
 def revalidated(x):
@@ -224,3 +224,20 @@ def test_public_constructors_still_refuse_bad_input():
         Superform.monomial(2, (), (2,), 1)
     with pytest.raises(ValueError):
         SimplexForm.monomial(2, (1, 0), 1)
+    # indices and exponents are ints, never truncated through int()
+    with pytest.raises(ValueError, match="indices must be ints"):
+        SimplexContext(2).barycenter([0, 1.9])
+    with pytest.raises(ValueError, match="exponents must be ints"):
+        Poly(2, {(1.7, "2"): 1})
+    with pytest.raises(ValueError, match="exponents must be ints"):
+        Poly(2, {(True, 0): 1})
+    with pytest.raises(ValueError, match="indices must be ints"):
+        Superform(2, {((0.5,), (True,)): Poly.const(2, 1)})
+    with pytest.raises(ValueError, match="indices must be ints"):
+        SimplexForm(2, {("1",): Poly.const(2, 1)})
+    for bad in (1.5, 1.0, True):
+        with pytest.raises(ValueError, match="variable index out of range"):
+            Poly.variable(2, bad)
+    for bad in (2.0, True):
+        with pytest.raises(ValueError, match="need an int n >= 0"):
+            SimplexContext(bad)
