@@ -279,28 +279,30 @@ def _require_classes(path: str, complex_, h2, level: int):
         raise CliError(f"{path}: h2 has no classes at level {level}")
 
 
+def _check_level(p, low: int, top: int):
+    """Refuse a complex with nothing above level 0, then a --p (None when
+    not given) outside low..top.  Every level command goes through here."""
+    if top < 1:
+        raise CliError("the complex has no strata beyond level 0")
+    if p is not None and not low <= p <= top:
+        raise CliError(f"--p must lie between {low} and {top}")
+
+
 def cmd_ss_e2(args) -> RunReport:
     report = RunReport(f"ss e2 --input {args.input}")
     complex_, _ = _load_complex(args.input, report)
     top = complex_.max_level
-    if top < 1:
-        raise CliError("the complex has no strata beyond level 0")
-    if args.p is not None and not 0 <= args.p <= top:
-        raise CliError(f"--p must lie between 0 and {top}")
+    _check_level(args.p, 0, top)
     for p in range(0, top):
         square = dual_complex.restriction_square(complex_, p)
         report.add_check(f"restriction_squares_to_zero[p={p}]", square is None,
                          None if square is None
                          else {"composite": square.to_json_obj()})
-    dims = {}
-    reps = {}
-    for p in range(0, top + 1):
-        summary = dual_complex.e2_p0(complex_, p)
-        dims[str(p)] = summary.dim
-        reps[str(p)] = [[str(x) for x in v] for v in summary.representatives]
-    result = {"dims": dims}
+    summaries = [dual_complex.e2_p0(complex_, p) for p in range(0, top + 1)]
+    result = {"dims": {str(s.p): s.dim for s in summaries}}
     if args.p is not None:
-        result["representatives"] = reps[str(args.p)]
+        result["representatives"] = [[str(x) for x in v] for v in
+                                     summaries[args.p].representatives]
         result["p"] = args.p
     report.result = result
     return report
@@ -310,8 +312,7 @@ def cmd_ss_monodromy(args) -> RunReport:
     report = RunReport(f"ss monodromy --input {args.input} --p {args.p}")
     complex_, h2 = _load_complex(args.input, report)
     p = args.p
-    if not 1 <= p <= complex_.max_level:
-        raise CliError(f"--p must lie between 1 and {complex_.max_level}")
+    _check_level(p, 1, complex_.max_level)
     if h2 is None:
         h2 = unit_h2(complex_, level=p - 1)
     try:
@@ -340,14 +341,8 @@ def cmd_ss_validate(args) -> RunReport:
     if h2 is None:
         raise CliError(f"{args.input}: no h2 data to validate")
     top = complex_.max_level
-    if top < 1:
-        raise CliError("the complex has no strata beyond level 0")
-    if args.p is not None:
-        if not 1 <= args.p <= top:
-            raise CliError(f"--p must lie between 1 and {top}")
-        levels = [args.p]
-    else:
-        levels = list(range(1, top + 1))
+    _check_level(args.p, 1, top)
+    levels = list(range(1, top + 1)) if args.p is None else [args.p]
     for p in levels:
         _require_classes(args.input, complex_, h2, p)
         try:
@@ -382,9 +377,7 @@ def cmd_ord(args) -> RunReport:
         f"--p {args.p}")
     complex_, h2 = _load_complex(args.complex, report)
     presentations = _load_presentations(args.pres, report)
-    top = complex_.max_level
-    if not 1 <= args.p <= top:
-        raise CliError(f"--p must lie between 1 and {top}")
+    _check_level(args.p, 1, complex_.max_level)
     if args.ord_cmd == "check" and h2 is not None:
         _require_classes(args.complex, complex_, h2, args.p - 1)
     try:
@@ -419,8 +412,7 @@ def cmd_dolbeault(args) -> RunReport:
         top = require_simplicial(complex_)
     except ValueError as exc:
         raise CliError(f"{args.complex}: {exc}")
-    if not 1 <= args.p <= top:
-        raise CliError(f"--p must lie between 1 and {top}")
+    _check_level(args.p, 1, top)
     try:
         ladder = dolbeault_ladder(presentations, complex_, args.p)
     except ValueError as exc:

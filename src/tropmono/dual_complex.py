@@ -273,10 +273,10 @@ def relation_composite(complex_: SemistableCombinatorics, h2: H2Model,
 
 @dataclass(frozen=True)
 class E2Summary:
+    """The second page at level p: its dimension and one representative per
+    class, as dense Fraction tuples."""
     p: int
     dim: int
-    kernel: tuple[Vector, ...]
-    image: tuple[Vector, ...]
     representatives: tuple[Vector, ...]
 
 
@@ -290,9 +290,10 @@ def _columns(rows: list[dict], n: int) -> list[dict]:
 
 
 def _second_page(complex_: SemistableCombinatorics, p: int):
-    """(kernel, image, representatives) at level p as sparse vectors: the
-    image columns, then the kernel vectors, pass in order through one
-    echelon, and the first independent ones in scan order are kept."""
+    """(image, representatives) at level p as sparse vectors: the image
+    columns, then the kernel vectors of the level-p restriction, pass in
+    order through one echelon, and the first independent ones in scan order
+    are kept."""
     ncols = len(complex_.level(p))
     ker = linalg.kernel_basis(_restriction_rows(complex_, p), ncols)
     echelon = linalg.Echelon(ncols)
@@ -300,7 +301,7 @@ def _second_page(complex_: SemistableCombinatorics, p: int):
         v for v in _columns(_restriction_rows(complex_, p - 1),
                             len(complex_.level(p - 1)))
         if echelon.add(v)]
-    return ker, image, [v for v in ker if echelon.add(v)]
+    return image, [v for v in ker if echelon.add(v)]
 
 
 def _vector(v: Mapping[int, Fraction], n: int) -> Vector:
@@ -315,9 +316,8 @@ def e2_p0(complex_: SemistableCombinatorics, p: int) -> E2Summary:
     """Kernel of the level-p restriction modulo the image from level p-1,
     with deterministic representatives (see _second_page)."""
     n = len(complex_.level(p))
-    ker, image, reps = _second_page(complex_, p)
-    return E2Summary(p, len(reps), *(tuple(_vector(v, n) for v in vectors)
-                                     for vectors in (ker, image, reps)))
+    _, reps = _second_page(complex_, p)
+    return E2Summary(p, len(reps), tuple(_vector(v, n) for v in reps))
 
 
 @dataclass(frozen=True)
@@ -342,7 +342,7 @@ def corner_monodromy(complex_: SemistableCombinatorics, h2: H2Model, p: int) -> 
     ncols = len(complex_.level(p))
     corner = linalg.kernel_basis(
         _restriction_rows(complex_, p) + _gysin_rows(complex_, h2, p), ncols)
-    _, image, reps = _second_page(complex_, p)
+    image, reps = _second_page(complex_, p)
     mixed = image + reps
     out_cols = []
     for coords in linalg.solve_many(_columns(mixed, ncols), len(mixed), corner):

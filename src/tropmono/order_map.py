@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from . import linalg
@@ -58,7 +59,10 @@ class Presentation:
                 cleaned[tuple(key)] = self._checked(tuple(key), mats)
             except ValueError as exc:
                 raise ValueError(f"flag {','.join(map(str, key))}: {exc}") from None
-        object.__setattr__(self, "flags", cleaned)
+        object.__setattr__(self, "flags", MappingProxyType(cleaned))
+
+    def __hash__(self):
+        return hash((self.component, self.weights, tuple(sorted(self.flags.items()))))
 
     def _checked(self, key: Flag, mats) -> tuple[IntMatrix, ...]:
         """One flag's exponent matrices as tuples, after its checks."""

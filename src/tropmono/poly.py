@@ -200,7 +200,7 @@ class Poly(_Terms):
         return self._made(self.nvars, terms)
 
     def derivative(self, i: int) -> "Poly":
-        if not 0 <= i < self.nvars:
+        if type(i) is not int or not 0 <= i < self.nvars:
             raise ValueError("variable index out of range")
         # lowering a positive exponent is injective, so no terms collide
         return self._made(self.nvars, {

@@ -312,6 +312,18 @@ def test_ss_e2_needs_a_level_beyond_0(tmp_path):
     assert text == "error: the complex has no strata beyond level 0\n"
 
 
+@pytest.mark.parametrize("argv", [["ss", "monodromy", "--input"],
+                                  ["ord", "compute", "--complex"],
+                                  ["ord", "check", "--complex"]])
+def test_level_commands_need_a_level_beyond_0(tmp_path, argv):
+    # before, these said "--p must lie between 1 and 0"
+    path = write_json(tmp_path / "pt.json", complex_to_json(point_complex()))
+    pres_path = write_json(tmp_path / "p.json", [])
+    extra = ["--pres", pres_path] if argv[0] == "ord" else []
+    code, text = run(argv + [path] + extra + ["--p", "1"])
+    assert (code, text) == (2, "error: the complex has no strata beyond level 0\n")
+
+
 @pytest.mark.parametrize("p", ["-1", "2", "9"])
 def test_ss_e2_refuses_p_out_of_range_before_any_work(tmp_path, monkeypatch, p):
     # before, every squares check and every E2 level ran first

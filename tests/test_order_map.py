@@ -278,6 +278,20 @@ def test_presentation_validation():
     assert Presentation(1, (1,), {}).degree is None
 
 
+def test_presentation_flags_are_frozen_and_hashable():
+    # before, flags stayed a plain dict: assignable, and hash() raised
+    pres = Presentation(1, (1,), {(1, 2): (((3,),),)})
+    with pytest.raises(TypeError):
+        pres.flags[(1, 2)] = "junk"
+    assert pres.ord_value((1, 2)) == 3
+    same = Presentation(1, (Fraction(1),), {(1, 2): [[[3]]]})
+    assert same == pres and hash(same) == hash(pres)
+    assert {pres, same} == {pres}
+    assert hash(Presentation(1, (1,), {(1, 2): (((4,),),)})) != hash(pres)
+    assert pres.flags.get((1, 3)) is None and list(pres.flags) == [(1, 2)]
+    assert pres.to_json_obj()["flags"] == {"1,2": [[[3]]]}
+
+
 def test_presentation_json_roundtrip():
     pres = Presentation(
         component=2,

@@ -241,3 +241,7 @@ def test_public_constructors_still_refuse_bad_input():
     for bad in (2.0, True):
         with pytest.raises(ValueError, match="need an int n >= 0"):
             SimplexContext(bad)
+    # before, True differentiated in x_1 and 1.0 raised TypeError
+    for bad in (True, 1.0):
+        with pytest.raises(ValueError, match="variable index out of range"):
+            Poly.variable(2, 1).derivative(bad)
