@@ -47,13 +47,19 @@ class SemistableCombinatorics:
 
     def __init__(self, components: Sequence[str], strata: Sequence[Stratum]):
         components = tuple(components)
+        if any(not isinstance(c, str) for c in components):
+            raise ValueError("components must be strings")
         if len(set(components)) != len(components):
             raise ValueError("duplicate component names")
         if not components:
             raise ValueError("a complex needs at least one component")
         self.components = components
         m = len(components)
-        labels = [s.label for s in strata]
+        labels = []
+        for pos, s in enumerate(strata):
+            if not isinstance(s.label, str):
+                raise ValueError(f"stratum {pos}: label must be a string")
+            labels.append(s.label)
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate stratum labels")
         by_level: dict[int, list[Stratum]] = {}
@@ -62,6 +68,14 @@ class SemistableCombinatorics:
         self._by_index_set: dict[IndexSet, Stratum] = {}
         for s in strata:
             idx = tuple(s.index_set)
+            # type(...) is int: bools, floats and strings are refused
+            if any(type(i) is not int for i in idx):
+                raise ValueError(f"stratum {s.label}: indexSet must be a list "
+                                 "of integers")
+            if any(type(k) is not int for k in s.parents):
+                raise ValueError(f"stratum {s.label}: parent keys must be integers")
+            if any(not isinstance(v, str) for v in s.parents.values()):
+                raise ValueError(f"stratum {s.label}: parent labels must be strings")
             if any(not 1 <= i <= m for i in idx):
                 raise ValueError(f"stratum {s.label}: component index out of range")
             if any(idx[k] >= idx[k + 1] for k in range(len(idx) - 1)):
@@ -436,21 +450,16 @@ def _plain_int(text: str) -> int:
 
 def complex_from_json(obj: Mapping) -> tuple[SemistableCombinatorics, Optional[H2Model]]:
     """Read the JSON form: objects and lists where complex_to_json writes
-    them, strings for components and labels.  Errors name the location."""
+    them; the poset checks names and members.  Errors name the location."""
     for field in ("components", "strata"):
         if not (isinstance(obj, dict) and isinstance(obj.get(field), list)):
             raise _entry_error(obj, field, "top level", "a list")
-    if any(not isinstance(c, str) for c in obj["components"]):
-        raise ValueError("components must be strings")
     strata = []
     for pos, entry in enumerate(obj["strata"]):
-        label = entry.get("label") if isinstance(entry, dict) else None
-        if not isinstance(label, str):
+        if not (isinstance(entry, dict) and "label" in entry):
             raise _entry_error(entry, "label", f"stratum {pos}", "a string")
-        index_set = entry.get("indexSet")
-        # type(...) is int: JSON true/false, floats and strings are refused
-        if (not isinstance(index_set, list)
-                or any(type(i) is not int for i in index_set)):
+        label, index_set = entry["label"], entry.get("indexSet")
+        if not isinstance(index_set, list):
             raise _entry_error(entry, "indexSet", f"stratum {label}",
                                "a list of integers")
         parents = entry.get("parents", {})
@@ -460,8 +469,6 @@ def complex_from_json(obj: Mapping) -> tuple[SemistableCombinatorics, Optional[H
             parents = {_plain_int(k): v for k, v in parents.items()}
         except ValueError as exc:
             raise ValueError(f"stratum {label}: parents: {exc}") from None
-        if any(not isinstance(v, str) for v in parents.values()):
-            raise ValueError(f"stratum {label}: parent labels must be strings")
         strata.append(Stratum(label, tuple(index_set), parents))
         if "level" in entry:
             if type(entry["level"]) is not int:

@@ -27,7 +27,7 @@ Vector = tuple[Fraction, ...]
 
 # an optionally signed decimal integer, optionally over an unsigned one: with
 # no exponent, point, separator or padding, a short literal is a small number
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def as_fraction(value) -> Fraction:
@@ -36,10 +36,13 @@ def as_fraction(value) -> Fraction:
     refused with a ValueError."""
     if isinstance(value, Fraction):
         return value
-    if (isinstance(value, int) and not isinstance(value, bool)
-            or isinstance(value, str) and _RATIONAL.fullmatch(value)):
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    # a literal is read once: its two integers go to Fraction, not the string
+    match = isinstance(value, str) and _RATIONAL.fullmatch(value)
+    if match:
         try:
-            return Fraction(value)
+            return Fraction(int(match[1]), int(match[2] or 1))
         except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"cannot interpret {value!r} as a rational number")

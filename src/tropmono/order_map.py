@@ -293,7 +293,8 @@ def dolbeault_ladder(presentations: Sequence[Presentation],
     For every top stratum the covering presentations must induce one common
     constant form on its simplex; the integrate-then-coboundary tower of that
     form must close, face by face, onto the derived order values scaled by
-    (-1)^(p(p+1)/2) / p!.
+    (-1)^(p(p+1)/2) / p!.  Each top is read once, in listing order; the
+    tops over a face must then derive one order value for it.
     """
     n_top = require_simplicial(complex_)
     if not 1 <= p <= n_top:
@@ -303,11 +304,11 @@ def dolbeault_ladder(presentations: Sequence[Presentation],
             raise ValueError("presentation degree disagrees with p")
     ctx = SimplexContext(n_top)
     nvars = n_top + 1
-    tops = complex_.level(n_top)
     covers = _flags_by_members(presentations)
-    forms: dict[str, SimplexForm] = {}
-    tensors: dict[str, tuple[tuple[Fraction, ...], list]] = {}
-    for z in tops:
+    constant = Fraction((-1) ** (p * (p + 1) // 2), factorial(p))
+    found: dict[str, list[Fraction]] = {}  # face label -> values, top by top
+    comparisons = []
+    for z in complex_.level(n_top):
         candidates = [(pres.weights, _full_tensor(pres, flag, z.index_set))
                       for pres, flag, _ in covers.get(z.index_set, ())]
         if not candidates:
@@ -323,33 +324,27 @@ def dolbeault_ladder(presentations: Sequence[Presentation],
             # clean by construction: increasing column tuples, no zero
             built.append(SimplexForm._made(nvars, {
                 cols: Poly.const(nvars, c) for cols, c in acc.items()}))
-        if not all(built[0].equal_on_simplex(other) for other in built[1:]):
+        normal = built[0].canonical().terms
+        if any(form.canonical().terms != normal for form in built[1:]):
             raise ValueError(f"presentations disagree on stratum {z.label}")
         # the first candidate stands for the top: a face value is the form
-        # read on edge vectors of the simplex, so all candidates give it
-        forms[z.label], tensors[z.label] = built[0], candidates[0]
-    ord_values: dict[str, Fraction] = {}
-    for s in complex_.level(p):
-        found = []
-        for z in tops:
-            if not set(s.index_set) <= set(z.index_set):
-                continue
-            positions = [z.index_set.index(v) for v in s.index_set]
-            found.append(_derived_ord(*tensors[z.label], positions))
-        if any(v != found[0] for v in found[1:]):
-            raise ValueError(f"inconsistent order data at stratum {s.label}")
-        ord_values[s.label] = found[0]
-    constant = Fraction((-1) ** (p * (p + 1) // 2), factorial(p))
-    comparisons = []
-    final = True
-    for z in tops:
-        chain = beta_recursion(ctx, forms[z.label], p)
+        # read on edge vectors of the simplex, so all candidates give it;
+        # a face subset of the tower is the face's vertex positions in z
+        chain = beta_recursion(ctx, built[0], p)
         for subset, value in sorted(chain[p].values.items()):
             face = complex_.stratum_by_index_set(
                 tuple(z.index_set[j] for j in subset))
-            expected = constant * ord_values[face.label]
-            ok = value == expected
-            final = final and ok
-            comparisons.append((z.label, face.label, value, expected, ok))
-    return LadderResult(p=p, constant=constant, final_check=final,
+            values = found.setdefault(face.label, [])
+            values.append(_derived_ord(*candidates[0], subset))
+            expected = constant * values[0]
+            comparisons.append((z.label, face.label, value, expected,
+                                value == expected))
+    ord_values: dict[str, Fraction] = {}
+    for s in complex_.level(p):
+        values = found[s.label]
+        if any(v != values[0] for v in values[1:]):
+            raise ValueError(f"inconsistent order data at stratum {s.label}")
+        ord_values[s.label] = values[0]
+    return LadderResult(p=p, constant=constant,
+                        final_check=all(ok for *_, ok in comparisons),
                         ord_values=ord_values, comparisons=tuple(comparisons))

@@ -472,6 +472,30 @@ def test_construction_validation():
         SemistableCombinatorics(
             ["A", "B"],
             unit_strata(2) + [Stratum("E", (1, 2), {1: "Y1", 2: "Y2"})])
+    # the poset refuses what the file reader refuses, before anything
+    # hashes a name: these were accepted, or raised TypeError, or named an
+    # unknown parent
+    edge = {1: "Y2", 2: "Y1"}
+    refused = [
+        ([1], unit_strata(1), "components must be strings"),
+        ([["A"]], unit_strata(1), "components must be strings"),
+        (["A"], [Stratum(1, (1,), {})], "stratum 0: label must be a string"),
+        (["A"], [Stratum(["Y1"], (1,), {})],
+         "stratum 0: label must be a string"),
+        (["A"], [Stratum("A", (1.0,), {})],
+         "stratum A: indexSet must be a list of integers"),
+        (["A"], [Stratum("A", (True,), {})],
+         "stratum A: indexSet must be a list of integers"),
+        (["A", "B"],
+         unit_strata(2) + [Stratum("E", (1, 2), {1.0: "Y2", 2: "Y1"})],
+         "stratum E: parent keys must be integers"),
+        (["A", "B"], unit_strata(2) + [Stratum("E", (1, 2), {**edge, 2: 1})],
+         "stratum E: parent labels must be strings"),
+    ]
+    for components, strata, message in refused:
+        with pytest.raises(ValueError) as err:
+            SemistableCombinatorics(components, strata)
+        assert str(err.value) == message
 
 
 def test_parent_squares_must_close():

@@ -7,7 +7,7 @@ from conftest import (dense, det_cofactor, kernel_gauss, matmul, matvec,
                       rank_gauss, select_by_ranks, solve_rref, sort_sign, sparse,
                       sparse_rows, transpose)
 from tropmono import linalg
-from tropmono.linalg import QMatrix
+from tropmono.linalg import QMatrix, as_fraction
 
 
 def rand_matrix(rng, nrows, ncols, span=5):
@@ -25,6 +25,24 @@ def test_perm_sign_matches_inversion_count():
         inversions = sum(1 for i in range(n) for j in range(i + 1, n)
                          if perm[i] > perm[j])
         assert linalg.perm_sign(perm) == (-1) ** inversions
+
+
+def test_as_fraction_reads_literals_and_refuses_the_rest():
+    # every literal Fraction reads the same way; each refused value below
+    # is a float, a bool, an exponent, padding, a sign in the denominator,
+    # a non-ASCII digit, a zero denominator or a literal longer than
+    # int's digit limit
+    for value in ("0", "-0", "+7", "-12", "3/4", "-6/8", "+10/5", "007/014",
+                  "9" * 4000, "-1/" + "3" * 4000):
+        assert as_fraction(value) == Fraction(value)
+        assert type(as_fraction(value)) is Fraction
+    for value in (5, -3, 2 ** 70, Fraction(-2, 3)):
+        assert as_fraction(value) == Fraction(value)
+    for value in ("1/0", "0/00", "1e5", "1.5", " 1", "1/", "/2", "1/-2",
+                  "\u0662", "", "9" * 5000, True, 1.5, None):
+        with pytest.raises(ValueError) as err:
+            as_fraction(value)
+        assert str(err.value) == f"cannot interpret {value!r} as a rational number"
 
 
 def test_shuffle_sign_frozen_cases():

@@ -450,6 +450,107 @@ def test_ladder_requires_consistent_data_across_tops():
         dolbeault_ladder(pres, cx, 1)
 
 
+def independent_tensors(complex_, p, rng):
+    """One random exponent tensor (one weight, p rows) per top stratum:
+    each top's candidates agree, but faces shared by two tops need not.
+    Entries are small, so that many shared faces still agree."""
+    return {z.label: [[[rng.randint(-1, 1) for _ in z.index_set]
+                       for _ in range(p)]]
+            for z in complex_.level(complex_.max_level)}
+
+
+def first_disagreeing_face(complex_, p, tensors):
+    """The first level-p stratum in listing order whose tops derive
+    different order values: per top, the determinant of the face's columns
+    minus the column of its first vertex."""
+    for s in complex_.level(p):
+        values = set()
+        for z in complex_.level(complex_.max_level):
+            if set(s.index_set) <= set(z.index_set):
+                pos = [z.index_set.index(v) for v in s.index_set]
+                values.add(det_cofactor([[row[j] - row[pos[0]] for j in pos[1:]]
+                                         for row in tensors[z.label][0]]))
+        if len(values) > 1:
+            return s.label
+    return None
+
+
+def listed_backwards(complex_):
+    """The same complex with its strata listed in reverse order, so that
+    listing order and label order differ on every level."""
+    strata = [s for lvl in range(complex_.max_level + 1)
+              for s in complex_.level(lvl)]
+    return SemistableCombinatorics(complex_.components, strata[::-1])
+
+
+# complexes and degrees below the top level, so that tops share faces
+SHARED_FACE_CASES = ((tetrahedron_complex(), 1),
+                     (listed_backwards(tetrahedron_complex()), 1),
+                     (full_subset_complex(5, 4), 1),
+                     (full_subset_complex(5, 4), 2),
+                     (listed_backwards(full_subset_complex(5, 4)), 2))
+
+
+def test_ladder_names_the_first_face_whose_tops_disagree():
+    rng = random.Random(64)
+    for cx, p in SHARED_FACE_CASES:
+        named = []
+        while len(named) < 6:
+            tensors = independent_tensors(cx, p, rng)
+            face = first_disagreeing_face(cx, p, tensors)
+            pres = simplicial_presentations_from_tensors(cx, (1,), tensors)
+            if face is None:
+                assert dolbeault_ladder(pres, cx, p).final_check
+                continue
+            with pytest.raises(ValueError) as err:
+                dolbeault_ladder(pres, cx, p)
+            assert str(err.value) == f"inconsistent order data at stratum {face}"
+            named.append(face)
+        # not always the first stratum listed
+        assert set(named) != {cx.level(p)[0].label}
+
+
+def test_ladder_refuses_a_top_before_the_faces_of_all_tops():
+    # the tops disagree on a face, and one candidate of the last top
+    # disagrees with the others: the top is named, not the face
+    rng = random.Random(65)
+    for cx, p in SHARED_FACE_CASES:
+        last = cx.level(cx.max_level)[-1]
+        tensors = independent_tensors(cx, p, rng)
+        while first_disagreeing_face(cx, p, tensors) is None:
+            tensors = independent_tensors(cx, p, rng)
+        pres = simplicial_presentations_from_tensors(cx, (1,), tensors)
+        i, flag = next((i, flag) for i, q in enumerate(pres) for flag in q.flags
+                       if tuple(sorted(flag)) == last.index_set)
+        (first_row, *rows), = pres[i].flags[flag]
+        flags = {**pres[i].flags,
+                 flag: (((first_row[0] + 1,) + first_row[1:], *rows),)}
+        pres[i] = Presentation(pres[i].component, pres[i].weights, flags)
+        with pytest.raises(ValueError) as err:
+            dolbeault_ladder(pres, cx, p)
+        assert str(err.value) == f"presentations disagree on stratum {last.label}"
+
+
+def test_ladder_lists_order_values_in_level_order():
+    # the 5-cycle lists E1_5 last, which sorting by label would not
+    cx = cycle_complex(5)
+    result = dolbeault_ladder(cycle_orientation_presentations(5), cx, 1)
+    assert list(result.ord_values) == [s.label for s in cx.level(1)]
+    assert list(result.ord_values) != sorted(result.ord_values)
+    rng = random.Random(66)
+    cx = listed_backwards(tetrahedron_complex())
+    for p in (1, 2):
+        heights = [{v: rng.randint(-3, 3) for v in range(1, 5)}
+                   for _ in range(p)]
+        tensors = {z.label: [[[row[v] for v in z.index_set] for row in heights]]
+                   for z in cx.level(2)}
+        pres = simplicial_presentations_from_tensors(cx, (1,), tensors)
+        result = dolbeault_ladder(pres, cx, p)
+        assert result.final_check
+        assert list(result.ord_values) == [s.label for s in cx.level(p)]
+        assert list(result.ord_values) != sorted(result.ord_values)
+
+
 def test_require_simplicial():
     assert require_simplicial(cycle_complex(3)) == 1
     assert require_simplicial(tetrahedron_complex()) == 2
