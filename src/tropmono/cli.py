@@ -22,8 +22,8 @@ import sys
 from . import dual_complex
 from .dual_complex import complex_from_json, unit_h2
 from .forms import AffineMap, Superform
-from .order_map import (Presentation, dolbeault_ladder, ord_vector,
-                        require_simplicial)
+from .order_map import (dolbeault_ladder, ord_vector,
+                        presentations_from_json, require_simplicial)
 from .poly import Poly
 from .randgen import (rand_affine_map, rand_constant_simplex_form,
                       rand_superform, rand_superform_mixed)
@@ -60,7 +60,9 @@ def _check_dim(n: int):
                        "set TROPMONO_MAX_DIM to raise it")
 
 
-def _load_json(path: str, report: RunReport):
+def _load(path: str, report: RunReport, read, what: str):
+    """The JSON file at path, read by read(obj).  Every fault is a CliError
+    naming the file; read's ValueError says the file holds bad `what` data."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -68,7 +70,7 @@ def _load_json(path: str, report: RunReport):
         raise CliError(f"cannot read {path}: {exc}")
     report.add_input(path, data)
     try:
-        return json.loads(data.decode("utf-8"))
+        obj = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise CliError(f"{path}: not utf-8 ({exc})")
     except json.JSONDecodeError as exc:
@@ -76,6 +78,10 @@ def _load_json(path: str, report: RunReport):
     except (RecursionError, ValueError) as exc:
         # nesting too deep to parse, or an integer literal too long to read
         raise CliError(f"{path}: {exc}")
+    try:
+        return read(obj)
+    except ValueError as exc:
+        raise CliError(f"{path}: bad {what} data: {exc}")
 
 
 def _witness(case: int, drawn: dict) -> dict:
@@ -265,14 +271,6 @@ def cmd_simplex_starprop(args) -> RunReport:
 
 # --- ss --------------------------------------------------------------------
 
-def _load_complex(path: str, report: RunReport):
-    obj = _load_json(path, report)
-    try:
-        return complex_from_json(obj)
-    except ValueError as exc:
-        raise CliError(f"{path}: bad complex data: {exc}")
-
-
 def _require_classes(path: str, complex_, h2, level: int):
     """Refuse to check a map into a level of H2 where every dim is 0."""
     if not any(h2.dim(s.label) for s in complex_.level(level)):
@@ -290,7 +288,7 @@ def _check_level(p, low: int, top: int):
 
 def cmd_ss_e2(args) -> RunReport:
     report = RunReport(f"ss e2 --input {args.input}")
-    complex_, _ = _load_complex(args.input, report)
+    complex_, _ = _load(args.input, report, complex_from_json, "complex")
     top = complex_.max_level
     _check_level(args.p, 0, top)
     for p in range(0, top):
@@ -310,7 +308,7 @@ def cmd_ss_e2(args) -> RunReport:
 
 def cmd_ss_monodromy(args) -> RunReport:
     report = RunReport(f"ss monodromy --input {args.input} --p {args.p}")
-    complex_, h2 = _load_complex(args.input, report)
+    complex_, h2 = _load(args.input, report, complex_from_json, "complex")
     p = args.p
     _check_level(p, 1, complex_.max_level)
     if h2 is None:
@@ -337,7 +335,7 @@ def cmd_ss_monodromy(args) -> RunReport:
 def cmd_ss_validate(args) -> RunReport:
     report = RunReport(f"ss validate --input {args.input}"
                        + (f" --p {args.p}" if args.p is not None else ""))
-    complex_, h2 = _load_complex(args.input, report)
+    complex_, h2 = _load(args.input, report, complex_from_json, "complex")
     if h2 is None:
         raise CliError(f"{args.input}: no h2 data to validate")
     top = complex_.max_level
@@ -358,25 +356,12 @@ def cmd_ss_validate(args) -> RunReport:
 
 # --- ord -------------------------------------------------------------------
 
-def _load_presentations(path: str, report: RunReport) -> list[Presentation]:
-    obj = _load_json(path, report)
-    if isinstance(obj, dict):
-        obj = obj.get("presentations")
-    if not isinstance(obj, list):
-        raise CliError(f"{path}: expected a list of presentations")
-    try:
-        return [Presentation.from_json_obj(entry, f"presentation {k}")
-                for k, entry in enumerate(obj)]
-    except ValueError as exc:
-        raise CliError(f"{path}: bad presentation data: {exc}")
-
-
 def cmd_ord(args) -> RunReport:
     report = RunReport(
         f"ord {args.ord_cmd} --complex {args.complex} --pres {args.pres} "
         f"--p {args.p}")
-    complex_, h2 = _load_complex(args.complex, report)
-    presentations = _load_presentations(args.pres, report)
+    complex_, h2 = _load(args.complex, report, complex_from_json, "complex")
+    presentations = _load(args.pres, report, presentations_from_json, "presentation")
     _check_level(args.p, 1, complex_.max_level)
     if args.ord_cmd == "check" and h2 is not None:
         _require_classes(args.complex, complex_, h2, args.p - 1)
@@ -406,8 +391,8 @@ def cmd_ord(args) -> RunReport:
 def cmd_dolbeault(args) -> RunReport:
     report = RunReport(
         f"dolbeault --complex {args.complex} --pres {args.pres} --p {args.p}")
-    complex_, _ = _load_complex(args.complex, report)
-    presentations = _load_presentations(args.pres, report)
+    complex_, _ = _load(args.complex, report, complex_from_json, "complex")
+    presentations = _load(args.pres, report, presentations_from_json, "presentation")
     try:
         top = require_simplicial(complex_)
     except ValueError as exc:

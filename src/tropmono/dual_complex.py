@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from . import linalg
@@ -29,6 +30,23 @@ class Stratum:
     label: str
     index_set: IndexSet
     parents: Mapping[int, str]  # removed component -> parent label
+
+    def __post_init__(self):
+        """Store the index set as a tuple and the parents as a read-only
+        copy, so that a stratum is hashable and the poset it sits in cannot
+        change under it."""
+        if type(self.index_set) is not tuple:
+            try:
+                object.__setattr__(self, "index_set", tuple(self.index_set))
+            except TypeError:
+                raise ValueError(f"stratum {self.label}: indexSet must be a "
+                                 "list of integers") from None
+        if type(self.parents) is not dict and not isinstance(self.parents, Mapping):
+            raise ValueError(f"stratum {self.label}: parents must be an object")
+        object.__setattr__(self, "parents", MappingProxyType(dict(self.parents)))
+
+    def __hash__(self):
+        return hash((self.label, self.index_set, frozenset(self.parents.items())))
 
     @property
     def level(self) -> int:
@@ -67,7 +85,7 @@ class SemistableCombinatorics:
         # the first stratum listed wins an index set
         self._by_index_set: dict[IndexSet, Stratum] = {}
         for s in strata:
-            idx = tuple(s.index_set)
+            idx = s.index_set
             # type(...) is int: bools, floats and strings are refused
             if any(type(i) is not int for i in idx):
                 raise ValueError(f"stratum {s.label}: indexSet must be a list "
@@ -391,6 +409,9 @@ def relabel_components(complex_: SemistableCombinatorics,
                        perm: Mapping[int, int]) -> SemistableCombinatorics:
     """Apply a permutation of the component indices; stratum labels and the
     listing order are preserved."""
+    indices = set(range(1, len(complex_.components) + 1))
+    if set(perm) != indices or set(perm.values()) != indices:
+        raise ValueError("perm must be a permutation of the component indices")
     new_strata = []
     for lvl in range(complex_.max_level + 1):
         for s in complex_.level(lvl):
@@ -430,13 +451,27 @@ def complex_to_json(complex_: SemistableCombinatorics,
     return out
 
 
-def _entry_error(entry, key: str, where: str, kind: str) -> ValueError:
-    """The error for a non-object entry, or for its key missing or wrong."""
-    if not isinstance(entry, dict):
-        return ValueError(f"{where} must be an object")
-    if key not in entry:
-        return ValueError(f"{where}: missing key {key!r}")
-    return ValueError(f"{where}: {key} must be {kind}")
+_REQUIRED = object()
+# the noun each shape refusal uses, and the JSON type it names (None: any)
+_KINDS = {None: object, "a list": list, "a list of integers": list,
+          "an object": dict, "an integer": int}
+
+
+def _field(obj, key: str, where: str, kind: Optional[str] = None, default=_REQUIRED):
+    """obj[key], refused unless obj is an object, the key is present (or has
+    a default) and its value is of the kind named; an integer is an int, not
+    a bool.  The message is built only when it refuses."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be an object")
+    value = obj.get(key, _REQUIRED)
+    if value is _REQUIRED:
+        if default is _REQUIRED:
+            raise ValueError(f"{where}: missing key {key!r}")
+        return default
+    want = _KINDS[kind]
+    if type(value) is want or (want is not int and isinstance(value, want)):
+        return value
+    raise ValueError(f"{where}: {key} must be {kind}")
 
 
 def _plain_int(text: str) -> int:
@@ -451,55 +486,40 @@ def _plain_int(text: str) -> int:
 def complex_from_json(obj: Mapping) -> tuple[SemistableCombinatorics, Optional[H2Model]]:
     """Read the JSON form: objects and lists where complex_to_json writes
     them; the poset checks names and members.  Errors name the location."""
-    for field in ("components", "strata"):
-        if not (isinstance(obj, dict) and isinstance(obj.get(field), list)):
-            raise _entry_error(obj, field, "top level", "a list")
+    components = _field(obj, "components", "top level", "a list")
     strata = []
-    for pos, entry in enumerate(obj["strata"]):
-        if not (isinstance(entry, dict) and "label" in entry):
-            raise _entry_error(entry, "label", f"stratum {pos}", "a string")
-        label, index_set = entry["label"], entry.get("indexSet")
-        if not isinstance(index_set, list):
-            raise _entry_error(entry, "indexSet", f"stratum {label}",
-                               "a list of integers")
-        parents = entry.get("parents", {})
-        if not isinstance(parents, dict):
-            raise _entry_error(entry, "parents", f"stratum {label}", "an object")
+    for pos, entry in enumerate(_field(obj, "strata", "top level", "a list")):
+        label = _field(entry, "label", f"stratum {pos}")
+        where = f"stratum {label}"
+        index_set = _field(entry, "indexSet", where, "a list of integers")
+        parents = _field(entry, "parents", where, "an object", {})
         try:
             parents = {_plain_int(k): v for k, v in parents.items()}
         except ValueError as exc:
-            raise ValueError(f"stratum {label}: parents: {exc}") from None
-        strata.append(Stratum(label, tuple(index_set), parents))
-        if "level" in entry:
-            if type(entry["level"]) is not int:
-                raise ValueError(f"stratum {label}: level must be an integer")
-            if entry["level"] != len(index_set) - 1:
-                raise ValueError(f"stratum {label}: level disagrees with indexSet")
-    complex_ = SemistableCombinatorics(obj["components"], strata)
-    h2 = None
-    if "h2" in obj:
-        if not isinstance(obj["h2"], dict):
-            raise _entry_error(obj, "h2", "top level", "an object")
-        dims = {}
-        data: dict[str, dict] = {"gysin": {}, "restrict": {}}
-        parents_of = {s.label: s.parents.values() for s in strata}
-        for label, entry in obj["h2"].items():
-            if label not in parents_of:
-                raise ValueError(f"h2 {label}: not a stratum")
-            if not isinstance(entry, dict) or "dim" not in entry:
-                raise _entry_error(entry, "dim", f"h2 {label}", "an integer")
-            dims[label] = entry["dim"]
-            for kind, found in data.items():
-                block = entry.get(kind, {})
-                if not isinstance(block, dict):
-                    raise _entry_error(entry, kind, f"h2 {label}", "an object")
-                for child, value in block.items():
-                    if label not in parents_of.get(child, ()):
-                        raise ValueError(f"h2 {label}: {child} is not a child of {label}")
-                    rows = value if kind == "restrict" else [value]
-                    if not (isinstance(value, list)
-                            and all(isinstance(row, list) for row in rows)):
-                        raise ValueError(f"h2 {label}: {kind} {child} must be a list")
-                    found[label, child] = value
-        h2 = H2Model(dims, data["gysin"], data["restrict"])
-    return complex_, h2
+            raise ValueError(f"{where}: parents: {exc}") from None
+        strata.append(Stratum(label, index_set, parents))
+        level = _field(entry, "level", where, "an integer", None)
+        if level is not None and level != len(index_set) - 1:
+            raise ValueError(f"{where}: level disagrees with indexSet")
+    complex_ = SemistableCombinatorics(components, strata)
+    h2_obj = _field(obj, "h2", "top level", "an object", None)
+    if h2_obj is None:
+        return complex_, None
+    dims = {}
+    data: dict[str, dict] = {"gysin": {}, "restrict": {}}
+    parents_of = {s.label: s.parents.values() for s in strata}
+    for label, entry in h2_obj.items():
+        where = f"h2 {label}"
+        if label not in parents_of:
+            raise ValueError(f"{where}: not a stratum")
+        dims[label] = _field(entry, "dim", where)
+        for kind, found in data.items():
+            for child, value in _field(entry, kind, where, "an object", {}).items():
+                if label not in parents_of.get(child, ()):
+                    raise ValueError(f"{where}: {child} is not a child of {label}")
+                rows = value if kind == "restrict" else [value]
+                if not (isinstance(value, list)
+                        and all(isinstance(row, list) for row in rows)):
+                    raise ValueError(f"{where}: {kind} {child} must be a list")
+                found[label, child] = value
+    return complex_, H2Model(dims, data["gysin"], data["restrict"])

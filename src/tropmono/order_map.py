@@ -24,7 +24,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from . import linalg
-from .dual_complex import SemistableCombinatorics, _entry_error, _plain_int
+from .dual_complex import SemistableCombinatorics, _field, _plain_int
 from .forms import Superform, _append_row
 from .linalg import QMatrix, as_fraction, perm_sign
 from .poly import Poly, _accumulate
@@ -51,6 +51,8 @@ class Presentation:
             weights = tuple(as_fraction(w) for w in self.weights)
         except ValueError as exc:
             raise ValueError(f"weights: {exc}") from None
+        if not weights:
+            raise ValueError("weights must not be empty")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_degree", None)
         cleaned: dict[Flag, tuple[IntMatrix, ...]] = {}
@@ -125,14 +127,9 @@ class Presentation:
         comma-separated members.  Errors name ``where``."""
         if not isinstance(obj, dict):
             raise ValueError(f"{where} is not an object")
-        flags = obj.get("flags", {})
-        if not isinstance(flags, dict):
-            raise ValueError(f"{where}: flags must be an object")
-        if "component" not in obj:
-            raise _entry_error(obj, "component", where, "an integer")
-        component, weights = obj["component"], obj.get("weights")
-        if not isinstance(weights, list):
-            raise _entry_error(obj, "weights", where, "a list")
+        flags = _field(obj, "flags", where, "an object", {})
+        component = _field(obj, "component", where)
+        weights = _field(obj, "weights", where, "a list")
         try:
             keyed = {}
             for key, mats in flags.items():
@@ -143,6 +140,17 @@ class Presentation:
             return cls(component=component, weights=weights, flags=keyed)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
+
+
+def presentations_from_json(obj) -> list[Presentation]:
+    """Read a presentations file: a list, or an object holding the list under
+    "presentations"; errors name entry k ``presentation k``."""
+    if isinstance(obj, dict):
+        obj = obj.get("presentations")
+    if not isinstance(obj, list):
+        raise ValueError("expected a list of presentations")
+    return [Presentation.from_json_obj(entry, f"presentation {k}")
+            for k, entry in enumerate(obj)]
 
 
 def flag_normalization(flag: Flag) -> tuple[tuple[int, ...], int]:

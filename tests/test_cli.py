@@ -556,6 +556,9 @@ COMPLEX_FAULTS = {
     "component_is_a_list": "components must be strings",
     "label_is_a_number": "stratum 4: label must be a string",
     "parent_label_is_a_number": "stratum E1_2: parent labels must be strings",
+    "strata_missing": "top level: missing key 'strata'",
+    "strata_is_an_object": "top level: strata must be a list",
+    "restrict_is_a_list": "h2 Y1: restrict must be an object",
 }
 
 
@@ -628,6 +631,12 @@ def _malformed_complex(case):
         obj["strata"][4]["label"] = 12
     elif case == "parent_label_is_a_number":
         obj["strata"][4]["parents"]["1"] = 1
+    elif case == "strata_missing":
+        del obj["strata"]
+    elif case == "strata_is_an_object":
+        obj["strata"] = {}
+    elif case == "restrict_is_a_list":
+        obj["h2"]["Y1"]["restrict"] = [["1"]]
     else:
         obj["h2"] = [obj["h2"]["Y1"]]
     return obj
@@ -644,7 +653,8 @@ def _malformed_complex(case):
     "index_set_missing", "dim_missing", "component_is_a_list",
     "label_is_a_number", "parent_label_is_a_number",
     "gysin_entry_divides_by_zero", "restrict_entry_divides_by_zero",
-    "gysin_entry_has_an_exponent", *PARENTS_KEYS])
+    "gysin_entry_has_an_exponent", "strata_missing", "strata_is_an_object",
+    "restrict_is_a_list", *PARENTS_KEYS])
 def test_malformed_complex_exits_2(tmp_path, case):
     # before, the unknown labels were kept and `ss monodromy` reported an
     # isomorphism; `ss e2` on the empty complex passed zero checks; a Gysin
@@ -714,6 +724,15 @@ PRESENTATION_EDITS = {
     "flag_rooted_elsewhere": {"flags": {"2,3": [[[1]]]}},
     "two_matrices_for_one_weight": {"flags": {"1,2": [[[1]], [[1]]]}},
     "two_columns_for_one_wall": {"flags": {"1,2": [[[1, 2]]]}},
+    "weights_is_empty": {"weights": []},
+}
+
+# whole presentations files that hold no list of presentations
+PRESENTATION_FILES = {
+    "file_is_a_number": 5,
+    "file_is_a_string": "abc",
+    "file_is_an_empty_object": {},
+    "wrapper_holds_an_object": {"presentations": {}},
 }
 
 
@@ -760,6 +779,8 @@ PRESENTATION_EDITS = {
      "presentation 0: flag 1,2: one matrix column per wall required"),
     ("component_missing", "presentation 0: missing key 'component'"),
     ("weights_missing", "presentation 0: missing key 'weights'"),
+    ("weights_is_empty", "presentation 0: weights must not be empty"),
+    *[(case, "expected a list of presentations") for case in PRESENTATION_FILES],
 ])
 def test_malformed_presentations_exit_2(tmp_path, case, message):
     # before, an exponent 1.5 was truncated to 1, a component 2.7 to 2, a
@@ -769,9 +790,13 @@ def test_malformed_presentations_exit_2(tmp_path, case, message):
     # with "'int' object is not iterable"; the flag faults named no
     # presentation or flag, and a missing key was named bare; a flag member
     # "02", " 2", "0_2", "+1" or an Arabic-Indic two was read as a plain
-    # integer, so the flags "1,2" and "1,02" collapsed into one
+    # integer, so the flags "1,2" and "1,02" collapsed into one; empty
+    # weights made every order value an empty sum, and a file holding no
+    # list was refused without the "bad presentation data" prefix
     complex_path, _ = cycle_files(tmp_path, 5)
-    if case == "entry_is_a_string":
+    if case in PRESENTATION_FILES:
+        pres = PRESENTATION_FILES[case]
+    elif case == "entry_is_a_string":
         pres = ["x"]
     elif case == "entry_is_a_list":
         pres = [cycle_orientation_presentations(5)[0].to_json_obj(), [1, 2]]

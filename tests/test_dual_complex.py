@@ -496,6 +496,48 @@ def test_construction_validation():
         with pytest.raises(ValueError) as err:
             SemistableCombinatorics(components, strata)
         assert str(err.value) == message
+    # a stratum refuses what it cannot store, with the reader's messages:
+    # before, an int index set raised TypeError in the poset and a list of
+    # parents raised AttributeError
+    for args, message in [
+            (("A", 1, {}), "stratum A: indexSet must be a list of integers"),
+            (("E", (1, 2), [1, 2]), "stratum E: parents must be an object")]:
+        with pytest.raises(ValueError) as err:
+            SemistableCombinatorics(["A", "B"], unit_strata(2) + [Stratum(*args)])
+        assert str(err.value) == message
+
+
+def test_strata_are_normalized_hashable_and_frozen():
+    # before, hash() raised TypeError, list index sets were refused as "parent
+    # B has the wrong index set", and a parents dict changed after the poset
+    # was built changed its children and its JSON
+    edge = Stratum("AB", (1, 2), {1: "B", 2: "A"})
+    assert hash(Stratum("A", (1,), {})) == hash(Stratum("A", [1], {}))
+    assert Stratum("AB", [1, 2], {2: "A", 1: "B"}) == edge
+    assert hash(Stratum("AB", [1, 2], {2: "A", 1: "B"})) == hash(edge)
+    assert len({edge, Stratum("AB", (1, 2), {1: "B", 2: "A"})}) == 1
+    with pytest.raises(TypeError):
+        edge.parents[1] = "A"
+    tuples = SemistableCombinatorics(
+        ["A", "B"], [Stratum("A", (1,), {}), Stratum("B", (2,), {}), edge])
+    parents = {1: "B", 2: "A"}
+    lists = SemistableCombinatorics(
+        ["A", "B"],
+        [Stratum("A", [1], {}), Stratum("B", [2], {}), Stratum("AB", [1, 2], parents)])
+    parents[1] = "A"
+    assert complex_to_json(lists) == complex_to_json(tuples)
+    assert [s.label for s in lists.children("B")] == ["AB"]
+    assert lists.stratum_by_index_set([1, 2]).parents == {1: "B", 2: "A"}
+
+
+def test_relabel_components_refuses_a_non_permutation():
+    # before, these raised KeyError: 3, were refused for an index set that
+    # is not increasing, and were accepted
+    cx = cycle_complex(3)
+    for perm in ({1: 2, 2: 3}, {1: 1, 2: 1, 3: 3}, {1: 2, 2: 3, 3: 1, 4: 4}):
+        with pytest.raises(ValueError) as err:
+            relabel_components(cx, perm)
+        assert str(err.value) == "perm must be a permutation of the component indices"
 
 
 def test_parent_squares_must_close():

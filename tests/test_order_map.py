@@ -13,7 +13,8 @@ from tropmono.library import (cycle_complex, cycle_orientation_presentations,
                               tetrahedron_complex)
 from tropmono.order_map import (Presentation, dolbeault_ladder,
                                 flag_normalization, ord_vector,
-                                require_simplicial, tau_pullback)
+                                presentations_from_json, require_simplicial,
+                                tau_pullback)
 from tropmono.poly import Poly
 from tropmono.randgen import (rand_constant_simplex_form, rand_fraction,
                               rand_int_matrix)
@@ -276,6 +277,28 @@ def test_presentation_validation():
     with pytest.raises(KeyError):
         pres.ord_value((1, 3))
     assert Presentation(1, (1,), {}).degree is None
+
+
+def test_presentation_refuses_empty_weights():
+    # before, every order value was an empty sum, and the ladder on the
+    # tetrahedron passed 12 comparisons of 0 against 0
+    with pytest.raises(ValueError, match="^weights must not be empty$"):
+        Presentation(1, (), {})
+    with pytest.raises(ValueError,
+                       match="^presentation 0: weights must not be empty$"):
+        presentations_from_json([{"component": 1, "weights": [], "flags": {}}])
+
+
+def test_presentations_from_json_reads_a_list_or_a_wrapper():
+    pres = cycle_orientation_presentations(4)
+    listed = [p.to_json_obj() for p in pres]
+    assert presentations_from_json(listed) == pres
+    assert presentations_from_json({"presentations": listed}) == pres
+    for obj in (5, "abc", None, {}, {"presentations": {}}):
+        with pytest.raises(ValueError, match="^expected a list of presentations$"):
+            presentations_from_json(obj)
+    with pytest.raises(ValueError, match="^presentation 2 is not an object$"):
+        presentations_from_json(listed[:2] + [[]])
 
 
 def test_presentation_flags_are_frozen_and_hashable():
