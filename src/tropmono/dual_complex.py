@@ -14,10 +14,11 @@ element of an index set costs (-1)^j.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import linalg
 from .linalg import QMatrix, Vector, as_fraction
@@ -41,7 +42,7 @@ class Stratum:
             except TypeError:
                 raise ValueError(f"stratum {self.label}: indexSet must be a "
                                  "list of integers") from None
-        if type(self.parents) is not dict and not isinstance(self.parents, Mapping):
+        if not isinstance(self.parents, Mapping):
             raise ValueError(f"stratum {self.label}: parents must be an object")
         object.__setattr__(self, "parents", MappingProxyType(dict(self.parents)))
 

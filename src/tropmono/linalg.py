@@ -17,7 +17,6 @@ routine.
 
 from __future__ import annotations
 
-import functools
 import re
 from fractions import Fraction
 from math import lcm
@@ -39,22 +38,14 @@ def as_fraction(value) -> Fraction:
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
-        return _literal(value)
-    raise ValueError(f"cannot interpret {value!r} as a rational number")
-
-
-# input files repeat a few literals ("0", "1", "-1") many times over
-@functools.lru_cache(maxsize=256)
-def _literal(text: str) -> Fraction:
-    """A literal read once: its two integers go to Fraction, not the string."""
-    match = _RATIONAL.fullmatch(text)
+    # a literal is read once: its two integers go to Fraction, not the string
+    match = isinstance(value, str) and _RATIONAL.fullmatch(value)
     if match:
         try:
             return Fraction(int(match[1]), int(match[2] or 1))
         except (ValueError, ZeroDivisionError):
             pass
-    raise ValueError(f"cannot interpret {text!r} as a rational number")
+    raise ValueError(f"cannot interpret {value!r} as a rational number")
 
 
 def perm_sign(perm: Sequence[int]) -> int:
