@@ -28,7 +28,7 @@ from .dual_complex import SemistableCombinatorics, _field, _plain_int
 from .forms import Superform, _append_row
 from .linalg import QMatrix, as_fraction, perm_sign
 from .poly import Poly, _accumulate
-from .simplex import SimplexContext, SimplexForm, beta_recursion
+from .simplex import SimplexContext, SimplexForm, tower_top
 
 Flag = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -338,8 +338,8 @@ def dolbeault_ladder(presentations: Sequence[Presentation],
         # the first candidate stands for the top: a face value is the form
         # read on edge vectors of the simplex, so all candidates give it;
         # a face subset of the tower is the face's vertex positions in z
-        chain = beta_recursion(ctx, built[0], p)
-        for subset, value in sorted(chain[p].values.items()):
+        top = tower_top(ctx, built[0], p)
+        for subset, value in sorted(top.values.items()):
             face = complex_.stratum_by_index_set(
                 tuple(z.index_set[j] for j in subset))
             values = found.setdefault(face.label, [])

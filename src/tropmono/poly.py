@@ -20,7 +20,7 @@ wraps them unchecked through the one trusted route, _made.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .linalg import as_fraction, shuffle_sign
 

@@ -29,15 +29,17 @@ IndexTuple = tuple[int, ...]
 
 
 class SimplexContext:
-    """Vertex bookkeeping for the simplex with vertices e_0 .. e_n."""
+    """Vertex bookkeeping for the simplex with vertices e_0 .. e_n, with
+    the memos of its barycenters and of its basis towers (tower_top)."""
 
-    __slots__ = ("n", "_points")
+    __slots__ = ("n", "_points", "_tops")
 
     def __init__(self, n: int):
         if type(n) is not int or n < 0:
             raise ValueError("need an int n >= 0")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_points", {})
+        object.__setattr__(self, "_tops", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplexContext is immutable")
@@ -306,6 +308,20 @@ def integrate_cochain(ctx: SimplexContext, cochain: SimplexCochain) -> SimplexCo
         lambda J, form: form.ray_integrate(ctx._point(J)))
 
 
+def _tower_input(ctx: SimplexContext, beta: SimplexForm, p: int) -> SimplexForm:
+    """The canonical form of a tower's input, after its checks."""
+    if not 1 <= p <= ctx.n:
+        raise ValueError("need 1 <= p <= n")
+    if beta.nvars != ctx.n + 1:
+        raise ValueError("form does not live on this simplex")
+    if beta.degrees() not in ({p}, set()):
+        raise ValueError("form must be homogeneous of the stated degree")
+    canon = beta.canonical()
+    if not all(f.is_constant() for f in canon.terms.values()):
+        raise ValueError("form must have constant coefficients on the simplex")
+    return canon
+
+
 def beta_recursion(ctx: SimplexContext, beta: SimplexForm, p: int) -> list[SimplexCochain]:
     """Iterated integrate-then-coboundary tower over a constant p-form.
 
@@ -313,21 +329,30 @@ def beta_recursion(ctx: SimplexContext, beta: SimplexForm, p: int) -> list[Simpl
     input; the top one is converted to rational numbers (its values are
     constant functions).
     """
-    n = ctx.n
-    if not 1 <= p <= n:
-        raise ValueError("need 1 <= p <= n")
-    if beta.nvars != n + 1:
-        raise ValueError("form does not live on this simplex")
-    if beta.degrees() not in ({p}, set()):
-        raise ValueError("form must be homogeneous of the stated degree")
-    if not beta.is_constant_on_simplex():
-        raise ValueError("form must have constant coefficients on the simplex")
-    chain = [SimplexCochain(n, 0, lambda J: beta)]
+    _tower_input(ctx, beta, p)
+    chain = [SimplexCochain(ctx.n, 0, lambda J: beta)]
     for _ in range(p):
         chain.append(integrate_cochain(ctx, chain[-1]).coboundary())
     top = chain[p].map_values(lambda J, form: form.constant_value())
     chain[p] = top
     return chain
+
+
+def tower_top(ctx: SimplexContext, beta: SimplexForm, p: int) -> SimplexCochain:
+    """The top cochain of beta_recursion(ctx, beta, p), by linearity: beta's
+    canonical form sum c_K dx_K gives sum c_K top(dx_K).  Each basis tower
+    top(dx_K) runs through beta_recursion the first time some form of this
+    context needs it, and is kept in the context."""
+    tops = ctx._tops
+    scaled = []
+    for K, f in _tower_input(ctx, beta, p).terms.items():
+        top = tops.get(K)
+        if top is None:
+            top = tops[K] = beta_recursion(
+                ctx, SimplexForm.monomial(ctx.n + 1, K, 1), p)[p]
+        scaled.append((f.constant_value(), top.values))
+    return SimplexCochain(ctx.n, p, lambda J: sum(
+        (c * values[J] for c, values in scaled), Fraction(0)))
 
 
 def star_closed_form(ctx: SimplexContext, beta: SimplexForm, p: int, r: int,

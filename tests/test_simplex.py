@@ -1,17 +1,27 @@
 import itertools
+import math
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from conftest import json_digest, sort_sign
+from tropmono import simplex
+from tropmono.order_map import dolbeault_ladder
 from tropmono.poly import Poly
-from tropmono.randgen import (rand_constant_simplex_form,
+from tropmono.randgen import (rand_constant_simplex_form, rand_fraction,
                               rand_hyperplane_point, rand_point,
                               rand_poly_simplex_form)
 from tropmono.simplex import (SimplexCochain, SimplexContext, SimplexForm,
                               beta_recursion, integrate_cochain,
-                              star_closed_form)
+                              star_closed_form, tower_top)
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "bench"))
+
+import fixtures  # noqa: E402
 
 
 def du(nvars, indices, coeff=1):
@@ -469,17 +479,86 @@ def test_restriction_formula_on_faces():
                     assert restricted.raw_equal(want.reduce_to_face(I))
 
 
+def _tower_inputs(rng, n, p):
+    """Constant p-forms on the n-simplex: every basis monomial, random
+    forms, forms with zero coefficients, the zero form, a form that
+    vanishes on the simplex only, and one whose coefficients are constant
+    on the simplex only."""
+    n1 = n + 1
+    keys = list(itertools.combinations(range(n1), p))
+    forms = [du(n1, K) for K in keys]
+    forms += [rand_constant_simplex_form(rng, n1, p) for _ in range(3)]
+    for _ in range(2):
+        coeffs = {K: rng.choice([0, 0, rand_fraction(rng)]) for K in keys}
+        forms.append(SimplexForm(n1, {K: Poly.const(n1, c)
+                                      for K, c in coeffs.items()}))
+    forms.append(SimplexForm.zero(n1))
+    # d(sum x) ^ dx_L
+    L = keys[rng.randrange(len(keys))][1:]
+    forms.append(SimplexForm(n1, {
+        tuple(sorted((i,) + L)): Poly.const(n1, sort_sign((i,) + L))
+        for i in range(n1) if i not in L}))
+    # 1 + (sum x - 1) x_i as one coefficient
+    shift = Poly.affine(n1, [1] * n1, -1) * Poly.variable(n1, rng.randrange(n1))
+    forms.append(rand_constant_simplex_form(rng, n1, p) + SimplexForm(
+        n1, {keys[rng.randrange(len(keys))]: shift + Poly.const(n1, 1)}))
+    assert forms[-2].is_zero_on_simplex()
+    assert not all(f.is_constant() for f in forms[-1].terms.values())
+    return forms
+
+
+def test_tower_top_matches_beta_recursion():
+    # one process, several contexts: an index tuple names a different basis
+    # tower in each dimension, and each context keeps its own
+    rng = random.Random(43)
+    for n in (1, 2, 3, 4, 5, 2):
+        ctx = SimplexContext(n)
+        for p in range(1, n + 1):
+            for beta in _tower_inputs(rng, n, p):
+                got = tower_top(ctx, beta, p)
+                want = beta_recursion(ctx, beta, p)[p]
+                assert (got.n, got.degree) == (n, p)
+                assert got.values == want.values
+                assert all(type(v) is Fraction for v in got.values.values())
+
+
 def test_beta_recursion_input_validation():
+    # tower_top refuses the same inputs with the same messages, in the same
+    # order, and keeps no basis tower for them
     ctx = SimplexContext(2)
-    with pytest.raises(ValueError):
-        beta_recursion(ctx, du(3, (0,)), 3)
-    with pytest.raises(ValueError):
-        beta_recursion(ctx, du(4, (0,)), 1)
-    with pytest.raises(ValueError):
-        beta_recursion(ctx, du(3, (0, 1)), 1)
     varying = SimplexForm.monomial(3, (0,), Poly.variable(3, 1))
-    with pytest.raises(ValueError):
-        beta_recursion(ctx, varying, 1)
+    cases = [
+        (du(3, (0,)), 0, "need 1 <= p <= n"),
+        (du(3, (0,)), 3, "need 1 <= p <= n"),
+        (du(4, (0,)), 3, "need 1 <= p <= n"),
+        (du(4, (0,)), 1, "form does not live on this simplex"),
+        (du(3, (0, 1)), 1, "form must be homogeneous of the stated degree"),
+        (varying, 1, "form must have constant coefficients on the simplex"),
+    ]
+    for beta, p, message in cases:
+        for tower in (tower_top, beta_recursion):
+            with pytest.raises(ValueError) as info:
+                tower(ctx, beta, p)
+            assert str(info.value) == message
+    assert not ctx._tops
+
+
+def test_ladder_builds_each_basis_tower_once(monkeypatch):
+    calls = []
+    real = simplex.beta_recursion
+
+    def counting(ctx, beta, p):
+        calls.append(beta)
+        return real(ctx, beta, p)
+
+    monkeypatch.setattr(simplex, "beta_recursion", counting)
+    cx = fixtures.simplex_skeleton(6, 3)
+    n = cx.max_level
+    for p in range(1, n + 1):
+        pres, _, _ = fixtures.simplicial_presentations(cx, p, random.Random(p))
+        calls.clear()
+        assert dolbeault_ladder(pres, cx, p).final_check
+        assert 0 < len(calls) <= math.comb(n + 1, p)
 
 
 def test_constant_value_accepts_ideal_shifts():

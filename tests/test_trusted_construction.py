@@ -22,7 +22,7 @@ from tropmono.poly import Poly, _Terms
 from tropmono.randgen import (rand_affine_map, rand_constant_simplex_form,
                               rand_fraction, rand_poly, rand_poly_simplex_form,
                               rand_superform, rand_superform_mixed)
-from tropmono.simplex import SimplexContext, SimplexForm, beta_recursion
+from tropmono.simplex import SimplexContext, SimplexForm, tower_top
 
 
 def revalidated(x):
@@ -184,9 +184,9 @@ def test_ladder_top_forms_are_well_formed(monkeypatch):
 
     def recording(ctx, beta, p):
         seen.append((beta, ctx.n + 1))
-        return beta_recursion(ctx, beta, p)
+        return tower_top(ctx, beta, p)
 
-    monkeypatch.setattr(order_map, "beta_recursion", recording)
+    monkeypatch.setattr(order_map, "tower_top", recording)
     rng = random.Random(2206)
     for cx in (cycle_complex(5), tetrahedron_complex()):
         n_top = cx.max_level
