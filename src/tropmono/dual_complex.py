@@ -86,19 +86,25 @@ class SemistableCombinatorics:
         # the first stratum listed wins an index set
         self._by_index_set: dict[IndexSet, Stratum] = {}
         for s in strata:
-            idx = s.index_set
-            # type(...) is int: bools, floats and strings are refused
-            if any(type(i) is not int for i in idx):
-                raise ValueError(f"stratum {s.label}: indexSet must be a list "
-                                 "of integers")
-            if any(type(k) is not int for k in s.parents):
-                raise ValueError(f"stratum {s.label}: parent keys must be integers")
-            if any(not isinstance(v, str) for v in s.parents.values()):
-                raise ValueError(f"stratum {s.label}: parent labels must be strings")
-            if any(not 1 <= i <= m for i in idx):
-                raise ValueError(f"stratum {s.label}: component index out of range")
-            if any(idx[k] >= idx[k + 1] for k in range(len(idx) - 1)):
-                raise ValueError(f"stratum {s.label}: index set must be increasing")
+            # one pass, rules raised in order; type(...) is int refuses bools
+            idx, prev = s.index_set, 0
+            out_of_range = unsorted = bad_label = False
+            for i in idx:
+                if type(i) is not int:
+                    raise ValueError(f"stratum {s.label}: indexSet must be a "
+                                     "list of integers")
+                out_of_range = out_of_range or not 1 <= i <= m
+                unsorted = unsorted or i <= prev  # i <= 0 is out of range too
+                prev = i
+            for k, v in s.parents.items():
+                if type(k) is not int:
+                    raise ValueError(f"stratum {s.label}: parent keys must be integers")
+                bad_label = bad_label or not isinstance(v, str)
+            if bad_label or out_of_range or unsorted:
+                raise ValueError(f"stratum {s.label}: " + (
+                    "parent labels must be strings" if bad_label else
+                    "component index out of range" if out_of_range else
+                    "index set must be increasing"))
             by_level.setdefault(s.level, []).append(s)
             by_label[s.label] = s
             self._by_index_set.setdefault(idx, s)
@@ -156,7 +162,10 @@ class SemistableCombinatorics:
 
 
 class H2Model:
-    """Finite-dimensional stand-ins for the degree-2 cohomology of strata."""
+    """Finite-dimensional stand-ins for the degree-2 cohomology of strata.
+    Entries are read once through as_fraction and kept as ints where integral
+    (else Fractions): Gysin vectors as tuples, restriction blocks as (width,
+    {column: nonzero} per row).  No `/` may touch an entry: int / int is a float."""
 
     def __init__(self, dims: Mapping[str, int],
                  gysin: Mapping[tuple[str, str], Sequence] = (),
@@ -170,35 +179,56 @@ class H2Model:
         self.gysin = {}
         for (parent, child), vec in dict(gysin).items():
             try:
-                vec = tuple(as_fraction(x) for x in vec)
+                vec = tuple(_entry(x) for x in vec)
             except ValueError as exc:
                 raise ValueError(f"h2 {parent}: gysin {child}: {exc}") from None
             if len(vec) != self.dim(parent):
                 raise ValueError(f"Gysin vector for {child} in {parent} has wrong length")
             self.gysin[parent, child] = vec
-        self.restrict = {}
+        self.restrict: dict[tuple[str, str], tuple[int, tuple[dict, ...]]] = {}
         for (parent, child), mat in dict(restrict).items():
             try:
-                self.restrict[parent, child] = (
-                    mat if isinstance(mat, QMatrix)
-                    else QMatrix(mat, ncols=self.dim(parent)))
+                self.restrict[parent, child] = _block(mat, self.dim(parent))
             except ValueError as exc:
                 raise ValueError(f"h2 {parent}: restrict {child}: {exc}") from None
 
     def dim(self, label: str) -> int:
         return self.dims.get(label, 0)
 
-    def gysin_vector(self, parent: str, child: str) -> Vector:
-        vec = self.gysin.get((parent, child))
-        return (Fraction(0),) * self.dim(parent) if vec is None else vec
+    def gysin_vector(self, parent: str, child: str) -> tuple:
+        return self.gysin.get((parent, child), (0,) * self.dim(parent))
+
+    def _rows(self, parent: str, child: str) -> tuple[dict, ...]:
+        """The stored rows of a restriction block, once its shape is checked."""
+        ncols, rows = self.restrict.get((parent, child), (0, None))
+        if rows is None:
+            raise ValueError(f"missing restriction data for {parent} -> {child}")
+        if (len(rows), ncols) != (self.dim(child), self.dim(parent)):
+            raise ValueError(f"restriction {parent} -> {child} has wrong shape")
+        return rows
 
     def restriction(self, parent: str, child: str) -> QMatrix:
-        mat = self.restrict.get((parent, child))
-        if mat is None:
-            raise ValueError(f"missing restriction data for {parent} -> {child}")
-        if (mat.nrows, mat.ncols) != (self.dim(child), self.dim(parent)):
-            raise ValueError(f"restriction {parent} -> {child} has wrong shape")
-        return mat
+        return _dense(self._rows(parent, child), self.dim(parent))
+
+
+def _entry(x):
+    """A rational entry through as_fraction, as an int where integral."""
+    x = as_fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _block(mat, ncols: int) -> tuple[int, tuple[dict, ...]]:
+    """(width, sparse rows) of a restriction block, rows refused as QMatrix
+    refuses them: a bad entry, then ragged rows, then a width not ncols."""
+    if isinstance(mat, QMatrix):
+        mat, ncols = mat.data, mat.ncols
+    rows = [[_entry(x) for x in row] for row in mat]
+    widths = {len(row) for row in rows}
+    if len(widths) > 1:
+        raise ValueError("ragged rows")
+    if widths - {ncols}:
+        raise ValueError("ncols disagrees with row width")
+    return ncols, tuple({j: x for j, x in enumerate(row) if x} for row in rows)
 
 
 def unit_h2(complex_: SemistableCombinatorics, level: int = 0) -> H2Model:
@@ -209,7 +239,7 @@ def unit_h2(complex_: SemistableCombinatorics, level: int = 0) -> H2Model:
     gysin = {}
     for parent in complex_.level(level):
         for child in complex_.children(parent.label):
-            gysin[(parent.label, child.label)] = (Fraction(1),)
+            gysin[(parent.label, child.label)] = (1,)
     return H2Model(dims, gysin)
 
 
@@ -256,8 +286,8 @@ def _h2_restriction_rows(complex_: SemistableCombinatorics, h2: H2Model,
         for i, w in z.parents.items():
             if block and h2.dim(w):
                 sign = removal_sign(z.index_set, i)
-                for out, row in zip(block, h2.restriction(w, z.label).data):
-                    out.update((offsets[w] + j, sign * v) for j, v in enumerate(row) if v)
+                for out, row in zip(block, h2._rows(w, z.label)):
+                    out.update((offsets[w] + j, sign * v) for j, v in row.items())
         rows += block
     return rows
 
@@ -445,9 +475,10 @@ def complex_to_json(complex_: SemistableCombinatorics,
         for (parent, child), vec in sorted(h2.gysin.items()):
             h2_obj.setdefault(parent, {"dim": h2.dim(parent)})
             h2_obj[parent].setdefault("gysin", {})[child] = [str(x) for x in vec]
-        for (parent, child), mat in sorted(h2.restrict.items()):
+        for (parent, child), (ncols, rows) in sorted(h2.restrict.items()):
             h2_obj.setdefault(parent, {"dim": h2.dim(parent)})
-            h2_obj[parent].setdefault("restrict", {})[child] = mat.to_json_obj()
+            h2_obj[parent].setdefault("restrict", {})[child] = [
+                [str(row.get(j, 0)) for j in range(ncols)] for row in rows]
         out["h2"] = h2_obj
     return out
 

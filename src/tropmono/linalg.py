@@ -85,9 +85,8 @@ def shuffle_sign(a: Sequence[int], b: Sequence[int]):
 
 class QMatrix:
     """Immutable dense matrix over Fraction, for data that is a dense matrix:
-    an affine map, an H2 restriction block, a printed comparison matrix or a
-    failure witness.  Rows may be empty; pass ncols explicitly for matrices
-    with zero rows."""
+    an affine map, a printed comparison matrix or a failure witness.  Rows
+    may be empty; pass ncols explicitly for matrices with zero rows."""
 
     __slots__ = ("nrows", "ncols", "data")
 

@@ -25,7 +25,7 @@ from typing import Mapping, Optional, Sequence
 
 from . import linalg
 from .dual_complex import SemistableCombinatorics, _field, _plain_int
-from .forms import Superform, _append_row
+from .forms import _append_row
 from .linalg import QMatrix, as_fraction, perm_sign
 from .poly import Poly, _accumulate
 from .simplex import SimplexContext, SimplexForm, tower_top
@@ -211,21 +211,6 @@ def _minors(rows: Sequence[Sequence]) -> dict:
     for row in rows:
         minors = _append_row(minors, row)
     return minors
-
-
-def tau_pullback(rows: Sequence[Sequence], ncols: Optional[int] = None) -> Superform:
-    """Chart-level pullback of the standard wedge along exponent rows.
-
-    Each row lists the exponents of one function in the wall coordinates;
-    the result is the sum over column subsets of minor determinants times
-    the corresponding wedge of first-kind differentials.  More rows than
-    columns produce the zero form.
-    """
-    mat = QMatrix(rows, ncols)
-    if not mat.nrows and ncols is None:
-        raise ValueError("ncols required for an empty exponent matrix")
-    return Superform(mat.ncols, {(cols, ()): Poly.const(mat.ncols, value)
-                                 for cols, value in _minors(mat.data).items()})
 
 
 # --- the Cech-to-simplex descent on a simplicial stratum complex ----------

@@ -144,6 +144,7 @@ def test_dual_complex_corner():
         # single sign flip breaks it, the naive all-ones model is flagged
         # inconsistent, and the plain unit model passes trivially
         base = cycle_validation_h2(m)
+        blocks = {key: base.restriction(*key) for key in base.restrict}
         ok = ok and relation_composite(cx, base, 1) is None
         ok = ok and relation_composite(cx, unit_h2(cx), 1) is None
         ok = ok and relation_composite(cx, all_ones_h2(cx), 1) is not None
@@ -153,11 +154,11 @@ def test_dual_complex_corner():
                 vec = list(gysin[key])
                 vec[slot] = -vec[slot]
                 gysin[key] = tuple(vec)
-                flipped = H2Model(base.dims, gysin, base.restrict)
+                flipped = H2Model(base.dims, gysin, blocks)
                 ok = ok and relation_composite(cx, flipped, 1) is not None
         for key in sorted(base.restrict):
             for slot in range(2):
-                restrict = dict(base.restrict)
+                restrict = dict(blocks)
                 row = [restrict[key][0, 0], restrict[key][0, 1]]
                 row[slot] = -row[slot]
                 restrict[key] = QMatrix([row])

@@ -530,6 +530,10 @@ COMPLEX_FAULTS = {
     "components_is_a_string": "top level: components must be a list",
     "gysin_is_a_string": "h2 Y1: gysin E1_2 must be a list",
     "restrict_is_ragged": "h2 Y1: restrict E1_2: ragged rows",
+    "restrict_is_ragged_with_a_bad_entry":
+        "h2 Y1: restrict E1_2: cannot interpret '1/0' as a rational number",
+    "restrict_is_narrow_with_a_bad_entry":
+        "h2 Y1: restrict E1_2: cannot interpret 'x' as a rational number",
     "parents_key_is_not_a_number":
         "stratum E1_2: parents: invalid literal for int() with base 10: 'x'",
     "parents_key_has_a_leading_zero":
@@ -605,6 +609,11 @@ def _malformed_complex(case):
         obj["h2"]["Y1"]["gysin"]["E1_2"] = "1"
     elif case == "restrict_is_ragged":
         obj["h2"]["Y1"]["restrict"] = {"E1_2": [["1"], ["1", "2"]]}
+    elif case == "restrict_is_ragged_with_a_bad_entry":
+        obj["h2"]["Y1"]["restrict"] = {"E1_2": [["1"], ["1", "1/0"]]}
+    elif case == "restrict_is_narrow_with_a_bad_entry":
+        # width 1 where the dim is 2
+        obj["h2"]["Y1"] = {"dim": 2, "restrict": {"E1_2": [["x"]]}}
     elif case == "parents_key_is_not_a_number":
         obj["strata"][4]["parents"] = {"x": "Y2", "2": "Y1"}
     elif case in PARENTS_KEYS:
@@ -647,7 +656,9 @@ def _malformed_complex(case):
     "parents_is_a_list", "h2_is_a_list", "h2_unknown_stratum",
     "gysin_unknown_child", "gysin_not_a_child", "restrict_unknown_child",
     "no_components", "gysin_entry_is_true", "components_is_a_string",
-    "gysin_is_a_string", "restrict_is_ragged", "parents_key_is_not_a_number",
+    "gysin_is_a_string", "restrict_is_ragged",
+    "restrict_is_ragged_with_a_bad_entry", "restrict_is_narrow_with_a_bad_entry",
+    "parents_key_is_not_a_number",
     "dim_is_negative", "gysin_is_a_list", "h2_entry_is_a_number",
     "top_level_is_a_list", "components_missing", "label_missing",
     "index_set_missing", "dim_missing", "component_is_a_list",

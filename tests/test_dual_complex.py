@@ -158,16 +158,17 @@ def test_unit_model_passes_trivially():
 
 def flipped_models(m):
     base = cycle_validation_h2(m)
+    blocks = {key: base.restriction(*key) for key in base.restrict}
     for key in sorted(base.gysin):
         for slot in range(2):
             gysin = dict(base.gysin)
             vec = list(gysin[key])
             vec[slot] = -vec[slot]
             gysin[key] = tuple(vec)
-            yield H2Model(base.dims, gysin, base.restrict)
+            yield H2Model(base.dims, gysin, blocks)
     for key in sorted(base.restrict):
         for slot in range(2):
-            restrict = dict(base.restrict)
+            restrict = dict(blocks)
             row = [restrict[key][0, 0], restrict[key][0, 1]]
             row[slot] = -row[slot]
             restrict[key] = QMatrix([row])
@@ -317,14 +318,18 @@ def random_complex(rng):
 
 
 RATIONALS = (0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4))
+INTEGERS = (0, 0, 1, -1, 2, -3)
 
 
 def random_h2(cx, rng):
     """Dims 0-3 at every level and rational data, some of it zero; a few
-    pairs get no restriction, or one of the wrong shape."""
+    pairs get no restriction, or one of the wrong shape.  Each restriction
+    block is given as a QMatrix, as rows of ints or as rows of literals
+    such as "1/2" and "-3".  Returns the model and each block as the dense
+    QMatrix it was given as."""
     dims = {s.label: rng.randint(0, 3)
             for lvl in range(cx.max_level + 1) for s in cx.level(lvl)}
-    gysin, restrict = {}, {}
+    gysin, restrict, dense = {}, {}, {}
     for lvl in range(1, cx.max_level + 1):
         for z in cx.level(lvl):
             for parent in z.parents.values():
@@ -335,10 +340,14 @@ def random_h2(cx, rng):
                 if roll < 0.04:
                     continue
                 rows = dz + 1 if roll < 0.07 else dz
-                restrict[parent, z.label] = QMatrix(
-                    [[rng.choice(RATIONALS) for _ in range(dw)] for _ in range(rows)],
-                    ncols=dw)
-    return H2Model(dims, gysin, restrict)
+                form = rng.randrange(3)
+                values = INTEGERS if form == 1 else RATIONALS + (-3,)
+                block = [[rng.choice(values) for _ in range(dw)] for _ in range(rows)]
+                dense[parent, z.label] = QMatrix(block, ncols=dw)
+                restrict[parent, z.label] = (
+                    dense[parent, z.label] if form == 0 else block if form == 1
+                    else [[str(x) for x in row] for row in block])
+    return H2Model(dims, gysin, restrict), dense
 
 
 def test_sparse_products_match_the_dense_oracle():
@@ -347,7 +356,19 @@ def test_sparse_products_match_the_dense_oracle():
             "image": 0, "iso": 0, "not injective": 0, "not surjective": 0}
     for _ in range(120):
         cx = random_complex(rng)
-        h2 = random_h2(cx, rng)
+        h2, blocks = random_h2(cx, rng)
+        # stored entries are ints where integral, Fractions otherwise, and a
+        # restriction row keeps its nonzero entries only
+        sparse = [x for _, rows in h2.restrict.values() for row in rows
+                  for x in row.values()]
+        assert all(sparse)
+        assert all(type(x) is int or (type(x) is Fraction and x.denominator != 1)
+                   for x in sparse + [x for vec in h2.gysin.values() for x in vec])
+        for (parent, child), mat in blocks.items():
+            want = (mat if mat.nrows == h2.dim(child) else
+                    (ValueError, f"restriction {parent} -> {child} has wrong shape"))
+            assert outcome(h2.restriction, parent, child) == want
+        cx_read, h2_read = complex_from_json(complex_to_json(cx, h2))
         for p in range(cx.max_level + 1):
             ncols = len(cx.level(p))
             assert dual_complex._dense(dual_complex._restriction_rows(cx, p), ncols) \
@@ -358,6 +379,11 @@ def test_sparse_products_match_the_dense_oracle():
             assert restriction_square(cx, p) is None and is_zero(want)
             got = outcome(relation_composite, cx, h2, p)
             assert got == outcome(dense_composite, cx, h2, p)
+            # the file lists parents sorted, so a fault may be met first
+            # at another pair; a composite is the same
+            read = outcome(relation_composite, cx_read, h2_read, p)
+            assert read == got if got is None or isinstance(got, QMatrix) \
+                else read[0] is ValueError
             if got is None or isinstance(got, QMatrix):
                 seen["equal"] += 1
                 seen["nonzero"] += got is not None
@@ -507,6 +533,55 @@ def test_construction_validation():
         assert str(err.value) == message
 
 
+# the per-stratum rules of the poset, one scan each and in their order: the
+# oracle for its single pass, which must raise the first rule broken
+STRATUM_RULES = (
+    (lambda idx, parents, m: any(type(i) is not int for i in idx),
+     "indexSet must be a list of integers"),
+    (lambda idx, parents, m: any(type(k) is not int for k in parents),
+     "parent keys must be integers"),
+    (lambda idx, parents, m: any(not isinstance(v, str) for v in parents.values()),
+     "parent labels must be strings"),
+    (lambda idx, parents, m: any(not 1 <= i <= m for i in idx),
+     "component index out of range"),
+    (lambda idx, parents, m: any(a >= b for a, b in zip(idx, idx[1:])),
+     "index set must be increasing"),
+)
+
+
+def test_stratum_faults_keep_their_rule_order():
+    rng = random.Random(1212)
+    rules = [message for _, message in STRATUM_RULES]
+    seen = {message: 0 for message in rules}
+    several = 0
+    for _ in range(1500):
+        idx = tuple(rng.choice((1, 2, 3, 4, 2, 3, 0, 5, -1, 2.0, True, "1"))
+                    for _ in range(rng.randint(1, 3)))
+        parents = {rng.choice((1, 2, 3, 4, 1.0, "2")): rng.choice(("Y1", "Y2", "Y3", 1))
+                   for _ in range(rng.randint(0, 3))}
+        broken = []
+        for rule, message in STRATUM_RULES:
+            try:
+                if rule(idx, parents, 4):
+                    broken.append(message)
+            except TypeError:  # an order test on an index that is no int
+                pass
+        want = broken[0] if broken else None
+        try:
+            SemistableCombinatorics(["A", "B", "C", "D"],
+                                    unit_strata(4) + [Stratum("E", idx, parents)])
+            got = None
+        except ValueError as exc:
+            got = str(exc).removeprefix("stratum E: ")
+        if want is None:
+            assert got not in rules
+        else:
+            assert got == want
+            seen[want] += 1
+            several += len(broken) > 1
+    assert min(seen.values()) > 30 and several > 300
+
+
 def test_strata_are_normalized_hashable_and_frozen():
     # before, hash() raised TypeError, list index sets were refused as "parent
     # B has the wrong index set", and a parents dict changed after the poset
@@ -574,6 +649,14 @@ def test_h2_model_validation():
     assert rows.restriction("Y1", "E") == QMatrix([[1, Fraction(1, 2)]])
     with pytest.raises(ValueError, match="^h2 Y1: restrict E: ncols disagrees"):
         H2Model({"Y1": 2, "E": 1}, restrict={("Y1", "E"): [[1]]})
+    # every entry is read before the shape: a bad entry is named first, then
+    # ragged rows, then the width
+    with pytest.raises(ValueError, match="^h2 Y1: restrict E: ragged rows$"):
+        H2Model({"Y1": 2, "E": 2}, restrict={("Y1", "E"): [[1], [1, 2]]})
+    with pytest.raises(ValueError, match="^h2 Y1: restrict E: cannot interpret '1/0'"):
+        H2Model({"Y1": 2, "E": 2}, restrict={("Y1", "E"): [[1], [1, "1/0"]]})
+    with pytest.raises(ValueError, match="^h2 Y1: restrict E: cannot interpret 'x'"):
+        H2Model({"Y1": 2, "E": 1}, restrict={("Y1", "E"): [["x"]]})
     h2 = H2Model({"Y1": 2, "E": 1}, {("Y1", "E"): (1, 1)},
                  {("Y1", "E"): QMatrix([[1, 2, 3]])})
     with pytest.raises(ValueError, match="wrong shape"):

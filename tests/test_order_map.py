@@ -8,13 +8,14 @@ import pytest
 from conftest import cycle_presentations, det_cofactor, json_digest, sort_sign
 from tropmono.dual_complex import (SemistableCombinatorics, Stratum,
                                    check_vanishing_vector, unit_h2)
+from tropmono.forms import Superform
 from tropmono.library import (cycle_complex, cycle_orientation_presentations,
                               point_complex, simplicial_presentations_from_tensors,
                               tetrahedron_complex)
-from tropmono.order_map import (Presentation, dolbeault_ladder,
+from tropmono.linalg import QMatrix
+from tropmono.order_map import (Presentation, _minors, dolbeault_ladder,
                                 flag_normalization, ord_vector,
-                                presentations_from_json, require_simplicial,
-                                tau_pullback)
+                                presentations_from_json, require_simplicial)
 from tropmono.poly import Poly
 from tropmono.randgen import (rand_constant_simplex_form, rand_fraction,
                               rand_int_matrix)
@@ -218,6 +219,19 @@ def test_cycle_order_vector_frozen_and_in_both_kernels():
     vec5 = ord_vector(cycle_orientation_presentations(5), cycle_complex(5), 1)
     assert vec5.values == {"E1_2": 1, "E2_3": 1, "E3_4": 1, "E4_5": 1,
                            "E1_5": -1}
+
+
+def tau_pullback(rows, ncols=None):
+    """Chart-level pullback of the standard wedge along exponent rows: the
+    Superform view of _minors, which the ladder reads directly.  Each row
+    lists the exponents of one function in the wall coordinates; the result
+    is the sum over column subsets of minor determinants times the wedge of
+    first-kind differentials, and more rows than columns give zero."""
+    mat = QMatrix(rows, ncols)
+    if not mat.nrows and ncols is None:
+        raise ValueError("ncols required for an empty exponent matrix")
+    return Superform(mat.ncols, {(cols, ()): Poly.const(mat.ncols, value)
+                                 for cols, value in _minors(mat.data).items()})
 
 
 def test_tau_pullback_frozen():

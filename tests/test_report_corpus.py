@@ -158,7 +158,7 @@ def _towers_and_batteries(corpus: _Corpus):
 def _edited(h2: H2Model, gysin=None, restrict=None, drop=None) -> H2Model:
     """The model with some Gysin vectors or restrictions replaced, and one
     restriction left out."""
-    kept = {key: mat for key, mat in h2.restrict.items() if key != drop}
+    kept = {key: h2.restriction(*key) for key in h2.restrict if key != drop}
     return H2Model(h2.dims, {**h2.gysin, **(gysin or {})},
                    {**kept, **(restrict or {})})
 
