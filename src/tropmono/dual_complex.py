@@ -278,12 +278,14 @@ def _h2_restriction_rows(complex_: SemistableCombinatorics, h2: H2Model,
                          p: int) -> list[dict]:
     """Alternating restriction on the H2 level, stacked level-p blocks to
     stacked level-(p+1) blocks.  Restriction data is required for every
-    pair of positive dimensions, zero Gysin vector or not."""
+    pair of positive dimensions, zero Gysin vector or not.  Parents go by
+    removed component, the order the file lists them in, so a complex and
+    its JSON round trip name the same missing or misshapen block."""
     offsets, _ = _h2_offsets(complex_, h2, p)
     rows: list[dict] = []
     for z in complex_.level(p + 1):
         block: list[dict] = [{} for _ in range(h2.dim(z.label))]
-        for i, w in z.parents.items():
+        for i, w in sorted(z.parents.items()):
             if block and h2.dim(w):
                 sign = removal_sign(z.index_set, i)
                 for out, row in zip(block, h2._rows(w, z.label)):

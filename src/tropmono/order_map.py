@@ -100,8 +100,10 @@ class Presentation:
         return self._degree
 
     def ord_value(self, flag: Flag) -> Fraction:
-        """Weighted determinant sum along a recorded square flag.  Every
-        member must be an int (not a bool, a float or a string)."""
+        """Weighted determinant sum along a recorded square flag, the
+        definition of a flag's order value: sum of w * det M over the
+        weights and the flag's exponent matrices.  Every member must be an
+        int (not a bool, a float or a string)."""
         flag = tuple(flag)
         if any(type(i) is not int for i in flag):
             raise ValueError(f"flag {flag!r}: members must be integers")
@@ -110,7 +112,8 @@ class Presentation:
             raise KeyError(f"flag {flag} is not recorded")
         if any(len(mat) != len(flag) - 1 for mat in mats):
             raise ValueError("order value needs as many walls as rows")
-        return _weighted_det(self.weights, mats)
+        return sum((w * linalg.det(QMatrix(mat, ncols=len(mat)))
+                    for w, mat in zip(self.weights, mats)), Fraction(0))
 
     def to_json_obj(self) -> dict:
         return {
@@ -260,34 +263,16 @@ def _full_tensor(pres: Presentation, flag: Flag,
             for mat in pres.flags[flag]]
 
 
-def _weighted_det(weights: Sequence[Fraction],
-                  matrices: Sequence[Sequence[Sequence]]) -> Fraction:
-    """Sum of w * det M over paired weights and square matrices: every
-    order value reaches a determinant here."""
-    return sum((w * linalg.det(QMatrix(mat, ncols=len(mat)))
-                for w, mat in zip(weights, matrices)), Fraction(0))
-
-
-def _derived_ord(weights: Sequence[Fraction],
-                 tensor: Sequence[Sequence[Sequence[int]]],
-                 positions: Sequence[int]) -> Fraction:
-    """Order value of the face spanned by the given vertex positions, read
-    off a top-stratum tensor through difference columns."""
-    base = positions[0]
-    return _weighted_det(weights, [
-        [[row[j] - row[base] for j in positions[1:]] for row in block]
-        for block in tensor])
-
-
 def dolbeault_ladder(presentations: Sequence[Presentation],
                      complex_: SemistableCombinatorics, p: int) -> LadderResult:
     """Replay the descent from covering data to the order cocycle.
 
     For every top stratum the covering presentations must induce one common
     constant form on its simplex; the integrate-then-coboundary tower of that
-    form must close, face by face, onto the derived order values scaled by
-    (-1)^(p(p+1)/2) / p!.  Each top is read once, in listing order; the
-    tops over a face must then derive one order value for it.
+    form must close, face by face, onto the face order values (the form
+    read on each face's edge vectors) scaled by (-1)^(p(p+1)/2) / p!.  Each
+    top is read once, in listing order; the tops over a face must then
+    derive one order value for it.
     """
     n_top = require_simplicial(complex_)
     if not 1 <= p <= n_top:
@@ -302,33 +287,39 @@ def dolbeault_ladder(presentations: Sequence[Presentation],
     found: dict[str, list[Fraction]] = {}  # face label -> values, top by top
     comparisons = []
     for z in complex_.level(n_top):
-        candidates = [(pres.weights, _full_tensor(pres, flag, z.index_set))
-                      for pres, flag, _ in covers.get(z.index_set, ())]
-        if not candidates:
-            raise ValueError(f"no presentation covers stratum {z.label}")
-        # each candidate's tau read on the simplex: the weighted minors of
-        # its rows, as a constant form in the vertex coordinates
-        built = []
-        for weights, tensor in candidates:
+        # each covering flag's tau read on the simplex: the weighted minors
+        # of its rows, {column tuple: coefficient} in the vertex coordinates
+        taus = []
+        for pres, flag, _ in covers.get(z.index_set, ()):
             acc: dict = {}
-            for w, rows in zip(weights, tensor):
+            for w, rows in zip(pres.weights,
+                               _full_tensor(pres, flag, z.index_set)):
                 for cols, minor in _minors(rows).items():
                     _accumulate(acc, cols, w * minor)
-            # clean by construction: increasing column tuples, no zero
-            built.append(SimplexForm._made(nvars, {
-                cols: Poly.const(nvars, c) for cols, c in acc.items()}))
+            taus.append(acc)
+        if not taus:
+            raise ValueError(f"no presentation covers stratum {z.label}")
+        # clean by construction: increasing column tuples, no zero
+        built = [SimplexForm._made(nvars, {
+            cols: Poly.const(nvars, c) for cols, c in acc.items()})
+            for acc in taus]
         normal = built[0].canonical().terms
         if any(form.canonical().terms != normal for form in built[1:]):
             raise ValueError(f"presentations disagree on stratum {z.label}")
-        # the first candidate stands for the top: a face value is the form
-        # read on edge vectors of the simplex, so all candidates give it;
-        # a face subset of the tower is the face's vertex positions in z
+        # the first flag stands for the top: a face value is tau read on the
+        # edge vectors c_1 - c_0, ..., c_p - c_0 of the face, which by
+        # multilinearity is the alternating sum of tau's coefficients on
+        # the face's p-subsets; a face subset of the tower is the face's
+        # vertex positions in z
+        tau = taus[0]
         top = tower_top(ctx, built[0], p)
         for subset, value in sorted(top.values.items()):
             face = complex_.stratum_by_index_set(
                 tuple(z.index_set[j] for j in subset))
             values = found.setdefault(face.label, [])
-            values.append(_derived_ord(*candidates[0], subset))
+            values.append(sum(
+                ((-1) ** j * tau.get(subset[:j] + subset[j + 1:], 0)
+                 for j in range(p + 1)), Fraction(0)))
             expected = constant * values[0]
             comparisons.append((z.label, face.label, value, expected,
                                 value == expected))

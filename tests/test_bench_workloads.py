@@ -39,7 +39,9 @@ def test_traced_ops_verify_and_hooks_count(tmp_path):
     # the tracer's hooks read integrate_cochain's cochain (.values) and the
     # matrix shape of det (rank and rref, which the hook also names, are no
     # longer in the package); a refactor that moves those arguments must
-    # fail here, not only in a traced benchmark run
+    # fail here, not only in a traced benchmark run.  The ladder computes
+    # no determinant, so linalg.elim_cells now comes only from the ord
+    # check ops, through Presentation.ord_value
     tracer = tracing.Tracer()
     tracer.install({name.split(".", 1)[1]: module
                     for name, module in sys.modules.items()

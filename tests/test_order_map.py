@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import cycle_presentations, det_cofactor, json_digest, sort_sign
+from tropmono import linalg
 from tropmono.dual_complex import (SemistableCombinatorics, Stratum,
                                    check_vanishing_vector, unit_h2)
 from tropmono.forms import Superform
@@ -625,9 +626,14 @@ def test_ladder_input_validation():
 
 def test_constant_tower_and_ladder_never_substitute(monkeypatch):
     # every stage of the tower is constant, so neither ray integration nor
-    # the normal forms may fall back to polynomial substitution
+    # the normal forms may fall back to polynomial substitution; the ladder
+    # reads its face values off tau's coefficients, so it computes no
+    # determinant either
     def refuse(self, args):
         raise AssertionError("eval_poly reached on constant coefficients")
+
+    def refuse_det(m):
+        raise AssertionError("linalg.det reached in the ladder")
 
     monkeypatch.setattr(Poly, "eval_poly", refuse)
     rng = random.Random(62)
@@ -650,6 +656,7 @@ def test_constant_tower_and_ladder_never_substitute(monkeypatch):
         "V1_3_4": [((0, 2, 1), (1, 1, -1))],
         "V2_3_4": [((2, 0, 1), (0, 1, 1))],
     }
+    monkeypatch.setattr(linalg, "det", refuse_det)
     for p, tensors in ((1, p1), (2, p2)):
         pres = simplicial_presentations_from_tensors(cx, (1,), tensors)
         assert dolbeault_ladder(pres, cx, p).final_check
