@@ -21,7 +21,7 @@ from types import MappingProxyType
 from typing import Optional, Sequence
 
 from . import linalg
-from .linalg import QMatrix, Vector, as_fraction
+from .linalg import QMatrix, Vector, _rational, as_fraction
 
 IndexSet = tuple[int, ...]
 
@@ -163,8 +163,9 @@ class SemistableCombinatorics:
 
 class H2Model:
     """Finite-dimensional stand-ins for the degree-2 cohomology of strata.
-    Entries are read once through as_fraction and kept as ints where integral
-    (else Fractions): Gysin vectors as tuples, restriction blocks as (width,
+    Entries are read once, as as_fraction reads them, and kept as ints where
+    integral (an integral literal such as "-1" or "6/3" builds no Fraction),
+    else Fractions: Gysin vectors as tuples, restriction blocks as (width,
     {column: nonzero} per row).  No `/` may touch an entry: int / int is a float."""
 
     def __init__(self, dims: Mapping[str, int],
@@ -179,7 +180,7 @@ class H2Model:
         self.gysin = {}
         for (parent, child), vec in dict(gysin).items():
             try:
-                vec = tuple(_entry(x) for x in vec)
+                vec = tuple(map(_rational, vec))
             except ValueError as exc:
                 raise ValueError(f"h2 {parent}: gysin {child}: {exc}") from None
             if len(vec) != self.dim(parent):
@@ -211,19 +212,13 @@ class H2Model:
         return _dense(self._rows(parent, child), self.dim(parent))
 
 
-def _entry(x):
-    """A rational entry through as_fraction, as an int where integral."""
-    x = as_fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
 def _block(mat, ncols: int) -> tuple[int, tuple[dict, ...]]:
     """(width, sparse rows) of a restriction block, rows refused as QMatrix
     refuses them: a bad entry, then ragged rows, then a width not ncols."""
     if isinstance(mat, QMatrix):
         mat, ncols = mat.data, mat.ncols
-    rows = [[_entry(x) for x in row] for row in mat]
-    widths = {len(row) for row in rows}
+    rows = [tuple(map(_rational, row)) for row in mat]
+    widths = set(map(len, rows))
     if len(widths) > 1:
         raise ValueError("ragged rows")
     if widths - {ncols}:

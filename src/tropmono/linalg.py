@@ -31,20 +31,36 @@ _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def as_fraction(value) -> Fraction:
-    """Read an int (not a bool), a string ("a/b" or "a") or a Fraction as a
-    Fraction; any other value, a bad literal or a zero denominator is
-    refused with a ValueError."""
+    """Read an int (not a bool), a string ("a/b" or "a", through _rational)
+    or a Fraction as a Fraction; any other value, a bad literal or a zero
+    denominator is refused with a ValueError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    # a literal is read once: its two integers go to Fraction, not the string
-    match = isinstance(value, str) and _RATIONAL.fullmatch(value)
-    if match:
-        try:
-            return Fraction(int(match[1]), int(match[2] or 1))
-        except (ValueError, ZeroDivisionError):
-            pass
+    value = _rational(value)
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def _rational(value):
+    """value as as_fraction reads it, refusals and messages included, but an
+    int where integral: an integral int, Fraction or literal ("-0", "+10/5")
+    gives an int, and a literal builds a Fraction only when it is not."""
+    if isinstance(value, str):
+        match = _RATIONAL.fullmatch(value)
+        if match:
+            try:
+                num = int(match[1])
+                if match[2] is None:
+                    return num
+                den = int(match[2])
+                return Fraction(num, den) if num % den else num // den
+            except (ValueError, ZeroDivisionError):
+                pass
+    elif isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
     raise ValueError(f"cannot interpret {value!r} as a rational number")
 
 

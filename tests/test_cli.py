@@ -511,6 +511,16 @@ def test_bad_complex_data(tmp_path):
     assert "bad complex data" in text
 
 
+# Gysin entries that int() would read but as_fraction refuses
+GYSIN_LITERALS = {
+    "gysin_entry_is_padded": " 1",
+    "gysin_entry_has_a_digit_separator": "1_0",
+    "gysin_entry_is_not_ascii": "\u0662",
+    "gysin_entry_is_a_bare_sign": "-",
+    "gysin_entry_is_past_the_digit_limit": "9" * 5000,
+}
+
+
 # what the error names, for the cases whose message is fixed
 COMPLEX_FAULTS = {
     "gysin_length_monodromy": "Gysin vector for E1_2 in Y1 has wrong length",
@@ -527,6 +537,8 @@ COMPLEX_FAULTS = {
         "h2 Y1: restrict E1_2: cannot interpret '1/0' as a rational number",
     "gysin_entry_has_an_exponent":
         "h2 Y1: gysin E1_2: cannot interpret '1e5000' as a rational number",
+    **{case: f"h2 Y1: gysin E1_2: cannot interpret {literal!r} as a rational number"
+       for case, literal in GYSIN_LITERALS.items()},
     "components_is_a_string": "top level: components must be a list",
     "gysin_is_a_string": "h2 Y1: gysin E1_2 must be a list",
     "restrict_is_ragged": "h2 Y1: restrict E1_2: ragged rows",
@@ -601,6 +613,8 @@ def _malformed_complex(case):
         obj["h2"]["Y1"]["gysin"]["E1_2"] = ["1/0"]
     elif case == "gysin_entry_has_an_exponent":
         obj["h2"]["Y1"]["gysin"]["E1_2"] = ["1e5000"]
+    elif case in GYSIN_LITERALS:
+        obj["h2"]["Y1"]["gysin"]["E1_2"] = [GYSIN_LITERALS[case]]
     elif case == "restrict_entry_divides_by_zero":
         obj["h2"]["Y1"]["restrict"] = {"E1_2": [["1/0"]]}
     elif case == "components_is_a_string":
@@ -665,7 +679,7 @@ def _malformed_complex(case):
     "label_is_a_number", "parent_label_is_a_number",
     "gysin_entry_divides_by_zero", "restrict_entry_divides_by_zero",
     "gysin_entry_has_an_exponent", "strata_missing", "strata_is_an_object",
-    "restrict_is_a_list", *PARENTS_KEYS])
+    "restrict_is_a_list", *PARENTS_KEYS, *GYSIN_LITERALS])
 def test_malformed_complex_exits_2(tmp_path, case):
     # before, the unknown labels were kept and `ss monodromy` reported an
     # isomorphism; `ss e2` on the empty complex passed zero checks; a Gysin
@@ -675,7 +689,8 @@ def test_malformed_complex_exits_2(tmp_path, case):
     # lists of their characters; the last three named no stratum; a list
     # where an object belongs and a missing key named neither the place nor
     # the rule, and a component ["A"] was named "['A']"; a parents key "02",
-    # " 2", "0_2", "+2" or an Arabic-Indic two was read as 2
+    # " 2", "0_2", "+2" or an Arabic-Indic two was read as 2; a Gysin entry
+    # in GYSIN_LITERALS is refused by the literal reader's integral path too
     path = write_json(tmp_path / "bad.json", _malformed_complex(case))
     if case == "no_components":
         argv = ["ss", "e2", "--input", path]

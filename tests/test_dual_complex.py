@@ -321,15 +321,26 @@ RATIONALS = (0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4))
 INTEGERS = (0, 0, 1, -1, 2, -3)
 
 
+def spell(x, k):
+    """x as a literal, by k mod 4: canonical ("-3/4"), signed ("+3", "-0"),
+    unreduced ("6/3") or with leading zeros ("007")."""
+    x = Fraction(x)
+    num, den = x.numerator, x.denominator
+    digits = f"{abs(num)}/{den}" if den != 1 else f"{abs(num)}"
+    return (str(x), ("-" if num <= 0 else "+") + digits, f"{3 * num}/{3 * den}",
+            ("-" if num < 0 else "") + "00" + digits)[k % 4]
+
+
 def random_h2(cx, rng):
     """Dims 0-3 at every level and rational data, some of it zero; a few
     pairs get no restriction, or one of the wrong shape.  Each restriction
-    block is given as a QMatrix, as rows of ints or as rows of literals
-    such as "1/2" and "-3".  Returns the model and each block as the dense
-    QMatrix it was given as."""
+    block is given as a QMatrix, as rows of ints or as rows of literals,
+    canonical ("1/2", "-3") or not ("+3", "-0", "6/3", "007").  Returns the
+    model, each block as the dense QMatrix it was given as, and the blocks
+    given as literals."""
     dims = {s.label: rng.randint(0, 3)
             for lvl in range(cx.max_level + 1) for s in cx.level(lvl)}
-    gysin, restrict, dense = {}, {}, {}
+    gysin, restrict, dense, literals = {}, {}, {}, {}
     for lvl in range(1, cx.max_level + 1):
         for z in cx.level(lvl):
             for parent in z.parents.values():
@@ -344,19 +355,22 @@ def random_h2(cx, rng):
                 values = INTEGERS if form == 1 else RATIONALS + (-3,)
                 block = [[rng.choice(values) for _ in range(dw)] for _ in range(rows)]
                 dense[parent, z.label] = QMatrix(block, ncols=dw)
-                restrict[parent, z.label] = (
-                    dense[parent, z.label] if form == 0 else block if form == 1
-                    else [[str(x) for x in row] for row in block])
-    return H2Model(dims, gysin, restrict), dense
+                if form == 2:
+                    block = literals[parent, z.label] = [
+                        [spell(x, i + j) for j, x in enumerate(row)]
+                        for i, row in enumerate(block)]
+                restrict[parent, z.label] = dense[parent, z.label] if form == 0 else block
+    return H2Model(dims, gysin, restrict), dense, literals
 
 
 def test_sparse_products_match_the_dense_oracle():
     rng = random.Random(1010)
     seen = {"equal": 0, "nonzero": 0, "missing": 0, "shape": 0, "vectors": 0,
-            "image": 0, "iso": 0, "not injective": 0, "not surjective": 0}
+            "image": 0, "iso": 0, "not injective": 0, "not surjective": 0,
+            "-0": 0, "spelled": 0}
     for _ in range(120):
         cx = random_complex(rng)
-        h2, blocks = random_h2(cx, rng)
+        h2, blocks, literals = random_h2(cx, rng)
         # stored entries are ints where integral, Fractions otherwise, and a
         # restriction row keeps its nonzero entries only
         sparse = [x for _, rows in h2.restrict.values() for row in rows
@@ -364,6 +378,15 @@ def test_sparse_products_match_the_dense_oracle():
         assert all(sparse)
         assert all(type(x) is int or (type(x) is Fraction and x.denominator != 1)
                    for x in sparse + [x for vec in h2.gysin.values() for x in vec])
+        # whatever the spelling, a block stores what its Fractions store, type
+        # for type, and a "-0" is not stored
+        assert typed(h2.restrict) == typed(H2Model(h2.dims, restrict=blocks).restrict)
+        for key, block in literals.items():
+            zeros = [(i, j) for i, row in enumerate(block)
+                     for j, x in enumerate(row) if x == "-0"]
+            assert not any(j in h2.restrict[key][1][i] for i, j in zeros)
+            seen["-0"] += len(zeros)
+            seen["spelled"] += sum(x != str(Fraction(x)) for row in block for x in row)
         for (parent, child), mat in blocks.items():
             want = (mat if mat.nrows == h2.dim(child) else
                     (ValueError, f"restriction {parent} -> {child} has wrong shape"))
@@ -412,6 +435,13 @@ def test_sparse_products_match_the_dense_oracle():
     assert seen["vectors"] > 800 and seen["image"] > 150
     assert seen["iso"] > 150 and seen["not injective"] > 25
     assert seen["not surjective"] > 40
+    assert seen["-0"] > 100 and seen["spelled"] > 600
+
+
+def typed(restrict):
+    """Stored restriction blocks with each entry's type next to its value."""
+    return {key: (width, [{j: (type(x), x) for j, x in row.items()} for row in rows])
+            for key, (width, rows) in restrict.items()}
 
 
 def test_restriction_square_witness_matches_the_dense_product(monkeypatch):

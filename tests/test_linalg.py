@@ -27,22 +27,79 @@ def test_perm_sign_matches_inversion_count():
         assert linalg.perm_sign(perm) == (-1) ** inversions
 
 
+# every literal Fraction reads the same way; each refused value is a float,
+# a bool, an exponent, padding, a sign in the denominator, a non-ASCII digit,
+# a zero denominator or a literal longer than int's digit limit
+LITERALS = ("0", "-0", "+7", "-12", "3/4", "-6/8", "+10/5", "007/014",
+            "9" * 4000, "-1/" + "3" * 4000)
+NUMBERS = (5, -3, 2 ** 70, Fraction(-2, 3))
+REFUSED = ("1/0", "0/00", "1e5", "1.5", " 1", "1/", "/2", "1/-2", "\u0662", "",
+           "9" * 5000, True, 1.5, None)
+
+
+def refusal(value):
+    return f"cannot interpret {value!r} as a rational number"
+
+
 def test_as_fraction_reads_literals_and_refuses_the_rest():
-    # every literal Fraction reads the same way; each refused value below
-    # is a float, a bool, an exponent, padding, a sign in the denominator,
-    # a non-ASCII digit, a zero denominator or a literal longer than
-    # int's digit limit
-    for value in ("0", "-0", "+7", "-12", "3/4", "-6/8", "+10/5", "007/014",
-                  "9" * 4000, "-1/" + "3" * 4000):
+    for value in LITERALS:
         assert as_fraction(value) == Fraction(value)
         assert type(as_fraction(value)) is Fraction
-    for value in (5, -3, 2 ** 70, Fraction(-2, 3)):
+    for value in NUMBERS:
         assert as_fraction(value) == Fraction(value)
-    for value in ("1/0", "0/00", "1e5", "1.5", " 1", "1/", "/2", "1/-2",
-                  "\u0662", "", "9" * 5000, True, 1.5, None):
+    for value in REFUSED:
         with pytest.raises(ValueError) as err:
             as_fraction(value)
-        assert str(err.value) == f"cannot interpret {value!r} as a rational number"
+        assert str(err.value) == refusal(value)
+
+
+def random_literal(rng):
+    """A signed literal with leading zeros, 1 to 40 digits and a denominator
+    1-12 or none, or one of the shapes as_fraction refuses."""
+    sign = rng.choice(("", "", "+", "-"))
+    num = rng.choice(("", "0", "00")) + str(rng.randrange(10 ** rng.randint(1, 40)))
+    den = rng.choice(("", "", f"/{rng.randint(1, 12)}", f"/0{rng.randint(1, 12)}"))
+    roll = rng.random()
+    if roll < 0.15:
+        # padding, a separator, a non-ASCII digit, a signed or zero
+        # denominator, an exponent or a point
+        return sign + num + rng.choice((" ", "_1", "\u0662", "/-3", "/0", "e5", ".5"))
+    if roll < 0.25:
+        return rng.choice(("", "-", "+", "/", "1/", "/2", " 1", "0x1", "1/0" + den))
+    return sign + num + den
+
+
+def test_rational_reads_as_as_fraction_does_but_integral_as_int():
+    read = linalg._rational
+    for value in LITERALS + NUMBERS:
+        assert read(value) == as_fraction(value)
+    for value in REFUSED:
+        with pytest.raises(ValueError) as err:
+            read(value)
+        assert str(err.value) == refusal(value)
+    for value, want in (("+10/5", 2), ("-0", 0), ("007", 7), ("-0/7", 0),
+                        ("6/3", 2), (Fraction(6, 3), 2), (4, 4), (-2, -2)):
+        assert type(read(value)) is int and read(value) == want
+    assert type(read("9" * 4000)) is int
+    for value in ("3/4", "-6/8", "007/014", "-1/" + "3" * 4000, Fraction(-2, 3)):
+        assert type(read(value)) is Fraction
+    rng = random.Random(23)
+    kinds = {int: 0, Fraction: 0, ValueError: 0}
+    for _ in range(2000):
+        value = random_literal(rng)
+        try:
+            want = as_fraction(value)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                read(value)
+            assert str(err.value) == str(exc)
+            kinds[ValueError] += 1
+            continue
+        got = read(value)
+        assert got == want
+        assert type(got) is (int if want.denominator == 1 else Fraction)
+        kinds[type(got)] += 1
+    assert min(kinds.values()) > 300, kinds
 
 
 def test_shuffle_sign_frozen_cases():
