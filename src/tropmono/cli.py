@@ -43,6 +43,9 @@ def _max_dim() -> int:
     if raw is None:
         return DEFAULT_MAX_DIM
     try:
+        # ASCII digits only, as in the input files: int() takes "1_0", " 7 "
+        if not (raw.isascii() and raw.isdigit()):
+            raise ValueError(raw)
         value = int(raw)
     except ValueError:
         raise CliError(f"TROPMONO_MAX_DIM must be an integer, not {raw!r}")

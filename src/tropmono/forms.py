@@ -99,15 +99,18 @@ class Superform(_Terms):
             p = len(dpr)
             if p == 0:
                 raise ValueError("monodromy is undefined on (0,q) components")
-            for k in range(p):
-                sh = shuffle_sign((dpr[k],), dsec)
-                if sh is None:
+            neg = None
+            for k, i in enumerate(dpr):
+                if i in dsec:
                     continue
-                sign, merged = sh
-                if (p - 1 - k) % 2:
-                    sign = -sign
-                reduced = dpr[:k] + dpr[k + 1:]
-                _accumulate(acc, (reduced, merged), f if sign > 0 else -f)
+                # d''x_i moves past the m indices of dsec below it, and the
+                # traded d'x_i past the p - 1 - k d' factors after it
+                m = bisect(dsec, i)
+                key = (dpr[:k] + dpr[k + 1:], dsec[:m] + (i,) + dsec[m:])
+                odd = (p - 1 - k + m) % 2
+                if odd and neg is None:
+                    neg = -f
+                _accumulate(acc, key, neg if odd else f)
         return self._made(self.nvars, acc)
 
     def to_json_obj(self) -> list[dict]:

@@ -9,8 +9,10 @@ the unit interval.
 The same immutable sparse container also carries Superform (forms) and
 SimplexForm (simplex): the private base _Terms owns construction, addition,
 negation, scaling, equality and hashing, _accumulate() is the one zero-dropping
-sum into a term dict and _derivative() the one exterior derivative loop.  Each
-subclass supplies only its key and coefficient checks and its own operations.
+sum into a term dict and _derivative() the one exterior derivative loop (one
+walk over each coefficient; no operator calls the public Poly.derivative).
+Each subclass supplies only its key and coefficient checks and its own
+operations.
 Validation happens once, where outside input enters: Poly(...), Superform(...)
 and SimplexForm(...) check every key and coefficient, while code that builds
 clean terms itself (operators, const/variable/affine, substitution, randgen)
@@ -19,10 +21,12 @@ wraps them unchecked through the one trusted route, _made.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from bisect import bisect
 from collections.abc import Mapping, Sequence
+from fractions import Fraction
+from operator import add
 
-from .linalg import as_fraction, shuffle_sign
+from .linalg import as_fraction
 
 
 def _index_tuple(indices, size: int) -> tuple[int, ...]:
@@ -54,14 +58,22 @@ def _derivative(form, block, crossed=None):
     acc: dict = {}
     for key, f in form.terms.items():
         indices = key if block is None else key[block]
-        lead = -1 if crossed is not None and crossed(key) % 2 else 1
-        for i in range(form.nvars):
-            g = None if i in indices else f.derivative(i)
-            if g:
-                sign, merged = shuffle_sign((i,), indices)
-                if block is not None:
-                    merged = key[:block] + (merged,) + key[block + 1:]
-                _accumulate(acc, merged, g if lead * sign > 0 else -g)
+        partials: dict = {}  # df/dx_i for each i, from one walk over f
+        for exps, c in f.terms.items():
+            for i, e in enumerate(exps):
+                if e and i not in indices:
+                    # lowering a positive exponent is injective: no collisions
+                    lowered = exps[:i] + (e - 1,) + exps[i + 1:]
+                    partials.setdefault(i, {})[lowered] = c if e == 1 else c * e
+        lead = crossed(key) if crossed is not None else 0
+        for i in sorted(partials):
+            g = f._made(f.nvars, partials[i])
+            # dx_i moves past the k indices of K below it
+            k = bisect(indices, i)
+            merged = indices[:k] + (i,) + indices[k:]
+            if block is not None:
+                merged = key[:block] + (merged,) + key[block + 1:]
+            _accumulate(acc, merged, -g if (lead + k) % 2 else g)
     return form._made(form.nvars, acc)
 
 
@@ -170,14 +182,16 @@ class Poly(_Terms):
     def variable(cls, nvars: int, i: int) -> "Poly":
         if type(i) is not int or not 0 <= i < nvars:
             raise ValueError("variable index out of range")
-        return cls.affine(nvars, [int(j == i) for j in range(nvars)])
+        zero = (0,) * nvars
+        return cls._made(nvars, {zero[:i] + (1,) + zero[i + 1:]: Fraction(1)})
 
     @classmethod
     def affine(cls, nvars: int, coeffs: Sequence, constant=0) -> "Poly":
         """constant + sum(coeffs[i] * x_i)."""
         if len(coeffs) != nvars:
             raise ValueError("coefficient list has wrong length")
-        keys = [tuple(int(j == i) for j in range(nvars)) for i in range(-1, nvars)]
+        zero = (0,) * nvars
+        keys = [zero] + [zero[:i] + (1,) + zero[i + 1:] for i in range(nvars)]
         values = [as_fraction(c) for c in (constant, *coeffs)]
         return cls._made(nvars, {k: c for k, c in zip(keys, values) if c})
 
@@ -196,7 +210,7 @@ class Poly(_Terms):
         terms: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                _accumulate(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                _accumulate(terms, tuple(map(add, e1, e2)), c1 * c2)
         return self._made(self.nvars, terms)
 
     def derivative(self, i: int) -> "Poly":

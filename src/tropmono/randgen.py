@@ -16,17 +16,32 @@ from .poly import Poly, _accumulate
 from .simplex import SimplexForm
 
 
+# _FRACTIONS[a + 4][b - 1] is Fraction(a, b) for a in -4..4 and b in 1..3.
+# choice(seq) draws seq[_randbelow(len(seq))] and randint(lo, hi) draws
+# lo + _randbelow(hi - lo + 1), so choice over a table or a range consumes
+# the stream exactly as randint over the same values does.
+_FRACTIONS = tuple(tuple(Fraction(a, b) for b in range(1, 4))
+                   for a in range(-4, 5))
+_TERM_COUNTS = (1, 2, 3)
+
+
 def rand_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return rng.choice(rng.choice(_FRACTIONS))
 
 
 def rand_poly(rng: random.Random, nvars: int, max_degree: int = 2) -> Poly:
+    if max_degree < 0:
+        raise ValueError("max_degree must be at least 0")
+    choice, degrees, variables = rng.choice, range(max_degree + 1), range(nvars)
     terms: dict = {}
-    for _ in range(rng.randint(1, 3)):
+    for _ in range(choice(_TERM_COUNTS)):
         exps = [0] * nvars
-        for _ in range(rng.randint(0, max_degree)):
-            exps[rng.randrange(nvars)] += 1
-        _accumulate(terms, tuple(exps), rand_fraction(rng))
+        degree = choice(degrees)
+        if degree and nvars < 1:
+            raise ValueError("no variable to raise to a positive degree")
+        for _ in range(degree):
+            exps[choice(variables)] += 1
+        _accumulate(terms, tuple(exps), choice(choice(_FRACTIONS)))
     return Poly._made(nvars, terms)
 
 

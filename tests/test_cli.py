@@ -936,9 +936,12 @@ def test_dimension_cap(monkeypatch):
     assert code == 2 and "exceeds the cap" in text
     code, _ = run(["check", "superform", "--n", "2", "--cases", "1"])
     assert code == 0
-    monkeypatch.setenv("TROPMONO_MAX_DIM", "zero")
-    code, text = run(["check", "superform", "--n", "1", "--cases", "1"])
-    assert code == 2 and "must be an integer" in text
+    # not an integer, then three spellings that int() reads but the literal
+    # reader of the input files refuses
+    for raw in ("zero", "1_0", "\u0667", " 7 "):
+        monkeypatch.setenv("TROPMONO_MAX_DIM", raw)
+        code, text = run(["check", "superform", "--n", "1", "--cases", "1"])
+        assert code == 2 and f"must be an integer, not {raw!r}" in text
     monkeypatch.setenv("TROPMONO_MAX_DIM", "0")
     code, text = run(["check", "superform", "--n", "1", "--cases", "1"])
     assert code == 2 and "at least 1" in text

@@ -6,10 +6,11 @@ import pytest
 
 from conftest import json_digest, matmul, matvec, sort_sign
 from tropmono.forms import AffineMap, Superform
-from tropmono.linalg import QMatrix
-from tropmono.poly import Poly
+from tropmono.linalg import QMatrix, shuffle_sign
+from tropmono.poly import Poly, _accumulate, _Terms
 from tropmono.randgen import (rand_affine_map, rand_fraction, rand_point, rand_poly,
                               rand_superform, rand_superform_mixed)
+from tropmono.simplex import SimplexForm
 
 
 def monomial(nvars, dpr, dsec, coeff=1):
@@ -116,6 +117,90 @@ def test_derivatives_match_front_insertion_oracle():
                 expect = expect + Superform.monomial(n, *merged, df * sign)
             got = omega.d_prime() if which == "p" else omega.d_second()
             assert got == expect
+
+
+def oracle_derivative(form, block, crossed=None):
+    """The general exterior derivative loop: one Poly.derivative(i) per
+    variable, dx_i merged into the block of K by shuffle_sign."""
+    acc = {}
+    for key, f in form.terms.items():
+        indices = key if block is None else key[block]
+        lead = -1 if crossed is not None and crossed(key) % 2 else 1
+        for i in range(form.nvars):
+            g = None if i in indices else f.derivative(i)
+            if g:
+                sign, merged = shuffle_sign((i,), indices)
+                if block is not None:
+                    merged = key[:block] + (merged,) + key[block + 1:]
+                _accumulate(acc, merged, g if lead * sign > 0 else -g)
+    return type(form)(form.nvars, acc)
+
+
+def oracle_monodromy(omega):
+    """N through the general shuffle_sign, one d' factor at a time."""
+    acc = {}
+    for (dpr, dsec), f in omega.terms.items():
+        p = len(dpr)
+        for k in range(p):
+            sh = shuffle_sign((dpr[k],), dsec)
+            if sh is None:
+                continue
+            sign, merged = sh
+            if (p - 1 - k) % 2:
+                sign = -sign
+            _accumulate(acc, (dpr[:k] + dpr[k + 1:], merged),
+                        f if sign > 0 else -f)
+    return Superform(omega.nvars, acc)
+
+
+def _rand_subset(rng, n, least=0):
+    return tuple(sorted(rng.sample(range(n), rng.randint(least, n))))
+
+
+def _assert_same_terms(got, want):
+    """Equal stored terms, each coefficient a nonzero Poly of nonzero
+    Fractions."""
+    assert _Terms.__eq__(got, want)
+    for f in got.terms.values():
+        assert type(f) is Poly and f
+        assert all(type(c) is Fraction and c for c in f.terms.values())
+
+
+def test_derivatives_match_the_per_variable_oracle():
+    rng = random.Random(2401)
+    seen = {"repeated": 0, "squared": 0}
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        # mixed bidegrees, exponents up to 4
+        keys = {(_rand_subset(rng, n), _rand_subset(rng, n))
+                for _ in range(rng.randint(1, 3))}
+        omega = Superform(n, {key: rand_poly(rng, n, max_degree=4)
+                              for key in keys})
+        _assert_same_terms(omega.d_prime(), oracle_derivative(omega, 0))
+        _assert_same_terms(omega.d_second(),
+                           oracle_derivative(omega, 1, lambda key: len(key[0])))
+        faces = {_rand_subset(rng, n) for _ in range(rng.randint(1, 3))}
+        alpha = SimplexForm(n, {face: rand_poly(rng, n, max_degree=4)
+                                for face in faces})
+        _assert_same_terms(alpha.exterior_derivative(),
+                           oracle_derivative(alpha, None))
+        for (dpr, _), f in omega.terms.items():
+            for exps in f.terms:
+                seen["repeated"] += any(exps[i] for i in dpr)
+                seen["squared"] += any(e >= 2 for e in exps)
+    # some x_i with dx_i already in K, some exponents of 2 or more
+    assert seen["repeated"] > 100 and seen["squared"] > 100
+
+
+def test_monodromy_matches_the_shuffle_oracle():
+    rng = random.Random(2402)
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        keys = {(_rand_subset(rng, n, least=1), _rand_subset(rng, n))
+                for _ in range(rng.randint(1, 3))}
+        omega = Superform(n, {key: rand_poly(rng, n, max_degree=3)
+                              for key in keys})
+        _assert_same_terms(omega.monodromy(), oracle_monodromy(omega))
 
 
 def test_second_derivative_frozen_example():
