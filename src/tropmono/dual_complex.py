@@ -8,7 +8,11 @@ H2 model assigns each stratum a finite dimension together with Gysin vectors
 (parent space to child space).
 
 The alternating-sign rule is the standard one: dropping the j-th smallest
-element of an index set costs (-1)^j.
+element of an index set costs (-1)^j.  Each map between levels is built once,
+as sparse rows ({column: nonzero entry} per row) read off the parents of its
+higher level.  Elimination takes these rows as they are, one sparse product
+(_product) multiplies them, and one step (_dense) turns rows into dense
+output: representatives, the corner's matrix, witnesses and JSON blocks.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Optional, Sequence
 
@@ -238,10 +241,6 @@ def unit_h2(complex_: SemistableCombinatorics, level: int = 0) -> H2Model:
     return H2Model(dims, gysin)
 
 
-# Each map between levels is built once, as sparse rows ({column: nonzero
-# entry} per row) read off the parents of its higher level; products and
-# elimination take these rows as they are.
-
 def _restriction_rows(complex_: SemistableCombinatorics, p: int) -> list[dict]:
     col = {s.label: k for k, s in enumerate(complex_.level(p))}
     return [{col[w]: removal_sign(z.index_set, i) for i, w in z.parents.items()}
@@ -304,16 +303,22 @@ def _product(pairs) -> list[dict]:
 
 
 def _dense(rows: list[dict], ncols: int) -> QMatrix:
+    """Sparse rows as a QMatrix: the one step from rows to dense output."""
     return QMatrix([[row.get(j, 0) for j in range(ncols)] for row in rows],
                    ncols=ncols)
+
+
+def _witness(pairs, ncols: int) -> Optional[QMatrix]:
+    """None when the summed product of the pairs vanishes, else it, dense."""
+    rows = _product(pairs)
+    return _dense(rows, ncols) if any(rows) else None
 
 
 def restriction_square(complex_: SemistableCombinatorics, p: int) -> Optional[QMatrix]:
     """The level-(p+1) restriction after the level-p one, which vanishes on
     every complex: None when it does, else the composite as a witness."""
-    rows = _product([(_restriction_rows(complex_, p + 1),
-                      _restriction_rows(complex_, p))])
-    return _dense(rows, len(complex_.level(p))) if any(rows) else None
+    return _witness([(_restriction_rows(complex_, p + 1),
+                      _restriction_rows(complex_, p))], len(complex_.level(p)))
 
 
 def relation_composite(complex_: SemistableCombinatorics, h2: H2Model,
@@ -327,8 +332,7 @@ def relation_composite(complex_: SemistableCombinatorics, h2: H2Model,
         raise ValueError("the relation pairs levels p-1 and p+1; need p >= 1")
     first = (_h2_restriction_rows(complex_, h2, p - 1), _gysin_rows(complex_, h2, p))
     second = (_gysin_rows(complex_, h2, p + 1), _restriction_rows(complex_, p))
-    rows = _product([first, second])
-    return _dense(rows, len(complex_.level(p))) if any(rows) else None
+    return _witness([first, second], len(complex_.level(p)))
 
 
 @dataclass(frozen=True)
@@ -364,20 +368,11 @@ def _second_page(complex_: SemistableCombinatorics, p: int):
     return image, [v for v in ker if echelon.add(v)]
 
 
-def _vector(v: Mapping[int, Fraction], n: int) -> Vector:
-    """A sparse vector as a dense Fraction tuple of length n."""
-    out = [Fraction(0)] * n
-    for j, x in v.items():
-        out[j] = Fraction(x)
-    return tuple(out)
-
-
 def e2_p0(complex_: SemistableCombinatorics, p: int) -> E2Summary:
     """Kernel of the level-p restriction modulo the image from level p-1,
     with deterministic representatives (see _second_page)."""
-    n = len(complex_.level(p))
     _, reps = _second_page(complex_, p)
-    return E2Summary(p, len(reps), tuple(_vector(v, n) for v in reps))
+    return E2Summary(p, len(reps), _dense(reps, len(complex_.level(p))).data)
 
 
 @dataclass(frozen=True)
@@ -413,8 +408,7 @@ def corner_monodromy(complex_: SemistableCombinatorics, h2: H2Model, p: int) -> 
     r = sum(echelon.add(v) for v in out_cols)
     return CornerMonodromy(
         p=p,
-        matrix=QMatrix([[v.get(i, 0) for v in out_cols] for i in range(len(reps))],
-                       ncols=len(out_cols)),
+        matrix=_dense(_columns(out_cols, len(reps)), len(out_cols)),
         domain_dim=len(corner),
         codomain_dim=len(reps),
         injective=(r == len(corner)),
@@ -425,10 +419,10 @@ def corner_monodromy(complex_: SemistableCombinatorics, h2: H2Model, p: int) -> 
 def check_vanishing_vector(complex_: SemistableCombinatorics, h2: H2Model, p: int,
                            vector: Sequence) -> tuple[bool, bool]:
     """(pullback vanishes, pushforward vanishes) for a level-p vector."""
-    vec = [as_fraction(x) for x in vector]
-    if len(vec) != len(complex_.level(p)):
+    column = [{0: x} if x else {} for x in map(as_fraction, vector)]
+    if len(column) != len(complex_.level(p)):
         raise ValueError("length mismatch")
-    return tuple(all(sum(v * vec[j] for j, v in row.items()) == 0 for row in rows)
+    return tuple(not any(_product([(rows, column)]))
                  for rows in (_restriction_rows(complex_, p),
                               _gysin_rows(complex_, h2, p)))
 
@@ -474,8 +468,8 @@ def complex_to_json(complex_: SemistableCombinatorics,
             h2_obj[parent].setdefault("gysin", {})[child] = [str(x) for x in vec]
         for (parent, child), (ncols, rows) in sorted(h2.restrict.items()):
             h2_obj.setdefault(parent, {"dim": h2.dim(parent)})
-            h2_obj[parent].setdefault("restrict", {})[child] = [
-                [str(row.get(j, 0)) for j in range(ncols)] for row in rows]
+            h2_obj[parent].setdefault("restrict", {})[child] = \
+                _dense(rows, ncols).to_json_obj()
         out["h2"] = h2_obj
     return out
 

@@ -219,6 +219,12 @@ def _rref(rows: Iterable[Mapping]) -> dict[int, dict[int, Fraction]]:
     return reduced
 
 
+def _in_range(rows: Iterable[Mapping], ncols: int) -> None:
+    """Refuse sparse rows with a column outside range(ncols)."""
+    if any(not 0 <= j < ncols for row in rows for j in row):
+        raise ValueError("index out of range")
+
+
 class Echelon:
     """Incremental fraction-free echelon over vectors of the given length:
     ``add(v)`` keeps the sparse vector v, and returns True, only when its
@@ -229,8 +235,7 @@ class Echelon:
         self._stored: list[Pivot] = []
 
     def add(self, v: Mapping) -> bool:
-        if any(not 0 <= j < self.length for j in v):
-            raise ValueError("index out of range")
+        _in_range((v,), self.length)
         return _push(self._stored, _clear(v)[1])
 
 
@@ -254,6 +259,7 @@ def kernel_basis(rows: Sequence[Mapping], ncols: int) -> list[dict[int, Fraction
     """Basis of the right kernel of the matrix with the given sparse rows and
     ncols columns, as sparse vectors; one per free column, 1 at the free
     position, in increasing column order."""
+    _in_range(rows, ncols)
     reduced = _rref(rows)
     basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in reduced}
     for c, row in reduced.items():
@@ -268,8 +274,8 @@ def solve_many(rows: Sequence[Mapping], ncols: int,
     variables set to 0, as a sparse vector, or None, where m has the given
     sparse rows and ncols columns.  m is reduced once, augmented by every b
     in the columns after its own."""
-    if any(not 0 <= i < len(rows) for b in rhs for i in b):
-        raise ValueError("index out of range")
+    _in_range(rows, ncols)
+    _in_range(rhs, len(rows))
     aug = [dict(row) for row in rows]
     for t, b in enumerate(rhs):
         for i, x in b.items():

@@ -11,7 +11,8 @@ compared at all.
 The chart-level pullback of such data is a (p,0) form in wall coordinates,
 computed through minors.  The ladder at the bottom of the module replays
 the Cech-to-simplex descent on a simplicial stratum complex and checks the
-closing constant.
+closing constant; it reads each candidate form once per face, and those
+readings both decide whether candidates agree and give the face values.
 """
 
 from __future__ import annotations
@@ -268,11 +269,11 @@ def dolbeault_ladder(presentations: Sequence[Presentation],
     """Replay the descent from covering data to the order cocycle.
 
     For every top stratum the covering presentations must induce one common
-    constant form on its simplex; the integrate-then-coboundary tower of that
-    form must close, face by face, onto the face order values (the form
-    read on each face's edge vectors) scaled by (-1)^(p(p+1)/2) / p!.  Each
-    top is read once, in listing order; the tops over a face must then
-    derive one order value for it.
+    constant form on its simplex, that is, read the same on every face's
+    edge vectors; the integrate-then-coboundary tower of that form must
+    close, face by face, onto those readings, the face order values, scaled
+    by (-1)^(p(p+1)/2) / p!.  Each top is read once, in listing order; the
+    tops over a face must then derive one order value for it.
     """
     n_top = require_simplicial(complex_)
     if not 1 <= p <= n_top:
@@ -299,27 +300,22 @@ def dolbeault_ladder(presentations: Sequence[Presentation],
             taus.append(acc)
         if not taus:
             raise ValueError(f"no presentation covers stratum {z.label}")
-        # clean by construction: increasing column tuples, no zero
-        built = [SimplexForm._made(nvars, {
-            cols: Poly.const(nvars, c) for cols, c in acc.items()})
-            for acc in taus]
-        normal = built[0].canonical().terms
-        if any(form.canonical().terms != normal for form in built[1:]):
+        # tau on the edge vectors c_1 - c_0, ..., c_p - c_0 of a face J (its
+        # vertex positions in z): the alternating sum over J's p-subsets
+        readings = [{J: sum(((-1) ** j * tau.get(J[:j] + J[j + 1:], 0)
+                             for j in range(p + 1)), Fraction(0))
+                     for J in itertools.combinations(range(nvars), p + 1)}
+                    for tau in taus]
+        if any(reading != readings[0] for reading in readings[1:]):
             raise ValueError(f"presentations disagree on stratum {z.label}")
-        # the first flag stands for the top: a face value is tau read on the
-        # edge vectors c_1 - c_0, ..., c_p - c_0 of the face, which by
-        # multilinearity is the alternating sum of tau's coefficients on
-        # the face's p-subsets; a face subset of the tower is the face's
-        # vertex positions in z
-        tau = taus[0]
-        top = tower_top(ctx, built[0], p)
+        # clean by construction: increasing column tuples, no zero
+        top = tower_top(ctx, SimplexForm._made(nvars, {
+            cols: Poly.const(nvars, c) for cols, c in taus[0].items()}), p)
         for subset, value in sorted(top.values.items()):
             face = complex_.stratum_by_index_set(
                 tuple(z.index_set[j] for j in subset))
             values = found.setdefault(face.label, [])
-            values.append(sum(
-                ((-1) ** j * tau.get(subset[:j] + subset[j + 1:], 0)
-                 for j in range(p + 1)), Fraction(0)))
+            values.append(readings[0][subset])
             expected = constant * values[0]
             comparisons.append((z.label, face.label, value, expected,
                                 value == expected))

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .linalg import as_fraction, shuffle_sign
+from .linalg import as_fraction
 from .poly import Poly, _accumulate, _derivative, _index_tuple, _Terms
 
 IndexTuple = tuple[int, ...]
@@ -64,7 +65,8 @@ class SimplexContext:
 class SimplexForm(_Terms):
     """Ambient polynomial form on R^(n+1), considered up to the simplex
     relation.  Terms map strictly increasing index tuples to Poly
-    coefficients in the n+1 ambient variables."""
+    coefficients in the n+1 ambient variables.  is_zero() and bool(), like
+    is_zero_raw, read the stored terms; see is_zero_on_simplex."""
 
     __slots__ = ()
 
@@ -200,15 +202,15 @@ class SimplexForm(_Terms):
                 continue
             k = indices.index(pivot)
             rest = indices[:k] + indices[k + 1:]
-            # dx_pivot = -sum of the other face differentials
-            lead = -1 if k % 2 == 0 else 1
+            # dx_pivot = -sum of the other face differentials; dx_j leaves
+            # position k and enters rest at m = bisect(rest, j): (-1)^(k+m+1)
             neg = -f2
             for j in others:
-                sh = shuffle_sign((j,), rest)
-                if sh is None:
+                if j in rest:
                     continue
-                sign, merged = sh
-                _accumulate(acc, merged, f2 if lead * sign > 0 else neg)
+                m = bisect(rest, j)
+                _accumulate(acc, rest[:m] + (j,) + rest[m:],
+                            f2 if (k + m) % 2 else neg)
         return self._made(self.nvars, acc)
 
     def equal_on_simplex(self, other: "SimplexForm") -> bool:

@@ -1,8 +1,10 @@
+import itertools
 import json
 import os
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -87,6 +89,8 @@ def test_e2_representatives_live_in_the_kernel():
             summary = e2_p0(cx, p)
             kernel, image, reps = dense_e2(cx, p)
             assert summary.representatives == reps
+            assert all(type(x) is Fraction
+                       for v in summary.representatives for x in v)
             pull = dense_pullback(cx, p)
             for vec in summary.representatives + image:
                 assert all(x == 0 for x in matvec(pull, vec))
@@ -468,6 +472,32 @@ def test_check_vanishing_vector_on_the_cycle():
     # edge order: E1_2, E2_3, E3_4, E1_4
     assert check_vanishing_vector(cx, h2, 1, (1, 1, 1, -1)) == (True, True)
     assert check_vanishing_vector(cx, h2, 1, (1, 0, 0, 0)) == (True, False)
+
+
+def test_check_vanishing_vector_matches_the_dense_products():
+    # random vectors, vectors with zero entries, and kernel vectors of the
+    # pullback, of the pushforward and of both, against the dense products
+    rng = random.Random(2525)
+    seen = Counter()
+    for _ in range(60):
+        cx = random_complex(rng)
+        h2 = random_h2(cx, rng)[0]
+        for p in range(cx.max_level + 1):
+            ncols = len(cx.level(p))
+            maps = (dense_pullback(cx, p), dense_pushforward(cx, h2, p))
+            vectors = [[rng.choice(RATIONALS) for _ in range(ncols)],
+                       [rng.choice((0, 0, 0, 1, -2)) for _ in range(ncols)]]
+            for rows in ((maps[0],), (maps[1],), maps):
+                kernel = kernel_gauss([row for m in rows for row in m.data], ncols)
+                if kernel:
+                    vectors.append(rng.choice(kernel))
+            for vec in vectors:
+                want = tuple(all(x == 0 for x in matvec(m, vec)) for m in maps)
+                assert check_vanishing_vector(cx, h2, p, vec) == want
+                seen[want] += 1
+                seen["zero entries"] += 0 in vec and any(vec)
+    assert min(seen[want] for want in itertools.product((True, False), repeat=2)) > 30
+    assert seen["zero entries"] > 100
 
 
 def test_json_roundtrip():

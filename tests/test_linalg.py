@@ -312,6 +312,22 @@ def test_solve_many_matches_per_vector_solve():
         linalg.solve_many(rows, 2, [{2: 3}])
 
 
+@pytest.mark.parametrize("call", [
+    # the right-hand side would overwrite the row's column 1
+    lambda: linalg.solve_many([{0: 1, 1: 1}], 1, [{0: 2}]),
+    lambda: linalg.kernel_basis([{0: 1, 5: 1}], 3),
+    # a row whose only column is out of range was read as a zero row
+    lambda: linalg.kernel_basis([{5: 1}], 3),
+    lambda: linalg.kernel_basis([{-1: 1}], 3),
+    lambda: linalg.solve_many([{0: 1}], 1, [{-1: 1}]),
+    lambda: linalg.Echelon(3).add({-1: 1}),
+], ids=["solve_many-row", "kernel-row-and-outside", "kernel-outside-only",
+        "kernel-negative", "solve_many-rhs", "echelon"])
+def test_columns_outside_the_matrix_are_refused(call):
+    with pytest.raises(ValueError, match="^index out of range$"):
+        call()
+
+
 def test_matrix_shape_errors():
     with pytest.raises(ValueError):
         QMatrix([[1, 2], [3]], ncols=2)

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -458,6 +459,98 @@ def test_ladder_reads_one_candidate_per_top():
                 for label, values in candidate_ord_values(pres, cx, p).items():
                     assert len(values) >= 2
                     assert set(values) == {result.ord_values[label]}
+
+
+def top_candidates(presentations, z, p):
+    """Per flag covering the top z, its form tau as {column tuple of vertex
+    positions: coefficient} and its face readings {face positions J: the
+    weighted determinant of the columns of J's vertices minus that of J's
+    first}, every determinant by cofactor expansion."""
+    n = len(z.index_set) - 1
+    out = []
+    for pres in presentations:
+        for flag, mats in pres.flags.items():
+            if tuple(sorted(flag)) != z.index_set:
+                continue
+            tau, reading = {}, {}
+            for w, mat in zip(pres.weights, mats):
+                rows = []
+                for row in mat:
+                    col = {flag[0]: 0, **dict(zip(flag[1:], row))}
+                    rows.append([col[v] for v in z.index_set])
+                for K in itertools.combinations(range(n + 1), p):
+                    tau[K] = tau.get(K, 0) + w * det_cofactor(
+                        [[row[c] for c in K] for row in rows])
+                for J in itertools.combinations(range(n + 1), p + 1):
+                    reading[J] = reading.get(J, 0) + w * det_cofactor(
+                        [[row[c] - row[J[0]] for c in J[1:]] for row in rows])
+            out.append((tau, reading))
+    return out
+
+
+def tampered_entry(presentations, rng):
+    """The presentations with one exponent of one flag moved by 1."""
+    k = rng.randrange(len(presentations))
+    pres = presentations[k]
+    flag = rng.choice(sorted(pres.flags))
+    mats = [[list(row) for row in mat] for mat in pres.flags[flag]]
+    row = rng.choice(rng.choice(mats))
+    row[rng.randrange(len(row))] += rng.choice((-1, 1))
+    tampered = Presentation(pres.component, pres.weights, {**pres.flags, flag: mats})
+    return presentations[:k] + [tampered] + presentations[k + 1:]
+
+
+def test_ladder_refuses_exactly_where_the_normal_forms_differ():
+    # the candidates' normal forms, which the ladder compared before it
+    # compared face readings, are the oracle; covers from different roots
+    # differ as stored forms by multiples of d(sum x), and a tampered entry
+    # makes them differ on one face (p at the top level) or on several
+    rng = random.Random(2511)
+    seen = Counter()
+    for cx in (cycle_complex(4), tetrahedron_complex(),
+               full_subset_complex(5, 3), full_subset_complex(5, 4)):
+        n_top = cx.max_level
+        vertices = range(1, len(cx.components) + 1)
+        for p in range(1, n_top + 1):
+            for _ in range(12):
+                weights = tuple(rand_fraction(rng)
+                                for _ in range(rng.randint(1, 2)))
+                table = [[{v: rng.randint(-3, 3) for v in vertices}
+                          for _ in range(p)] for _ in weights]
+                tensors = {z.label: [[[row[v] for v in z.index_set]
+                                      for row in sheet] for sheet in table]
+                           for z in cx.level(n_top)}
+                pres = simplicial_presentations_from_tensors(cx, weights, tensors)
+                if rng.random() < 0.6:
+                    pres = tampered_entry(pres, rng)
+                want = None
+                for z in cx.level(n_top):
+                    candidates = top_candidates(pres, z, p)
+                    normal = [SimplexForm(n_top + 1, {
+                        K: Poly.const(n_top + 1, c) for K, c in tau.items() if c
+                    }).canonical().terms for tau, _ in candidates]
+                    faces = sum(len({reading[J] for _, reading in candidates}) > 1
+                                for J in candidates[0][1])
+                    # constant forms agree on the simplex exactly when they
+                    # agree on every face
+                    assert (faces > 0) == any(t != normal[0] for t in normal[1:])
+                    if faces:
+                        want = want or z.label
+                        seen["one face" if faces == 1 else "several faces"] += 1
+                    elif len({tuple(tau.values()) for tau, _ in candidates}) > 1:
+                        seen["stored forms differ"] += 1
+                try:
+                    dolbeault_ladder(pres, cx, p)
+                    got = None
+                except ValueError as exc:
+                    match = re.fullmatch("presentations disagree on stratum (.+)",
+                                         str(exc))
+                    got = match and match[1]
+                assert got == want
+                seen["refused" if want else "accepted"] += 1
+    assert seen["accepted"] > 30 and seen["refused"] > 40
+    assert seen["one face"] > 15 and seen["several faces"] > 15
+    assert seen["stored forms differ"] > 300
 
 
 def bowtie_complex():
