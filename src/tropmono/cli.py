@@ -17,6 +17,7 @@ import json
 import math
 import os
 import random
+import shlex
 import sys
 
 from . import dual_complex
@@ -101,13 +102,11 @@ def _witness(case: int, drawn: dict) -> dict:
 
 # --- check superform -------------------------------------------------------
 
-def cmd_check_superform(args) -> RunReport:
+def cmd_check_superform(args, report: RunReport):
     n, cases, seed = args.n, args.cases, args.seed
     _check_dim(n)
     if cases < 1:
         raise CliError("--cases must be positive")
-    report = RunReport(f"check superform --n {n} --cases {cases} --seed {seed}",
-                       seed=seed)
 
     # each identity draws its objects from rng and returns (holds, drawn)
     def on_mixed(holds):
@@ -213,21 +212,17 @@ def cmd_check_superform(args) -> RunReport:
                 failure = _witness(case, drawn)
         report.add_check(name, failure is None, failure)
     report.result = {"n": n, "cases": cases, "checksRun": len(battery)}
-    return report
 
 
 # --- simplex starprop ------------------------------------------------------
 
-def cmd_simplex_starprop(args) -> RunReport:
+def cmd_simplex_starprop(args, report: RunReport):
     n, p, extra, seed = args.n, args.p, args.random, args.seed
     _check_dim(n)
     if not 1 <= p <= n:
         raise CliError("need 1 <= p <= n")
     if extra < 0:
         raise CliError("--random must be nonnegative")
-    report = RunReport(
-        f"simplex starprop --n {n} --p {p} --random {extra} --seed {seed}",
-        seed=seed)
     ctx = SimplexContext(n)
     nvars = n + 1
 
@@ -269,7 +264,6 @@ def cmd_simplex_starprop(args) -> RunReport:
             name = f"match[{label}][" + ".".join(map(str, subset)) + "]"
             report.add_check(name, ok, witness)
     report.result = {"n": n, "p": p, "forms": len(betas), "faceRows": rows}
-    return report
 
 
 # --- ss --------------------------------------------------------------------
@@ -289,8 +283,7 @@ def _check_level(p, low: int, top: int):
         raise CliError(f"--p must lie between {low} and {top}")
 
 
-def cmd_ss_e2(args) -> RunReport:
-    report = RunReport(f"ss e2 --input {args.input}")
+def cmd_ss_e2(args, report: RunReport):
     complex_, _ = _load(args.input, report, complex_from_json, "complex")
     top = complex_.max_level
     _check_level(args.p, 0, top)
@@ -306,11 +299,9 @@ def cmd_ss_e2(args) -> RunReport:
                                      summaries[args.p].representatives]
         result["p"] = args.p
     report.result = result
-    return report
 
 
-def cmd_ss_monodromy(args) -> RunReport:
-    report = RunReport(f"ss monodromy --input {args.input} --p {args.p}")
+def cmd_ss_monodromy(args, report: RunReport):
     complex_, h2 = _load(args.input, report, complex_from_json, "complex")
     p = args.p
     _check_level(p, 1, complex_.max_level)
@@ -321,7 +312,7 @@ def cmd_ss_monodromy(args) -> RunReport:
     except RuntimeError as exc:
         report.add_check("corner_inside_restriction_kernel", False,
                          {"error": str(exc)})
-        return report
+        return
     report.add_check("corner_inside_restriction_kernel", True)
     report.result = {
         "p": p,
@@ -332,12 +323,9 @@ def cmd_ss_monodromy(args) -> RunReport:
         "isomorphism": comparison.isomorphism,
         "matrix": comparison.matrix.to_json_obj(),
     }
-    return report
 
 
-def cmd_ss_validate(args) -> RunReport:
-    report = RunReport(f"ss validate --input {args.input}"
-                       + (f" --p {args.p}" if args.p is not None else ""))
+def cmd_ss_validate(args, report: RunReport):
     complex_, h2 = _load(args.input, report, complex_from_json, "complex")
     if h2 is None:
         raise CliError(f"{args.input}: no h2 data to validate")
@@ -354,15 +342,11 @@ def cmd_ss_validate(args) -> RunReport:
         report.add_check(f"cancellation[p={p}]", ok,
                          None if ok else {"composite": composite.to_json_obj()})
     report.result = {"levels": levels}
-    return report
 
 
 # --- ord -------------------------------------------------------------------
 
-def cmd_ord(args) -> RunReport:
-    report = RunReport(
-        f"ord {args.ord_cmd} --complex {args.complex} --pres {args.pres} "
-        f"--p {args.p}")
+def cmd_ord(args, report: RunReport):
     complex_, h2 = _load(args.complex, report, complex_from_json, "complex")
     presentations = _load(args.pres, report, presentations_from_json, "presentation")
     _check_level(args.p, 1, complex_.max_level)
@@ -372,7 +356,7 @@ def cmd_ord(args) -> RunReport:
         vector = ord_vector(presentations, complex_, args.p)
     except ValueError as exc:
         report.add_check("cover_and_agree", False, {"error": str(exc)})
-        return report
+        return
     report.add_check("cover_and_agree", True)
     values = {label: str(v) for label, v in vector.values.items()}
     report.result = {"p": args.p, "values": values}
@@ -386,14 +370,11 @@ def cmd_ord(args) -> RunReport:
                          None if pull else witness)
         report.add_check("gysin_pushforward_vanishes", push,
                          None if push else witness)
-    return report
 
 
 # --- dolbeault -------------------------------------------------------------
 
-def cmd_dolbeault(args) -> RunReport:
-    report = RunReport(
-        f"dolbeault --complex {args.complex} --pres {args.pres} --p {args.p}")
+def cmd_dolbeault(args, report: RunReport):
     complex_, _ = _load(args.complex, report, complex_from_json, "complex")
     presentations = _load(args.pres, report, presentations_from_json, "presentation")
     try:
@@ -406,7 +387,7 @@ def cmd_dolbeault(args) -> RunReport:
     except ValueError as exc:
         report.add_check("presentations_cover_and_agree", False,
                          {"error": str(exc)})
-        return report
+        return
     report.add_check("presentations_cover_and_agree", True)
     failing = [
         {"top": top_label, "face": face, "value": str(value),
@@ -422,7 +403,6 @@ def cmd_dolbeault(args) -> RunReport:
         "ord": {label: str(v) for label, v in ladder.ord_values.items()},
         "comparisons": len(ladder.comparisons),
     }
-    return report
 
 
 # --- plumbing --------------------------------------------------------------
@@ -503,10 +483,29 @@ _parser = functools.cache(build_parser)
 
 def run(argv=None) -> tuple[int, str]:
     """Parse, execute, and render; returns (exit status, report text).  The
-    parser names the command function, looked up here at call time."""
-    args = _parser().parse_args(argv)
+    report's command is the line that reproduces it: the subcommand's words,
+    then each option that has a value, defaults included and --format left
+    out, shell-quoted, a value starting with "-" attached by "=", after
+    TROPMONO_MAX_DIM=<n> where the run needs it.  The parser names the
+    command function, looked up here at call time."""
+    leaf = _parser()
+    args = leaf.parse_args(argv)
+    while leaf._subparsers is not None:  # down to the subcommand's parser
+        sub = leaf._subparsers._group_actions[-1]
+        leaf = sub.choices[getattr(args, sub.dest)]
+    words = leaf.prog.split()[1:]
+    for action in leaf._actions:
+        value = getattr(args, action.dest, None)
+        if value is not None and action.dest != "format":
+            option, value = action.option_strings[0], str(value)
+            words += ([f"{option}={value}"] if value.startswith("-")
+                      else [option, value])
+    command = shlex.join(words)
+    if getattr(args, "n", 0) > DEFAULT_MAX_DIM:
+        command = f"TROPMONO_MAX_DIM={args.n} {command}"
+    report = RunReport(command, seed=getattr(args, "seed", None))
     try:
-        report = globals()[args.func](args)
+        globals()[args.func](args, report)
     except CliError as exc:
         return 2, f"error: {exc}\n"
     return report.exit_code, report.render(args.format)

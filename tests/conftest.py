@@ -2,7 +2,8 @@
 
 These deliberately reimplement small pieces of linear algebra and
 combinatorics from scratch so that the package under test is checked
-against something other than itself.
+against something other than itself.  The few helpers that several test
+modules share live here too.
 """
 
 from __future__ import annotations
@@ -10,8 +11,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import shlex
 from fractions import Fraction
 
+from tropmono.cli import run
 from tropmono.dual_complex import removal_sign
 from tropmono.library import cycle_complex, simplicial_presentations_from_tensors
 from tropmono.linalg import QMatrix
@@ -22,6 +25,21 @@ def json_digest(obj) -> str:
     digests in the suite are recorded with this function."""
     canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def replay(text: str, monkeypatch) -> tuple[int, str]:
+    """Rerun a report from its own command line, in the report's format:
+    (exit status, report text).  A leading NAME=value is set in the
+    environment through monkeypatch."""
+    if text.startswith("# command\t"):
+        fmt, command = "tsv", text[len("# command\t"):text.index("\n")]
+    else:
+        fmt, command = "json", json.loads(text)["command"]
+    words = shlex.split(command)
+    while "=" in words[0]:
+        name, value = words.pop(0).split("=", 1)
+        monkeypatch.setenv(name, value)
+    return run(words + ["--format", fmt])
 
 
 def cycle_presentations(m, weights, columns):

@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 from conftest import (dense_pullback, det_cofactor, is_zero, matmul,
-                      nerve_cohomology_dims, sort_sign)
+                      nerve_cohomology_dims, replay, sort_sign)
 from tropmono.cli import run
 from tropmono.dual_complex import (H2Model, complex_to_json, corner_monodromy,
                                    e2_p0, relation_composite, restriction_square,
@@ -220,7 +220,7 @@ def test_order_map_and_ladder():
     report("order map and descent ladder", ok, started, 30.0)
 
 
-def test_determinism(tmp_path):
+def test_determinism(tmp_path, monkeypatch):
     started = time.monotonic()
 
     def write(name, obj):
@@ -254,4 +254,7 @@ def test_determinism(tmp_path):
     second = [(code, text.encode("utf-8")) for code, text in map(run, suite)]
     ok = first == second
     ok = ok and all(code == 0 for code, _ in first)
+    # each report reruns from its own command line to the same bytes
+    ok = ok and all(replay(text.decode("utf-8"), monkeypatch)
+                    == (code, text.decode("utf-8")) for code, text in first)
     report("deterministic reports", ok, started)

@@ -1,13 +1,15 @@
+import argparse
 import hashlib
 import itertools
 import json
 import random
+import shlex
 
 import pytest
 
-from conftest import cycle_presentations, json_digest
-from tropmono import dual_complex
-from tropmono.cli import main, run
+from conftest import cycle_presentations, json_digest, replay
+from tropmono import cli, dual_complex
+from tropmono.cli import build_parser, main, run
 from tropmono.dual_complex import (SemistableCombinatorics, Stratum,
                                    complex_to_json, relabel_components,
                                    unit_h2)
@@ -945,6 +947,53 @@ def test_dimension_cap(monkeypatch):
     monkeypatch.setenv("TROPMONO_MAX_DIM", "0")
     code, text = run(["check", "superform", "--n", "1", "--cases", "1"])
     assert code == 2 and "at least 1" in text
+    # above the default cap the command names the cap the run needs, so
+    # the report does not depend on the variable, and the line replays
+    argv = ["check", "superform", "--n", "7", "--cases", "1", "--seed", "2"]
+    reports = set()
+    for raw in ("7", "9"):
+        monkeypatch.setenv("TROPMONO_MAX_DIM", raw)
+        reports.add(run(argv))
+    (code, text), = reports
+    assert code == 0 and json.loads(text)["command"] == \
+        "TROPMONO_MAX_DIM=7 check superform --n 7 --cases 1 --seed 2"
+    monkeypatch.delenv("TROPMONO_MAX_DIM")
+    assert replay(text, monkeypatch) == (code, text)
+
+
+def _leaves(parser):
+    """Every subcommand parser below parser."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                yield from _leaves(child)
+            return
+    yield parser
+
+
+@pytest.mark.parametrize("path, number", [("my dir/it's.json", "3"),
+                                          ("-x.json", "-3")])
+def test_every_option_round_trips_through_the_command(monkeypatch, path,
+                                                      number):
+    """Each subcommand, given every option, renders a command line that
+    parses back to the same arguments apart from --format.  The command
+    functions are stubbed, so only the rendering in run() is exercised."""
+    parser = build_parser()
+    leaves = list(_leaves(parser))
+    assert len(leaves) == 8
+    for leaf in leaves:
+        argv = leaf.prog.split()[1:]
+        for action in leaf._actions:
+            if action.dest not in ("help", "format"):
+                value = number if action.type is int else path
+                argv.append(f"{action.option_strings[0]}={value}")
+        args = parser.parse_args(argv + ["--format", "tsv"])
+        monkeypatch.setattr(cli, args.func, lambda args, report: None)
+        code, text = run(argv + ["--format", "tsv"])
+        assert code == 0
+        command = text.split("\n", 1)[0].removeprefix("# command\t")
+        again = parser.parse_args(shlex.split(command))
+        assert vars(again) == {**vars(args), "format": "json"}, command
 
 
 def test_tsv_format(tmp_path):

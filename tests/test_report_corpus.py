@@ -5,7 +5,8 @@ goes into one SHA-256 over (argv, format, exit status, report bytes).  The
 inputs come from the bundled library fixtures and the benchmark's fixture
 builders, written under fixed relative names so that the input paths and
 hashes inside the reports are fixed too.  A refactor that moves any byte of
-any report, a failure witness included, changes the digest.
+any report, a failure witness included, changes the digest.  Every report
+is also rerun from its own command line and must come back byte for byte.
 """
 
 import hashlib
@@ -15,10 +16,13 @@ import random
 import sys
 from fractions import Fraction
 
+import pytest
+
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench"))
 
 import fixtures  # noqa: E402
+from conftest import replay  # noqa: E402
 from tropmono.cli import run  # noqa: E402
 from tropmono.dual_complex import H2Model, complex_to_json  # noqa: E402
 from tropmono.library import (all_ones_h2, cycle_complex,  # noqa: E402
@@ -26,8 +30,9 @@ from tropmono.library import (all_ones_h2, cycle_complex,  # noqa: E402
                               simplicial_presentations_from_tensors,
                               tetrahedron_complex)
 
-# recorded before the order data was computed through one Cauchy-Binet step
-CORPUS_DIGEST = "27d8b09bdb09880010dc7450baa0ecee74e5ad2d4a94d38d5c9354818dec2e92"
+# recorded when every command line came to be rendered from the parsed
+# arguments, which added --p to the command of each `ss e2 --p k` report
+CORPUS_DIGEST = "998ee71fb2c3706365c826ff1cd89b8f0165ce65097e9b5ee4c3712885926358"
 # the larger ss inputs, recorded while the coboundary products were dense
 LARGE_SS_DIGEST = "2adb226f47857ace27cc28463f2397daea253196de7def9bf49363acf8e1d8ed"
 
@@ -234,33 +239,64 @@ def _large_orders(corpus: _Corpus):
                            pres_path, "--p", 1)
 
 
-def corpus_digest(parts=(_cycles, _boundaries, _ladders, _orders,
-                         _towers_and_batteries)) -> tuple[str, int]:
-    """(SHA-256 over every report, number of reports); writes its inputs
-    into the working directory."""
+def corpus_digest(parts) -> tuple[str, list]:
+    """(SHA-256 over every report, every (argv, format, exit status, report
+    text)); writes its inputs into the working directory."""
     corpus = _Corpus()
     for part in parts:
         part(corpus)
     digest = hashlib.sha256()
-    reports = 0
+    reports = []
     for argv in corpus.argvs:
         for fmt in ("json", "tsv"):
             code, text = run(argv + ["--format", fmt])
             head = json.dumps([argv, fmt, code]).encode("utf-8")
             digest.update(head + b"\0" + text.encode("utf-8") + b"\0")
-            reports += 1
+            reports.append((argv, fmt, code, text))
     return digest.hexdigest(), reports
 
 
-def test_report_corpus_is_unchanged(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    digest, reports = corpus_digest()
-    assert reports > 300
+def _run_corpus(tmp_path_factory, parts):
+    """(working directory, digest, reports) of one corpus, run once for the
+    digest test and the replay test alike."""
+    workdir = tmp_path_factory.mktemp("corpus")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(workdir)
+        return (workdir, *corpus_digest(parts))
+
+
+@pytest.fixture(scope="module")
+def report_corpus(tmp_path_factory):
+    return _run_corpus(tmp_path_factory, (_cycles, _boundaries, _ladders,
+                                          _orders, _towers_and_batteries))
+
+
+@pytest.fixture(scope="module")
+def large_ss_corpus(tmp_path_factory):
+    return _run_corpus(tmp_path_factory, (_large_validate, _large_orders))
+
+
+def test_report_corpus_is_unchanged(report_corpus):
+    _, digest, reports = report_corpus
+    assert len(reports) == 364
     assert digest == CORPUS_DIGEST
 
 
-def test_large_ss_corpus_is_unchanged(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    digest, reports = corpus_digest((_large_validate, _large_orders))
-    assert reports == 142
+def test_large_ss_corpus_is_unchanged(large_ss_corpus):
+    _, digest, reports = large_ss_corpus
+    assert len(reports) == 142
     assert digest == LARGE_SS_DIGEST
+
+
+@pytest.mark.parametrize("name, replayed", [("report_corpus", 364),
+                                            ("large_ss_corpus", 78)])
+def test_every_report_replays_from_its_command(request, monkeypatch, name,
+                                                replayed):
+    workdir, _, reports = request.getfixturevalue(name)
+    monkeypatch.chdir(workdir)
+    # exit status 2 prints an error, not a report, so it names no command
+    runs = [(argv, fmt, code, text) for argv, fmt, code, text in reports
+            if code != 2]
+    assert len(runs) == replayed
+    for argv, fmt, code, text in runs:
+        assert replay(text, monkeypatch) == (code, text), (argv, fmt)
