@@ -91,8 +91,8 @@ class _Terms:
         items = terms.items() if isinstance(terms, Mapping) else terms
         for raw, coeff in items:
             _accumulate(cleaned, self._key(nvars, raw), self._coeff(nvars, coeff))
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", cleaned)
+        _set_nvars(self, nvars)
+        _set_terms(self, cleaned)
 
     @staticmethod
     def _coeff(nvars: int, coeff: "Poly") -> "Poly":
@@ -103,10 +103,11 @@ class _Terms:
     @classmethod
     def _made(cls, nvars: int, terms: dict):
         """The trusted route: wraps terms unchecked, so its keys must be
-        valid and its coefficients nonzero."""
+        valid and its coefficients nonzero.  The slots' own setters (bound
+        once, below) fill it past __setattr__, which refuses everything."""
         out = cls.__new__(cls)
-        object.__setattr__(out, "nvars", nvars)
-        object.__setattr__(out, "terms", terms)
+        _set_nvars(out, nvars)
+        _set_terms(out, terms)
         return out
 
     def __setattr__(self, name, value):
@@ -153,6 +154,9 @@ class _Terms:
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
+
+
+_set_nvars, _set_terms = _Terms.nvars.__set__, _Terms.terms.__set__
 
 
 class Poly(_Terms):

@@ -1,7 +1,11 @@
 """Seeded random inputs for the property suites.
 
 Everything takes an explicit random.Random so that command line reports are
-reproducible byte for byte.
+reproducible byte for byte.  The superform battery's draws (rand_fraction,
+rand_poly, rand_superform, rand_superform_mixed, rand_affine_map) run on one
+kernel over the public getrandbits that reproduces random.Random's choice,
+randint, randrange and sample(range(n), k) word for word; the kernel and
+oracle tests in tests/test_randgen.py pin values and getstate() against them.
 """
 
 from __future__ import annotations
@@ -9,6 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import ceil, log
 
 from .forms import AffineMap, Superform
 from .linalg import QMatrix
@@ -16,32 +21,62 @@ from .poly import Poly, _accumulate
 from .simplex import SimplexForm
 
 
-# _FRACTIONS[a + 4][b - 1] is Fraction(a, b) for a in -4..4 and b in 1..3.
-# choice(seq) draws seq[_randbelow(len(seq))] and randint(lo, hi) draws
-# lo + _randbelow(hi - lo + 1), so choice over a table or a range consumes
-# the stream exactly as randint over the same values does.
+# _FRACTIONS[a + 4][b - 1] is Fraction(a, b) for a in -4..4 and b in 1..3,
+# picked by two kernel draws (a row, then an entry), which consume the
+# stream exactly as randint(-4, 4) and randint(1, 3) do.
 _FRACTIONS = tuple(tuple(Fraction(a, b) for b in range(1, 4))
                    for a in range(-4, 5))
-_TERM_COUNTS = (1, 2, 3)
+
+
+def _below(bits, n: int) -> int:
+    """random.Random._randbelow(n) from bits, the stream's getrandbits:
+    k = n.bit_length() bits, drawn again while they read n or more."""
+    if n < 1:
+        raise ValueError("nothing to draw below 1")
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _sample(bits, n: int, k: int) -> list[int]:
+    """random.Random.sample(range(n), k) in selection order, by its own two
+    branches: a pool swap when range(n) is no larger than the set it would
+    track, else redraws of the values already chosen."""
+    if not 0 <= k <= n:
+        raise ValueError("sample larger than population or is negative")
+    if n > 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0):
+        chosen: dict = {}  # a redraw of a chosen value keeps its place
+        while len(chosen) < k:
+            chosen[_below(bits, n)] = None
+        return list(chosen)
+    pool, out = list(range(n)), []
+    for m in range(n, n - k, -1):
+        j = _below(bits, m)
+        out.append(pool[j])
+        pool[j] = pool[m - 1]
+    return out
 
 
 def rand_fraction(rng: random.Random) -> Fraction:
-    return rng.choice(rng.choice(_FRACTIONS))
+    return _FRACTIONS[_below(rng.getrandbits, 9)][_below(rng.getrandbits, 3)]
 
 
 def rand_poly(rng: random.Random, nvars: int, max_degree: int = 2) -> Poly:
     if max_degree < 0:
         raise ValueError("max_degree must be at least 0")
-    choice, degrees, variables = rng.choice, range(max_degree + 1), range(nvars)
+    bits = rng.getrandbits
     terms: dict = {}
-    for _ in range(choice(_TERM_COUNTS)):
+    for _ in range(1 + _below(bits, 3)):
         exps = [0] * nvars
-        degree = choice(degrees)
+        degree = _below(bits, max_degree + 1)
         if degree and nvars < 1:
             raise ValueError("no variable to raise to a positive degree")
         for _ in range(degree):
-            exps[choice(variables)] += 1
-        _accumulate(terms, tuple(exps), choice(choice(_FRACTIONS)))
+            exps[_below(bits, nvars)] += 1
+        _accumulate(terms, tuple(exps),
+                    _FRACTIONS[_below(bits, 9)][_below(bits, 3)])
     return Poly._made(nvars, terms)
 
 
@@ -49,10 +84,11 @@ def rand_superform(rng: random.Random, nvars: int, p: int, q: int) -> Superform:
     """Homogeneous (p, q) form with one or two random monomials."""
     if p > nvars or q > nvars:
         raise ValueError("block degree exceeds the dimension")
+    bits = rng.getrandbits
     terms: dict = {}
-    for _ in range(rng.randint(1, 2)):
-        dpr = tuple(sorted(rng.sample(range(nvars), p)))
-        dsec = tuple(sorted(rng.sample(range(nvars), q)))
+    for _ in range(1 + _below(bits, 2)):
+        dpr = tuple(sorted(_sample(bits, nvars, p)))
+        dsec = tuple(sorted(_sample(bits, nvars, q)))
         _accumulate(terms, (dpr, dsec), rand_poly(rng, nvars))
     return Superform._made(nvars, terms)
 
@@ -61,8 +97,8 @@ def rand_superform_mixed(rng: random.Random, nvars: int,
                          pieces: int = 2) -> Superform:
     terms: dict = {}
     for _ in range(pieces):
-        p = rng.randint(0, nvars)
-        q = rng.randint(0, nvars)
+        p = _below(rng.getrandbits, nvars + 1)
+        q = _below(rng.getrandbits, nvars + 1)
         for key, f in rand_superform(rng, nvars, p, q).terms.items():
             _accumulate(terms, key, f)
     return Superform._made(nvars, terms)
@@ -75,9 +111,9 @@ def rand_affine_map(rng: random.Random, source: int, target: int,
     rows = [[rand_fraction(rng) for _ in range(source)] for _ in range(target)]
     if rank_deficient and target >= 1:
         if target == 1 or rng.random() < 0.25:
-            rows[rng.randrange(target)] = [Fraction(0)] * source
+            rows[_below(rng.getrandbits, target)] = [Fraction(0)] * source
         else:
-            i, j = rng.sample(range(target), 2)
+            i, j = _sample(rng.getrandbits, target, 2)
             mult = rand_fraction(rng)
             rows[i] = [mult * x for x in rows[j]]
     translation = [rand_fraction(rng) for _ in range(target)]

@@ -2,7 +2,8 @@
 
 A report is a plain dict rendered either as JSON (sorted keys, fixed
 indentation) or as a tab separated table, so identical inputs and seeds
-yield identical bytes.
+yield identical bytes.  TSV writes each backslash, tab, CR and LF of the
+command and input paths as a backslash and one of backslash, t, r, n.
 """
 
 from __future__ import annotations
@@ -10,6 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 from typing import Optional
+
+_TSV_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\r": "\\r",
+                              "\n": "\\n"})
 
 
 class RunReport:
@@ -53,9 +57,10 @@ class RunReport:
         if fmt == "json":
             return json.dumps(self.to_obj(), sort_keys=True, indent=2) + "\n"
         if fmt == "tsv":
-            lines = [f"# command\t{self.command}"]
+            lines = [f"# command\t{self.command.translate(_TSV_ESCAPES)}"]
             for entry in self.inputs:
-                lines.append(f"# input\t{entry['path']}\t{entry['sha256']}")
+                path = entry["path"].translate(_TSV_ESCAPES)
+                lines.append(f"# input\t{path}\t{entry['sha256']}")
             if self.seed is not None:
                 lines.append(f"# seed\t{self.seed}")
             for check in self.checks:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import re
 import shlex
 from fractions import Fraction
 
@@ -27,12 +28,22 @@ def json_digest(obj) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+_TSV_UNESCAPES = {"\\": "\\", "t": "\t", "r": "\r", "n": "\n"}
+
+
+def tsv_field(field: str) -> str:
+    """A TSV report field as it was before the report escaped its
+    backslashes, tabs, CRs and LFs."""
+    return re.sub(r"\\(.)", lambda m: _TSV_UNESCAPES[m.group(1)], field)
+
+
 def replay(text: str, monkeypatch) -> tuple[int, str]:
     """Rerun a report from its own command line, in the report's format:
     (exit status, report text).  A leading NAME=value is set in the
     environment through monkeypatch."""
     if text.startswith("# command\t"):
-        fmt, command = "tsv", text[len("# command\t"):text.index("\n")]
+        fmt = "tsv"
+        command = tsv_field(text[len("# command\t"):text.index("\n")])
     else:
         fmt, command = "json", json.loads(text)["command"]
     words = shlex.split(command)

@@ -7,7 +7,7 @@ import shlex
 
 import pytest
 
-from conftest import cycle_presentations, json_digest, replay
+from conftest import cycle_presentations, json_digest, replay, tsv_field
 from tropmono import cli, dual_complex
 from tropmono.cli import build_parser, main, run
 from tropmono.dual_complex import (SemistableCombinatorics, Stratum,
@@ -1004,6 +1004,21 @@ def test_tsv_format(tmp_path):
     assert lines[0].startswith("# command\t")
     assert any(line.startswith("# input\t") for line in lines)
     assert "restriction_squares_to_zero[p=0]\tpass" in text
+
+
+def test_tsv_report_keeps_one_line_per_field(tmp_path, monkeypatch):
+    # a newline, a tab, a CR and a backslash in the path: the first line
+    # holds the whole command, the second the whole input line
+    path = write_json(tmp_path / "c\n3\t\r\\x.json",
+                      complex_to_json(cycle_complex(3)))
+    argv = ["ss", "e2", "--input", path]
+    code, text = run(argv + ["--format", "tsv"])
+    assert code == 0
+    command, source = (line.split("\t") for line in text.splitlines()[:2])
+    assert [tsv_field(field) for field in command] == \
+        ["# command", json.loads(run(argv)[1])["command"]]
+    assert [tsv_field(field) for field in source[:2]] == ["# input", path]
+    assert replay(text, monkeypatch) == (code, text)
 
 
 def test_main_routes_output(tmp_path, capsys):

@@ -100,6 +100,26 @@ def test_random_draws_are_well_formed():
         assert_trusted(rand_poly_simplex_form(rng, n, degree), n)
 
 
+def test_made_matches_the_validating_constructor():
+    rng = random.Random(2207)
+    for case in range(300):
+        n = rng.randint(1, 5)
+        for cls, draw in ((Poly, lambda: rand_poly(rng, n, rng.randint(0, 3))),
+                          (Superform, lambda: rand_superform_mixed(rng, n)),
+                          (SimplexForm, lambda: rand_poly_simplex_form(
+                              rng, n, rng.randint(0, n)))):
+            terms = {} if case % 10 == 0 else dict(draw().terms)
+            made = cls._made(n, terms)
+            built = cls(n, terms)
+            assert type(made) is cls and made.nvars == n
+            assert made.terms is terms
+            assert _Terms.__eq__(made, built) and made == built
+            assert hash(made) == hash(built)
+            for name in ("nvars", "terms", "other"):
+                with pytest.raises(AttributeError):
+                    setattr(made, name, built.terms)
+
+
 def _substituted(p, subs, target):
     """p with subs[i] for x_i, through validated constructors and repeated
     products only."""
