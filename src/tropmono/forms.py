@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect
 from typing import Sequence
 
-from .linalg import QMatrix, as_fraction, shuffle_sign
+from .linalg import QMatrix, _Frozen, as_fraction, shuffle_sign
 from .poly import Poly, _accumulate, _derivative, _index_tuple, _Terms
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
@@ -134,7 +134,7 @@ class Superform(_Terms):
         return " + ".join(bits)
 
 
-class AffineMap:
+class AffineMap(_Frozen):
     """x = A y + b from R^(source) to R^(target); A is target x source.  Its
     substitutes and block minors are built once, for every pullback."""
 
@@ -152,9 +152,6 @@ class AffineMap:
             Poly.affine(matrix.ncols, matrix.row(i), t)
             for i, t in enumerate(translation)))
         object.__setattr__(self, "_minors", {(): {(): 1}})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffineMap is immutable")
 
     @property
     def source_dim(self) -> int:

@@ -12,7 +12,8 @@ on the order of elimination.  ``Echelon.add`` keeps a sparse vector only
 when it raises the rank, so feeding candidates in scan order selects the
 first independent ones and repeated runs yield byte-identical bases.  det
 alone takes a dense ``QMatrix``, and feeds its rows through the same
-routine.
+routine.  The value types here and in poly, forms and simplex refuse
+assignment and deletion through one private base, ``_Frozen``.
 """
 
 from __future__ import annotations
@@ -99,7 +100,19 @@ def shuffle_sign(a: Sequence[int], b: Sequence[int]):
     return (-1 if inv % 2 else 1), tuple(out)
 
 
-class QMatrix:
+class _Frozen:
+    """Base of the value types: slots filled once, by object.__setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class QMatrix(_Frozen):
     """Immutable dense matrix over Fraction, for data that is a dense matrix:
     an affine map, a printed comparison matrix or a failure witness.  Rows
     may be empty; pass ncols explicitly for matrices with zero rows."""
@@ -120,9 +133,6 @@ class QMatrix:
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "nrows", len(data))
         object.__setattr__(self, "ncols", ncols)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QMatrix is immutable")
 
     def __getitem__(self, idx):
         i, j = idx

@@ -6,13 +6,13 @@ the package needs: ring arithmetic, partial derivatives, substitution of
 polynomials for variables, and exact integration of the last variable over
 the unit interval.
 
-The same immutable sparse container also carries Superform (forms) and
-SimplexForm (simplex): the private base _Terms owns construction, addition,
-negation, scaling, equality and hashing, _accumulate() is the one zero-dropping
-sum into a term dict and _derivative() the one exterior derivative loop (one
-walk over each coefficient; no operator calls the public Poly.derivative).
-Each subclass supplies only its key and coefficient checks and its own
-operations.
+The same sparse container also carries Superform (forms) and SimplexForm
+(simplex): the private base _Terms, immutable through linalg's _Frozen (no
+assignment, no deletion), owns construction, addition, negation, scaling,
+equality and hashing, _accumulate() is the one zero-dropping sum into a term
+dict and _derivative() the one exterior derivative loop (one walk over each
+coefficient; no operator calls the public Poly.derivative).  Each subclass
+supplies only its key and coefficient checks and its own operations.
 Validation happens once, where outside input enters: Poly(...), Superform(...)
 and SimplexForm(...) check every key and coefficient, while code that builds
 clean terms itself (operators, const/variable/affine, substitution, randgen)
@@ -25,8 +25,9 @@ from bisect import bisect
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from operator import add
+from types import MappingProxyType
 
-from .linalg import as_fraction
+from .linalg import _Frozen, as_fraction
 
 
 def _index_tuple(indices, size: int) -> tuple[int, ...]:
@@ -77,7 +78,7 @@ def _derivative(form, block, crossed=None):
     return form._made(form.nvars, acc)
 
 
-class _Terms:
+class _Terms(_Frozen):
     """Immutable sparse map from keys to nonzero coefficients, tied to a
     number of variables: the container under Poly, Superform and
     SimplexForm.  The constructor validates raw input through the
@@ -86,10 +87,9 @@ class _Terms:
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping = ()):
+    def __init__(self, nvars: int, terms: Mapping = MappingProxyType({})):
         cleaned: dict = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for raw, coeff in items:
+        for raw, coeff in terms.items():
             _accumulate(cleaned, self._key(nvars, raw), self._coeff(nvars, coeff))
         _set_nvars(self, nvars)
         _set_terms(self, cleaned)
@@ -104,14 +104,11 @@ class _Terms:
     def _made(cls, nvars: int, terms: dict):
         """The trusted route: wraps terms unchecked, so its keys must be
         valid and its coefficients nonzero.  The slots' own setters (bound
-        once, below) fill it past __setattr__, which refuses everything."""
+        once, below) fill it past _Frozen, which refuses every assignment."""
         out = cls.__new__(cls)
         _set_nvars(out, nvars)
         _set_terms(out, terms)
         return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def zero(cls, nvars: int):

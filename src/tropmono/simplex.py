@@ -23,13 +23,13 @@ from bisect import bisect
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .linalg import as_fraction
+from .linalg import _Frozen, as_fraction
 from .poly import Poly, _accumulate, _derivative, _index_tuple, _Terms
 
 IndexTuple = tuple[int, ...]
 
 
-class SimplexContext:
+class SimplexContext(_Frozen):
     """Vertex bookkeeping for the simplex with vertices e_0 .. e_n, with
     the memos of its barycenters and of its basis towers (tower_top)."""
 
@@ -41,9 +41,6 @@ class SimplexContext:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_points", {})
         object.__setattr__(self, "_tops", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SimplexContext is immutable")
 
     def barycenter(self, subset: Sequence[int]) -> tuple[Fraction, ...]:
         subset = _index_tuple(subset, self.n + 1)
@@ -253,7 +250,7 @@ class SimplexForm(_Terms):
                 for k in sorted(self.terms)]
 
 
-class SimplexCochain:
+class SimplexCochain(_Frozen):
     """Values fn(J) on every vertex subset J of a fixed size r+1, made in
     itertools.combinations order: complete by construction, keyed by the
     increasing tuples it generated.  A cochain that is differentiated
@@ -269,9 +266,6 @@ class SimplexCochain:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "values", {
             J: fn(J) for J in itertools.combinations(range(n + 1), degree + 1)})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SimplexCochain is immutable")
 
     def __getitem__(self, subset: Sequence[int]) -> object:
         return self.values[tuple(subset)]
@@ -310,14 +304,19 @@ def integrate_cochain(ctx: SimplexContext, cochain: SimplexCochain) -> SimplexCo
         lambda J, form: form.ray_integrate(ctx._point(J)))
 
 
-def _tower_input(ctx: SimplexContext, beta: SimplexForm, p: int) -> SimplexForm:
-    """The canonical form of a tower's input, after its checks."""
-    if not 1 <= p <= ctx.n:
-        raise ValueError("need 1 <= p <= n")
+def _check_p_form(ctx: SimplexContext, beta: SimplexForm, p: int) -> None:
+    """Refuse a form off this simplex, then one that is not a p-form."""
     if beta.nvars != ctx.n + 1:
         raise ValueError("form does not live on this simplex")
     if beta.degrees() not in ({p}, set()):
         raise ValueError("form must be homogeneous of the stated degree")
+
+
+def _tower_input(ctx: SimplexContext, beta: SimplexForm, p: int) -> SimplexForm:
+    """The canonical form of a tower's input, after its checks."""
+    if not 1 <= p <= ctx.n:
+        raise ValueError("need 1 <= p <= n")
+    _check_p_form(ctx, beta, p)
     canon = beta.canonical()
     if not all(f.is_constant() for f in canon.terms.values()):
         raise ValueError("form must have constant coefficients on the simplex")
@@ -370,10 +369,7 @@ def star_closed_form(ctx: SimplexContext, beta: SimplexForm, p: int, r: int,
     subset = _index_tuple(subset, n + 1)
     if len(subset) != r + 1:
         raise ValueError("subset size must be r + 1")
-    if beta.nvars != n + 1:
-        raise ValueError("form does not live on this simplex")
-    if beta.degrees() not in ({p}, set()):
-        raise ValueError("form must be homogeneous of the stated degree")
+    _check_p_form(ctx, beta, p)
     acc: dict[IndexTuple, Poly] = {}
     for indices, f in beta.terms.items():
         for j in range(r + 1):

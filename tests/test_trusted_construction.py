@@ -15,6 +15,7 @@ import pytest
 
 from tropmono import order_map
 from tropmono.forms import AffineMap, Superform
+from tropmono.linalg import QMatrix
 from tropmono.library import (cycle_complex,
                               simplicial_presentations_from_tensors,
                               tetrahedron_complex)
@@ -22,7 +23,8 @@ from tropmono.poly import Poly, _Terms
 from tropmono.randgen import (rand_affine_map, rand_constant_simplex_form,
                               rand_fraction, rand_poly, rand_poly_simplex_form,
                               rand_superform, rand_superform_mixed)
-from tropmono.simplex import SimplexContext, SimplexForm, tower_top
+from tropmono.simplex import (SimplexCochain, SimplexContext, SimplexForm,
+                              tower_top)
 
 
 def revalidated(x):
@@ -116,8 +118,71 @@ def test_made_matches_the_validating_constructor():
             assert _Terms.__eq__(made, built) and made == built
             assert hash(made) == hash(built)
             for name in ("nvars", "terms", "other"):
-                with pytest.raises(AttributeError):
+                with pytest.raises(AttributeError, match="is immutable"):
                     setattr(made, name, built.terms)
+                with pytest.raises(AttributeError, match="is immutable"):
+                    delattr(made, name)
+            assert made + made == built + built
+            assert hash(made) == hash(built)
+
+
+def _matrix():
+    m = QMatrix([[1, Fraction(1, 2)], [0, -3]])
+
+    def use():
+        assert m.to_json_obj() == [["1", "1/2"], ["0", "-3"]]
+        return [m]
+    return m, use
+
+
+def _affine_map():
+    # x0 = 2 y0 + 1, x1 = y0 + y1 pulls x1 d'x0 ^ d''x1 back to
+    # 2 (y0 + y1) d'y0 ^ (d''y0 + d''y1)
+    phi = AffineMap(QMatrix([[2, 0], [1, 1]]), [1, 0])
+
+    def use():
+        got = phi.pullback(Superform.monomial(2, (0,), (1,), Poly.variable(2, 1)))
+        coeff = 2 * Poly.affine(2, [1, 1], 0)
+        assert got == Superform(2, {((0,), (0,)): coeff, ((0,), (1,)): coeff})
+        return [phi, phi.matrix, got, coeff]
+    return phi, use
+
+
+def _context():
+    ctx = SimplexContext(2)
+
+    def use():
+        half = Fraction(1, 2)
+        assert ctx.barycenter((0, 2)) == (half, 0, half)
+        return [ctx]
+    return ctx, use
+
+
+def _cochain():
+    cochain = SimplexCochain(2, 1, lambda J: SimplexForm.monomial(3, J, 1))
+
+    def use():
+        form = cochain[(0, 2)]
+        assert form.raw_equal(SimplexForm.monomial(3, (0, 2), 1))
+        return [cochain, form, *form.terms.values()]
+    return cochain, use
+
+
+@pytest.mark.parametrize("build", [_matrix, _affine_map, _context, _cochain])
+def test_value_types_refuse_assignment_and_deletion(build):
+    """Every slot, and a name that is not one, can be neither set nor
+    deleted, and the value keeps working afterwards.  No value of the seven
+    types (these four, and the Poly, Superform and SimplexForm they yield)
+    has a __dict__."""
+    value, use = build()
+    refused = f"{type(value).__name__} is immutable"
+    for name in (*type(value).__slots__, "other"):
+        with pytest.raises(AttributeError, match=refused):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError, match=refused):
+            delattr(value, name)
+    for x in use():
+        assert not hasattr(x, "__dict__"), type(x).__name__
 
 
 def _substituted(p, subs, target):
