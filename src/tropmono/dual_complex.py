@@ -21,7 +21,7 @@ import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import linalg
 from .linalg import QMatrix, Vector, _rational, as_fraction
@@ -67,8 +67,8 @@ class SemistableCombinatorics:
     """Validated stratum poset.  Level 0 bijects with the components; higher
     strata name all their one-step degenerations."""
 
-    def __init__(self, components: Sequence[str], strata: Sequence[Stratum]):
-        components = tuple(components)
+    def __init__(self, components: Iterable[str], strata: Iterable[Stratum]):
+        components, strata = tuple(components), tuple(strata)
         if any(not isinstance(c, str) for c in components):
             raise ValueError("components must be strings")
         if len(set(components)) != len(components):

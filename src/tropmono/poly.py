@@ -9,14 +9,16 @@ the unit interval.
 The same sparse container also carries Superform (forms) and SimplexForm
 (simplex): the private base _Terms, immutable through linalg's _Frozen (no
 assignment, no deletion), owns construction, addition, negation, scaling,
-equality and hashing, _accumulate() is the one zero-dropping sum into a term
-dict and _derivative() the one exterior derivative loop (one walk over each
-coefficient; no operator calls the public Poly.derivative).  Each subclass
-supplies only its key and coefficient checks and its own operations.
-Validation happens once, where outside input enters: Poly(...), Superform(...)
-and SimplexForm(...) check every key and coefficient, while code that builds
-clean terms itself (operators, const/variable/affine, substitution, randgen)
-wraps them unchecked through the one trusted route, _made.
+and the one equality and hash of all three, on the stored terms (SimplexForm
+compares on the simplex only by name).  _accumulate() is the one
+zero-dropping sum into a term dict and _derivative() the one exterior
+derivative loop (one walk over each coefficient; no operator calls the
+public Poly.derivative).  Each subclass supplies only its key and
+coefficient checks and its own operations.  Validation happens once, where
+outside input enters: Poly(...), Superform(...) and SimplexForm(...) check
+every key and coefficient, while code that builds clean terms itself
+(operators, const/variable/affine, substitution, randgen) wraps them
+unchecked through the one trusted route, _made.
 """
 
 from __future__ import annotations

@@ -6,10 +6,10 @@ the same form on the simplex when they differ by a multiple of (sum(x) - 1)
 or by d(sum(x)) wedge anything.  Substituting the pivot coordinate away
 (x_pivot = 1 - rest, dx_pivot = -sum of the rest) produces a normal form in
 the surviving coordinates, so equality on the simplex is decidable by
-comparing canonical representatives.  A SimplexForm stores its terms in the
-shared sparse container of poly (keys are index tuples, coefficients Poly),
-but == and hash compare on the simplex, through canonical(); raw_equal and
-is_zero_raw compare the stored terms.
+comparing canonical representatives: equal_on_simplex and
+is_zero_on_simplex.  A SimplexForm stores its terms in the shared sparse
+container of poly (keys are index tuples, coefficients Poly), and ==, hash,
+is_zero() and bool() read those stored terms, as for Poly and Superform.
 
 Integration along rays from a base point is exact: coefficients stay
 polynomial with rational coefficients throughout.
@@ -62,8 +62,9 @@ class SimplexContext(_Frozen):
 class SimplexForm(_Terms):
     """Ambient polynomial form on R^(n+1), considered up to the simplex
     relation.  Terms map strictly increasing index tuples to Poly
-    coefficients in the n+1 ambient variables.  is_zero() and bool(), like
-    is_zero_raw, read the stored terms; see is_zero_on_simplex."""
+    coefficients in the n+1 ambient variables.  ==, hash, is_zero() and
+    bool() read the stored terms; equal_on_simplex and is_zero_on_simplex
+    compare on the simplex."""
 
     __slots__ = ()
 
@@ -79,11 +80,6 @@ class SimplexForm(_Terms):
 
     def degrees(self) -> set[int]:
         return {len(k) for k in self.terms}
-
-    # comparisons of the stored terms; ==, hash and is_zero_on_simplex
-    # compare on the simplex instead
-    raw_equal = _Terms.__eq__
-    is_zero_raw = _Terms.is_zero
 
     def exterior_derivative(self) -> "SimplexForm":
         return _derivative(self, None)
@@ -211,12 +207,10 @@ class SimplexForm(_Terms):
         return self._made(self.nvars, acc)
 
     def equal_on_simplex(self, other: "SimplexForm") -> bool:
-        if self.nvars != other.nvars:
-            return False
-        return self.canonical().terms == other.canonical().terms
+        return self.canonical() == other.canonical()
 
     def is_zero_on_simplex(self) -> bool:
-        return not self.canonical().terms
+        return self.canonical().is_zero()
 
     def is_constant_on_simplex(self) -> bool:
         return all(f.is_constant() for f in self.canonical().terms.values())
@@ -229,12 +223,6 @@ class SimplexForm(_Terms):
         if set(canon.terms) != {()} or not canon.terms[()].is_constant():
             raise ValueError("form is not a constant function on the simplex")
         return canon.terms[()].constant_value()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SimplexForm) and self.equal_on_simplex(other)
-
-    def __hash__(self):
-        return _Terms.__hash__(self.canonical())
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -8,7 +8,7 @@ import shlex
 import pytest
 
 from conftest import cycle_presentations, json_digest, replay, tsv_field
-from tropmono import cli, dual_complex
+from tropmono import cli, dual_complex, order_map
 from tropmono.cli import build_parser, main, run
 from tropmono.dual_complex import (SemistableCombinatorics, Stratum,
                                    complex_to_json, relabel_components,
@@ -19,6 +19,9 @@ from tropmono.library import (all_ones_h2, cycle_complex,
                               cycle_validation_h2, point_complex,
                               simplicial_presentations_from_tensors,
                               tetrahedron_complex)
+from tropmono.linalg import QMatrix
+from tropmono.poly import Poly
+from tropmono.simplex import SimplexCochain, SimplexForm, star_closed_form
 
 
 def write_json(path, obj):
@@ -251,6 +254,98 @@ def test_superform_battery_under_faults_pinned(monkeypatch):
                 code, text = run(argv)
                 digest.update(json.dumps([name, argv, code, text]).encode())
     assert digest.hexdigest() == PINNED_BATTERY_FAULTS
+
+
+def failed_checks(argv):
+    """Exit status 1 and the failing checks' witnesses, by check name."""
+    code, text = run(argv)
+    assert code == 1
+    obj = json.loads(text)
+    assert obj["exitCode"] == 1
+    return {c["name"]: c["witness"] for c in obj["checks"]
+            if c["status"] == "fail"}
+
+
+def _starprop_stage_fault(ctx, beta, p, r, subset):
+    """Below the top, the direct stage doubled."""
+    out = star_closed_form(ctx, beta, p, r, subset)
+    return out * 2 if r < p else out
+
+
+def _starprop_face_fault(ctx, beta, p, r, subset):
+    """At the top, a face row through vertex 0 that is not constant on the
+    simplex, and every other face row off by one."""
+    out = star_closed_form(ctx, beta, p, r, subset)
+    if r < p:
+        return out
+    nvars = ctx.n + 1
+    extra = Poly.variable(nvars, 1) if subset[0] == 0 else Poly.const(nvars, 1)
+    return out + SimplexForm.monomial(nvars, (), extra)
+
+
+@pytest.mark.parametrize("fault, stages, rows", [
+    (_starprop_stage_fault, 5, 0), (_starprop_face_fault, 0, 15)])
+def test_starprop_witnesses_under_faults(monkeypatch, fault, stages, rows):
+    # five forms (three basis, two random) with three face rows each
+    monkeypatch.setattr(cli, "star_closed_form", fault)
+    failed = failed_checks(["simplex", "starprop", "--n", "2", "--p", "1"])
+    stage = [v for k, v in failed.items() if k.startswith("stages[")]
+    row = [v for k, v in failed.items() if k.startswith("match[")]
+    assert (len(stage), len(row)) == (stages, rows)
+    for witness in stage:
+        assert set(witness) == {"r", "subset", "recursion", "direct"}
+        assert witness["r"] == 0 and witness["recursion"] != witness["direct"]
+    for witness in row:
+        assert set(witness) == {"subset", "value", "direct"}
+        # a face row through vertex 0 takes the non-constant branch
+        assert (witness["subset"][0] == 0) == any(
+            set(term["coeff"]) != {"0,0,0"} for term in witness["direct"])
+
+
+def test_ss_e2_squares_witness_under_a_fault(tmp_path, monkeypatch):
+    monkeypatch.setattr(dual_complex, "restriction_square",
+                        lambda complex_, p: QMatrix([[p + 1]]))
+    path = write_json(tmp_path / "tetra.json",
+                      complex_to_json(tetrahedron_complex()))
+    failed = failed_checks(["ss", "e2", "--input", path])
+    assert failed == {f"restriction_squares_to_zero[p={p}]":
+                      {"composite": [[str(p + 1)]]} for p in (0, 1)}
+
+
+def test_ss_monodromy_corner_refusal_under_a_fault(tmp_path, monkeypatch):
+    def refused(complex_, h2, p):
+        raise RuntimeError("corner image leaves the restriction kernel")
+
+    monkeypatch.setattr(dual_complex, "corner_monodromy", refused)
+    path = write_json(tmp_path / "c5.json", complex_to_json(cycle_complex(5)))
+    code, text = run(["ss", "monodromy", "--input", path, "--p", "1"])
+    assert code == 1
+    obj = json.loads(text)
+    assert obj["checks"] == [{
+        "name": "corner_inside_restriction_kernel", "status": "fail",
+        "witness": {"error": "corner image leaves the restriction kernel"}}]
+    assert "result" not in obj
+
+
+def test_dolbeault_mismatch_list_under_a_fault(tmp_path, monkeypatch):
+    real = order_map.tower_top
+
+    def shifted(ctx, beta, p):
+        """The top cochain, one off at the first face."""
+        top = real(ctx, beta, p)
+        first = min(top.values)
+        return SimplexCochain(ctx.n, p, lambda J: top.values[J] + (J == first))
+
+    monkeypatch.setattr(order_map, "tower_top", shifted)
+    complex_path, pres_path = cycle_files(tmp_path, 5)
+    failed = failed_checks(["dolbeault", "--complex", complex_path,
+                            "--pres", pres_path, "--p", "1"])
+    assert list(failed) == ["tower_closes_on_order"]
+    mismatches = failed["tower_closes_on_order"]["mismatches"]
+    assert len(mismatches) == 5  # one per top stratum
+    for entry in mismatches:
+        assert set(entry) == {"top", "face", "value", "expected"}
+        assert entry["value"] != entry["expected"]
 
 
 

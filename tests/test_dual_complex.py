@@ -591,6 +591,27 @@ def test_construction_validation():
         assert str(err.value) == message
 
 
+@pytest.mark.parametrize("make", [lambda: cycle_complex(3), tetrahedron_complex],
+                         ids=["cycle3", "tetrahedron"])
+def test_strata_may_come_as_an_iterator(make):
+    """The poset walks its strata several times, so a generator must give
+    the poset a list gives: before, it was spent after the first walk and
+    level 0 was refused."""
+    cx = make()
+    strata = [s for lvl in range(cx.max_level + 1) for s in cx.level(lvl)]
+    listed = SemistableCombinatorics(cx.components, strata)
+    streamed = SemistableCombinatorics(iter(cx.components),
+                                       (s for s in strata))
+    assert streamed.components == listed.components
+    assert streamed.max_level == listed.max_level
+    for lvl in range(listed.max_level + 1):
+        assert streamed.level(lvl) == listed.level(lvl)
+    for s in strata:
+        assert streamed.children(s.label) == listed.children(s.label)
+        assert streamed.stratum_by_index_set(s.index_set) is s
+    assert streamed.index_sets_unique() and listed.index_sets_unique()
+
+
 # the per-stratum rules of the poset, one scan each and in their order: the
 # oracle for its single pass, which must raise the first rule broken
 STRATUM_RULES = (

@@ -10,7 +10,7 @@ import pytest
 from conftest import json_digest, sort_sign
 from tropmono import simplex
 from tropmono.order_map import dolbeault_ladder
-from tropmono.poly import Poly
+from tropmono.poly import Poly, _Terms
 from tropmono.randgen import (rand_constant_simplex_form, rand_fraction,
                               rand_hyperplane_point, rand_point,
                               rand_poly_simplex_form)
@@ -46,7 +46,7 @@ def test_contract_matches_alternating_oracle():
         deg = rng.randint(1, n1)
         form = rand_poly_simplex_form(rng, n1, deg)
         v = rand_point(rng, n1)
-        assert form.contract(v).raw_equal(contract_oracle(form, v))
+        assert form.contract(v) == contract_oracle(form, v)
 
 
 def test_contract_twice_vanishes():
@@ -56,7 +56,7 @@ def test_contract_twice_vanishes():
         deg = rng.randint(2, n1)
         form = rand_poly_simplex_form(rng, n1, deg)
         v = rand_point(rng, n1)
-        assert form.contract(v).contract(v).is_zero_raw()
+        assert form.contract(v).contract(v).is_zero()
 
 
 def test_exterior_derivative_squares_to_zero():
@@ -65,7 +65,7 @@ def test_exterior_derivative_squares_to_zero():
         n1 = rng.randint(2, 4)
         deg = rng.randint(0, n1 - 2)
         form = rand_poly_simplex_form(rng, n1, deg)
-        assert form.exterior_derivative().exterior_derivative().is_zero_raw()
+        assert form.exterior_derivative().exterior_derivative().is_zero()
 
 
 def test_ray_integration_difference_identity():
@@ -80,7 +80,7 @@ def test_ray_integration_difference_identity():
                     Q = rand_point(rng, n1)
                     lhs = alpha.ray_integrate(Q) - alpha.ray_integrate(origin(n1))
                     rhs = alpha.contract(Q) * Fraction(-1, r)
-                    assert lhs.raw_equal(rhs)
+                    assert lhs == rhs
 
 
 def test_ray_integration_of_constant_forms_pointwise():
@@ -110,7 +110,7 @@ def test_homotopy_identity_for_polynomial_forms():
         P = rand_point(rng, n1)
         lhs = (alpha.ray_integrate(P).exterior_derivative()
                + alpha.exterior_derivative().ray_integrate(P))
-        assert lhs.raw_equal(alpha)
+        assert lhs == alpha
 
 
 def test_primitive_of_closed_form_differentiates_back():
@@ -119,10 +119,10 @@ def test_primitive_of_closed_form_differentiates_back():
         n1 = rng.randint(2, 5)
         deg = rng.randint(0, n1 - 1)
         alpha = rand_poly_simplex_form(rng, n1, deg).exterior_derivative()
-        if alpha.is_zero_raw():
+        if alpha.is_zero():
             continue
         P = rand_hyperplane_point(rng, n1)
-        assert alpha.star_integrate(P).exterior_derivative().raw_equal(alpha)
+        assert alpha.star_integrate(P).exterior_derivative() == alpha
 
 
 
@@ -192,14 +192,14 @@ def test_closed_forms_match_polynomial_substitution():
         point = rand_point if rng.random() < 0.5 else rand_hyperplane_point
         base = point(rng, n1)
         integrated = form.ray_integrate(base)
-        assert integrated.raw_equal(ray_integrate_by_substitution(form, base))
+        assert integrated == ray_integrate_by_substitution(form, base)
         face = tuple(sorted(rng.sample(range(n1), rng.randint(1, n1))))
         pivot = rng.randrange(n1)
         for value in (form, integrated):
-            assert value.canonical(pivot).raw_equal(
-                normalize_by_substitution(value, tuple(range(n1)), pivot))
-            assert value.reduce_to_face(face).raw_equal(
-                normalize_by_substitution(value, face, face[0]))
+            assert value.canonical(pivot) == normalize_by_substitution(
+                value, tuple(range(n1)), pivot)
+            assert value.reduce_to_face(face) == normalize_by_substitution(
+                value, face, face[0])
 
 def test_star_integrate_requires_hyperplane_base():
     with pytest.raises(ValueError):
@@ -231,10 +231,22 @@ def test_canonical_is_idempotent_and_chart_consistent():
         deg = rng.randint(0, n1 - 1)
         form = rand_poly_simplex_form(rng, n1, deg)
         canon = form.canonical()
-        assert canon.canonical().raw_equal(canon)
+        assert canon.canonical() == canon
         assert form.equal_on_simplex(canon)
         # normalizing through another pivot must agree on the simplex
         assert form.canonical(pivot=n1 - 1).equal_on_simplex(canon)
+
+
+def test_equality_reads_the_stored_terms():
+    """== and hash compare the stored terms, as for every other container;
+    the simplex relation is reached only by name.  dx0 + dx1 + dx2 is
+    d(sum(x)), zero on the simplex but not as stored."""
+    form = SimplexForm(3, {(i,): Poly.const(3, 1) for i in range(3)})
+    zero = SimplexForm.zero(3)
+    assert form != zero and not form.is_zero() and form
+    assert form.is_zero_on_simplex()
+    assert form.equal_on_simplex(zero)
+    assert hash(form) == _Terms.__hash__(form)
 
 
 def test_vertex_and_barycenter():
@@ -250,7 +262,7 @@ def test_coboundary_squares_to_zero():
     for _ in range(20):
         c = SimplexCochain(3, 0, lambda J: rand_poly_simplex_form(rng, 4, 1))
         dd = c.coboundary().coboundary()
-        assert all(v.is_zero_raw() for v in dd.values.values())
+        assert all(v.is_zero() for v in dd.values.values())
     with pytest.raises(ValueError):
         SimplexCochain(3, 3, lambda J: 0).coboundary()
 
@@ -312,8 +324,7 @@ def test_integrate_cochain_matches_star_integration():
                                    lambda J: rand_simplex_form(rng, n + 1, r))
                 got = integrate_cochain(ctx, c)
                 for J, form in c.values.items():
-                    assert got[J].raw_equal(
-                        form.star_integrate(ctx.barycenter(J)))
+                    assert got[J] == form.star_integrate(ctx.barycenter(J))
     with pytest.raises(ValueError, match="cochain does not live on this simplex"):
         integrate_cochain(SimplexContext(2), SimplexCochain(3, 0, lambda J: du(4, (0,))))
 
@@ -343,7 +354,7 @@ def test_coboundary_matches_chained_alternating_sum():
                 want = chained_coboundary(c)
                 assert list(got.values) == list(want)
                 for J, form in want.items():
-                    assert got[J].raw_equal(form)
+                    assert got[J] == form
     with pytest.raises(ValueError, match="coboundary needs forms"):
         SimplexCochain(2, 0, lambda J: Fraction(1)).coboundary()
     with pytest.raises(ValueError, match="coboundary needs forms"):
@@ -421,7 +432,7 @@ def test_closed_form_matches_contraction_chain():
                 for r in range(p + 1):
                     for I in itertools.combinations(range(n1), r + 1):
                         got = star_closed_form(ctx, beta, p, r, I)
-                        assert got.raw_equal(chained_closed_form(ctx, beta, p, r, I))
+                        assert got == chained_closed_form(ctx, beta, p, r, I)
 
 
 def test_closed_form_picks_indices_without_points(monkeypatch):
@@ -435,7 +446,7 @@ def test_closed_form_picks_indices_without_points(monkeypatch):
     monkeypatch.setattr(SimplexContext, "_point", refuse)
     monkeypatch.setattr(SimplexContext, "barycenter", refuse)
     for I, form in want.items():
-        assert star_closed_form(ctx, beta, 2, len(I) - 1, I).raw_equal(form)
+        assert star_closed_form(ctx, beta, 2, len(I) - 1, I) == form
 
 
 def test_closed_form_input_validation():
@@ -453,7 +464,7 @@ def test_closed_form_input_validation():
         star_closed_form(ctx, du(3, (0,)), 1, 1, (0, 1, 2))
     with pytest.raises(ValueError, match="strictly increasing"):
         star_closed_form(ctx, du(3, (0,)), 1, 1, (1, 0))
-    assert star_closed_form(ctx, SimplexForm.zero(3), 2, 2, (0, 1, 2)).is_zero_raw()
+    assert star_closed_form(ctx, SimplexForm.zero(3), 2, 2, (0, 1, 2)).is_zero()
 
 
 def test_restriction_formula_on_faces():
@@ -476,7 +487,7 @@ def test_restriction_formula_on_faces():
                     value = scale * chain[p][I]
                     restricted = beta.reduce_to_face(I)
                     want = du(n + 1, I[1:], value)
-                    assert restricted.raw_equal(want.reduce_to_face(I))
+                    assert restricted == want.reduce_to_face(I)
 
 
 def _tower_inputs(rng, n, p):

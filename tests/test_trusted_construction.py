@@ -19,7 +19,7 @@ from tropmono.linalg import QMatrix
 from tropmono.library import (cycle_complex,
                               simplicial_presentations_from_tensors,
                               tetrahedron_complex)
-from tropmono.poly import Poly, _Terms
+from tropmono.poly import Poly
 from tropmono.randgen import (rand_affine_map, rand_constant_simplex_form,
                               rand_fraction, rand_poly, rand_poly_simplex_form,
                               rand_superform, rand_superform_mixed)
@@ -42,8 +42,7 @@ def assert_trusted(x, nvars):
         else:
             assert type(f) is Poly and f
             assert_trusted(f, nvars)
-    # stored terms, not SimplexForm's equality on the simplex
-    assert _Terms.__eq__(x, revalidated(x))
+    assert x == revalidated(x)
 
 
 def _scalar(rng):
@@ -86,7 +85,7 @@ def test_monomials_match_the_validating_constructor():
         assert form == Superform(n, {(dpr, dsec): poly})
         face = SimplexForm.monomial(n, dpr, coeff)
         assert_trusted(face, n)
-        assert face.raw_equal(SimplexForm(n, {dpr: poly}))
+        assert face == SimplexForm(n, {dpr: poly})
 
 
 def test_random_draws_are_well_formed():
@@ -115,7 +114,7 @@ def test_made_matches_the_validating_constructor():
             built = cls(n, terms)
             assert type(made) is cls and made.nvars == n
             assert made.terms is terms
-            assert _Terms.__eq__(made, built) and made == built
+            assert made == built
             assert hash(made) == hash(built)
             for name in ("nvars", "terms", "other"):
                 with pytest.raises(AttributeError, match="is immutable"):
@@ -163,7 +162,7 @@ def _cochain():
 
     def use():
         form = cochain[(0, 2)]
-        assert form.raw_equal(SimplexForm.monomial(3, (0, 2), 1))
+        assert form == SimplexForm.monomial(3, (0, 2), 1)
         return [cochain, form, *form.terms.values()]
     return cochain, use
 
