@@ -13,6 +13,10 @@ as sparse rows ({column: nonzero entry} per row) read off the parents of its
 higher level.  Elimination takes these rows as they are, one sparse product
 (_product) multiplies them, and one step (_dense) turns rows into dense
 output: representatives, the corner's matrix, witnesses and JSON blocks.
+
+The file reader takes a field of the exact JSON type inline and hands any
+other value to _field, which forms every shape message, only on refusal;
+an H2Model reads each distinct literal spelling once.
 """
 
 from __future__ import annotations
@@ -49,6 +53,15 @@ class Stratum:
             raise ValueError(f"stratum {self.label}: parents must be an object")
         object.__setattr__(self, "parents", MappingProxyType(dict(self.parents)))
 
+    @classmethod
+    def _trusted(cls, label, index_set: tuple, parents: dict) -> Stratum:
+        """The stratum the constructor builds, from the file reader's own
+        tuple and fresh dict: the dict is wrapped, not copied."""
+        s = object.__new__(cls)
+        s.__dict__.update(label=label, index_set=index_set,
+                          parents=MappingProxyType(parents))
+        return s
+
     def __hash__(self):
         return hash((self.label, self.index_set, frozenset(self.parents.items())))
 
@@ -77,15 +90,14 @@ class SemistableCombinatorics:
             raise ValueError("a complex needs at least one component")
         self.components = components
         m = len(components)
-        labels = []
-        for pos, s in enumerate(strata):
-            if not isinstance(s.label, str):
+        labels = [s.label for s in strata]
+        for pos, label in enumerate(labels):
+            if not isinstance(label, str):
                 raise ValueError(f"stratum {pos}: label must be a string")
-            labels.append(s.label)
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate stratum labels")
         by_level: dict[int, list[Stratum]] = {}
-        by_label: dict[str, Stratum] = {}
+        by_label: dict[str, Stratum] = dict(zip(labels, strata))
         # the first stratum listed wins an index set
         self._by_index_set: dict[IndexSet, Stratum] = {}
         for s in strata:
@@ -108,8 +120,7 @@ class SemistableCombinatorics:
                     "parent labels must be strings" if bad_label else
                     "component index out of range" if out_of_range else
                     "index set must be increasing"))
-            by_level.setdefault(s.level, []).append(s)
-            by_label[s.label] = s
+            by_level.setdefault(len(idx) - 1, []).append(s)
             self._by_index_set.setdefault(idx, s)
         level0 = by_level.get(0, [])
         if sorted(s.index_set[0] for s in level0) != list(range(1, m + 1)):
@@ -120,24 +131,25 @@ class SemistableCombinatorics:
         # children in listing order
         self._children: dict[str, list[Stratum]] = {label: [] for label in labels}
         for s in strata:
-            if s.level == 0:
+            idx = s.index_set
+            if len(idx) == 1:
                 if s.parents:
                     raise ValueError(f"stratum {s.label}: level 0 has no parents")
                 continue
-            if set(s.parents) != set(s.index_set):
+            if s.parents.keys() != set(idx):
                 raise ValueError(f"stratum {s.label}: need one parent per component")
             for removed, parent_label in s.parents.items():
                 parent = by_label.get(parent_label)
                 if parent is None:
                     raise ValueError(f"stratum {s.label}: unknown parent {parent_label}")
-                expected = tuple(i for i in s.index_set if i != removed)
-                if parent.index_set != expected:
+                j = idx.index(removed)
+                if parent.index_set != idx[:j] + idx[j + 1:]:
                     raise ValueError(f"stratum {s.label}: parent {parent_label} "
                                      "has the wrong index set")
                 self._children[parent_label].append(s)
         # two-step consistency: removing i then j must meet removing j then i
         for s in strata:
-            if s.level < 2:
+            if len(s.index_set) < 3:
                 continue
             for i, j in itertools.combinations(s.index_set, 2):
                 via_i = by_label[by_label[s.parents[i]].parents[j]]
@@ -176,23 +188,34 @@ class H2Model:
                  restrict: Mapping[tuple[str, str], QMatrix] = ()):
         """Dimensions must be ints (not bools, not floats); a restriction
         given as rows is read with the parent's dimension as width."""
-        self.dims = dict(dims)
-        for label, d in self.dims.items():
+        self.dims = dims = dict(dims)
+        for label, d in dims.items():
             if type(d) is not int or d < 0:
                 raise ValueError(f"h2 {label}: dim must be a nonnegative integer")
+        spelled: dict[str, object] = {}
+
+        def read(x):
+            """x as _rational reads it, each string spelling once per model."""
+            if type(x) is not str:
+                return _rational(x)
+            value = spelled.get(x)
+            if value is None:
+                value = spelled[x] = _rational(x)
+            return value
+
         self.gysin = {}
         for (parent, child), vec in dict(gysin).items():
             try:
-                vec = tuple(map(_rational, vec))
+                vec = tuple(map(read, vec))
             except ValueError as exc:
                 raise ValueError(f"h2 {parent}: gysin {child}: {exc}") from None
-            if len(vec) != self.dim(parent):
+            if len(vec) != dims.get(parent, 0):
                 raise ValueError(f"Gysin vector for {child} in {parent} has wrong length")
             self.gysin[parent, child] = vec
         self.restrict: dict[tuple[str, str], tuple[int, tuple[dict, ...]]] = {}
         for (parent, child), mat in dict(restrict).items():
             try:
-                self.restrict[parent, child] = _block(mat, self.dim(parent))
+                self.restrict[parent, child] = _block(mat, dims.get(parent, 0), read)
             except ValueError as exc:
                 raise ValueError(f"h2 {parent}: restrict {child}: {exc}") from None
 
@@ -215,18 +238,19 @@ class H2Model:
         return _dense(self._rows(parent, child), self.dim(parent))
 
 
-def _block(mat, ncols: int) -> tuple[int, tuple[dict, ...]]:
-    """(width, sparse rows) of a restriction block, rows refused as QMatrix
-    refuses them: a bad entry, then ragged rows, then a width not ncols."""
+def _block(mat, ncols: int, read) -> tuple[int, tuple[dict, ...]]:
+    """(width, sparse rows) of a restriction block, each entry read by read
+    and the rows refused as QMatrix refuses them: a bad entry, then ragged
+    rows, then a width not ncols."""
     if isinstance(mat, QMatrix):
         mat, ncols = mat.data, mat.ncols
-    rows = [tuple(map(_rational, row)) for row in mat]
+    rows = [tuple(map(read, row)) for row in mat]
     widths = set(map(len, rows))
     if len(widths) > 1:
         raise ValueError("ragged rows")
     if widths - {ncols}:
         raise ValueError("ncols disagrees with row width")
-    return ncols, tuple({j: x for j, x in enumerate(row) if x} for row in rows)
+    return ncols, tuple([{j: x for j, x in enumerate(row) if x} for row in rows])
 
 
 def unit_h2(complex_: SemistableCombinatorics, level: int = 0) -> H2Model:
@@ -274,16 +298,18 @@ def _h2_restriction_rows(complex_: SemistableCombinatorics, h2: H2Model,
     stacked level-(p+1) blocks.  Restriction data is required for every
     pair of positive dimensions, zero Gysin vector or not.  Parents go by
     removed component, the order the file lists them in, so a complex and
-    its JSON round trip name the same missing or misshapen block."""
+    its JSON round trip name the same missing or misshapen block.  Blocks
+    are checked before any row is allocated."""
     offsets, _ = _h2_offsets(complex_, h2, p)
     rows: list[dict] = []
     for z in complex_.level(p + 1):
-        block: list[dict] = [{} for _ in range(h2.dim(z.label))]
-        for i, w in sorted(z.parents.items()):
-            if block and h2.dim(w):
-                sign = removal_sign(z.index_set, i)
-                for out, row in zip(block, h2._rows(w, z.label)):
-                    out.update((offsets[w] + j, sign * v) for j, v in row.items())
+        dim = h2.dim(z.label)
+        parts = [(offsets[w], removal_sign(z.index_set, i), h2._rows(w, z.label))
+                 for i, w in sorted(z.parents.items()) if dim and h2.dim(w)]
+        block: list[dict] = [{} for _ in range(dim)]
+        for offset, sign, part in parts:
+            for out, row in zip(block, part):
+                out.update((offset + j, sign * v) for j, v in row.items())
         rows += block
     return rows
 
@@ -512,18 +538,24 @@ def complex_from_json(obj: Mapping) -> tuple[SemistableCombinatorics, Optional[H
     components = _field(obj, "components", "top level", "a list")
     strata = []
     for pos, entry in enumerate(_field(obj, "strata", "top level", "a list")):
-        label = _field(entry, "label", f"stratum {pos}")
-        where = f"stratum {label}"
-        index_set = _field(entry, "indexSet", where, "a list of integers")
-        parents = _field(entry, "parents", where, "an object", {})
+        label = entry.get("label", _REQUIRED) if type(entry) is dict else _REQUIRED
+        label = _field(entry, "label", f"stratum {pos}") if label is _REQUIRED else label
+        index_set = entry.get("indexSet")
+        if type(index_set) is not list:
+            index_set = _field(entry, "indexSet", f"stratum {label}", "a list of integers")
+        parents = entry.get("parents")
+        if type(parents) is not dict:
+            parents = _field(entry, "parents", f"stratum {label}", "an object", {})
         try:
             parents = {_plain_int(k): v for k, v in parents.items()}
         except ValueError as exc:
-            raise ValueError(f"{where}: parents: {exc}") from None
-        strata.append(Stratum(label, index_set, parents))
-        level = _field(entry, "level", where, "an integer", None)
+            raise ValueError(f"stratum {label}: parents: {exc}") from None
+        strata.append(Stratum._trusted(label, tuple(index_set), parents))
+        level = entry.get("level")
+        if type(level) is not int:
+            level = _field(entry, "level", f"stratum {label}", "an integer", None)
         if level is not None and level != len(index_set) - 1:
-            raise ValueError(f"{where}: level disagrees with indexSet")
+            raise ValueError(f"stratum {label}: level disagrees with indexSet")
     complex_ = SemistableCombinatorics(components, strata)
     h2_obj = _field(obj, "h2", "top level", "an object", None)
     if h2_obj is None:
@@ -532,17 +564,19 @@ def complex_from_json(obj: Mapping) -> tuple[SemistableCombinatorics, Optional[H
     data: dict[str, dict] = {"gysin": {}, "restrict": {}}
     parents_of = {s.label: s.parents.values() for s in strata}
     for label, entry in h2_obj.items():
-        where = f"h2 {label}"
         if label not in parents_of:
-            raise ValueError(f"{where}: not a stratum")
-        dims[label] = _field(entry, "dim", where)
+            raise ValueError(f"h2 {label}: not a stratum")
+        dim = entry.get("dim", _REQUIRED) if type(entry) is dict else _REQUIRED
+        dims[label] = _field(entry, "dim", f"h2 {label}") if dim is _REQUIRED else dim
         for kind, found in data.items():
-            for child, value in _field(entry, kind, where, "an object", {}).items():
+            children = entry.get(kind)
+            if type(children) is not dict:
+                children = _field(entry, kind, f"h2 {label}", "an object", {})
+            for child, value in children.items():
                 if label not in parents_of.get(child, ()):
-                    raise ValueError(f"{where}: {child} is not a child of {label}")
-                rows = value if kind == "restrict" else [value]
-                if not (isinstance(value, list)
-                        and all(isinstance(row, list) for row in rows)):
-                    raise ValueError(f"{where}: {kind} {child} must be a list")
+                    raise ValueError(f"h2 {label}: {child} is not a child of {label}")
+                if not (isinstance(value, list) and (kind == "gysin" or all(
+                        isinstance(row, list) for row in value))):
+                    raise ValueError(f"h2 {label}: {kind} {child} must be a list")
                 found[label, child] = value
     return complex_, H2Model(dims, data["gysin"], data["restrict"])

@@ -53,6 +53,37 @@ def replay(text: str, monkeypatch) -> tuple[int, str]:
     return run(words + ["--format", fmt])
 
 
+# the values that replace each node of a file in turn
+SWEEP_VALUES = [None, True, 1.5, "x", "1/0", [], {}, -1]
+DELETE = object()
+
+
+def single_node_mutations(obj):
+    """Copies of obj with one node replaced by each sweep value, or with one
+    key deleted, for every node and every key in turn."""
+    def walk(node, path):
+        yield path
+        if isinstance(node, (dict, list)):
+            for key in node if isinstance(node, dict) else range(len(node)):
+                yield from walk(node[key], path + (key,))
+    text = json.dumps(obj)
+    for path in list(walk(obj, ())):
+        keyed = path and isinstance(path[-1], str)
+        for value in SWEEP_VALUES + ([DELETE] if keyed else []):
+            if not path:
+                yield value
+                continue
+            out = json.loads(text)
+            parent = out
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            yield out
+
+
 def cycle_presentations(m, weights, columns):
     """Presentations on the m-cycle from shared per-edge data, through the
     general simplicial builder.  ``columns[(a, b)][l]`` is the pair (value

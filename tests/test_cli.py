@@ -2,12 +2,16 @@ import argparse
 import hashlib
 import itertools
 import json
+import os
 import random
 import shlex
+import subprocess
+import sys
 
 import pytest
 
-from conftest import cycle_presentations, json_digest, replay, tsv_field
+from conftest import (cycle_presentations, json_digest, replay,
+                      single_node_mutations, tsv_field)
 from tropmono import cli, dual_complex, order_map
 from tropmono.cli import build_parser, main, run
 from tropmono.dual_complex import (SemistableCombinatorics, Stratum,
@@ -956,36 +960,6 @@ def test_malformed_presentations_exit_2(tmp_path, case, message):
     assert text == f"error: {pres_path}: bad presentation data: {message}\n"
 
 
-SWEEP_VALUES = [None, True, 1.5, "x", "1/0", [], {}, -1]
-DELETE = object()
-
-
-def _single_node_mutations(obj):
-    """Copies of obj with one node replaced by each sweep value, or with one
-    key deleted, for every node and every key in turn."""
-    def walk(node, path):
-        yield path
-        if isinstance(node, (dict, list)):
-            for key in node if isinstance(node, dict) else range(len(node)):
-                yield from walk(node[key], path + (key,))
-    text = json.dumps(obj)
-    for path in list(walk(obj, ())):
-        keyed = path and isinstance(path[-1], str)
-        for value in SWEEP_VALUES + ([DELETE] if keyed else []):
-            if not path:
-                yield value
-                continue
-            out = json.loads(text)
-            parent = out
-            for key in path[:-1]:
-                parent = parent[key]
-            if value is DELETE:
-                del parent[path[-1]]
-            else:
-                parent[path[-1]] = value
-            yield out
-
-
 def test_single_node_mutations_exit_without_raising(tmp_path):
     # before, "1/0" as a Gysin entry, a restriction entry or a weight
     # escaped `run` as a ZeroDivisionError
@@ -1001,7 +975,7 @@ def test_single_node_mutations_exit_without_raising(tmp_path):
     assert [run(argv)[0] for argv in argvs] == [0, 0, 0]
     runs = 0
     for name, obj in good.items():
-        for mutated in _single_node_mutations(obj):
+        for mutated in single_node_mutations(obj):
             write_json(tmp_path / f"{name}.json", mutated)
             for argv in argvs:
                 try:
@@ -1013,6 +987,31 @@ def test_single_node_mutations_exit_without_raising(tmp_path):
                 runs += 1
         write_json(tmp_path / f"{name}.json", obj)
     assert runs == 3 * (932 + 236)  # mutations of the complex, presentations
+
+
+def test_validate_refuses_a_huge_dim_under_a_memory_limit(tmp_path):
+    # before, ss validate allocated one row per declared class of E1_2
+    # before it checked the shape of E1_2's restriction blocks, and died
+    # with a MemoryError traceback under this limit (without one, the rows
+    # grew until the machine's memory ran out); the CLI runs in a child
+    # process under a 1.5 GiB address-space limit, so that a regression
+    # fails at once
+    obj = complex_to_json(cycle_complex(4), cycle_validation_h2(4))
+    obj["h2"]["E1_2"]["dim"] = 100_000_000_000
+    path = write_json(tmp_path / "huge.json", obj)
+    limit = 1536 * 2 ** 20
+    child = ("import resource, sys\n"
+             f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+             "from tropmono.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", child, "ss", "validate", "--input", path],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == (f"error: {path}: incomplete h2 data: "
+                           "restriction Y2 -> E1_2 has wrong shape\n")
 
 
 def test_missing_arguments_exit_2():

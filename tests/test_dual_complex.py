@@ -6,13 +6,15 @@ import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
 from conftest import (dense_pullback, dense_pushforward, h2_offsets,
-                      is_zero, kernel_gauss, matadd, matmul, matvec,
-                      nerve_cohomology_dims, rank_gauss, select_by_ranks,
-                      solve_rref, transpose)
+                      is_zero, json_digest, kernel_gauss, matadd, matmul,
+                      matvec, nerve_cohomology_dims, rank_gauss,
+                      select_by_ranks, single_node_mutations, solve_rref,
+                      transpose)
 from tropmono import dual_complex
 from tropmono.dual_complex import (H2Model, SemistableCombinatorics, Stratum,
                                    check_vanishing_vector, complex_from_json,
@@ -518,6 +520,85 @@ def test_json_level_consistency_is_checked():
     with pytest.raises(ValueError):
         complex_from_json(obj)
 
+
+def read_outcome(obj):
+    """What complex_from_json makes of obj, as plain JSON: the message of
+    its refusal, or the poset (levels, strata, children, index-set lookups)
+    and the h2 model (dims, Gysin vectors, restriction blocks), entries by
+    repr so that an int and an integral Fraction differ."""
+    try:
+        cx, h2 = complex_from_json(obj)
+    except ValueError as exc:
+        return str(exc)
+    levels = [cx.level(lvl) for lvl in range(cx.max_level + 1)]
+    strata = [s for level in levels for s in level]
+    out = {
+        "components": list(cx.components),
+        "levels": [[s.label for s in level] for level in levels],
+        "strata": [[s.label, list(s.index_set), list(s.parents.items())]
+                   for s in strata],
+        "children": [[c.label for c in cx.children(s.label)] for s in strata],
+        "lookups": [cx.stratum_by_index_set(s.index_set).label for s in strata],
+        "unique": cx.index_sets_unique(),
+    }
+    if h2 is not None:
+        out["dims"] = list(h2.dims.items())
+        out["gysin"] = [[parent, child, list(map(repr, vec))]
+                        for (parent, child), vec in h2.gysin.items()]
+        out["restrict"] = [
+            [parent, child, ncols, [[[j, repr(x)] for j, x in row.items()]
+                                    for row in rows]]
+            for (parent, child), (ncols, rows) in h2.restrict.items()]
+    return out
+
+
+# this test's outcomes, recorded by running its code on a checkout of
+# d0c9410, the reader before its exact-type fast paths and trusted strata:
+# (refused, read) counts and the digests of the refusals' messages and of
+# what was read
+READER_OUTCOMES = (
+    (1607, 120),
+    "d62f77a7826342e88ab933289a2538550034f65b6b551bed14a06c515de7cd32",
+    "f16b1c579a5dc6991dfc59372672e54cd117733791bae9ff137f42221e0c54eb")
+
+
+def test_reader_keeps_its_outcomes_on_single_node_mutations():
+    """Every single-node mutation of two complex files is refused with the
+    message, or read into the poset and model, recorded for the reader
+    before its fast paths."""
+    refused, read = [], []
+    for cx, h2 in ((cycle_complex(3), cycle_validation_h2(3)),
+                   (cycle_complex(4), unit_h2(cycle_complex(4)))):
+        for mutated in single_node_mutations(complex_to_json(cx, h2)):
+            outcome = read_outcome(mutated)
+            (refused if isinstance(outcome, str) else read).append(outcome)
+    assert ((len(refused), len(read)), json_digest(refused), json_digest(read)) \
+        == READER_OUTCOMES
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cycle_complex(3), lambda: cycle_complex(7), tetrahedron_complex,
+    lambda: fixtures.shuffled(fixtures.simplex_boundary(3), random.Random(3)),
+    lambda: fixtures.shuffled(fixtures.simplex_boundary(4), random.Random(4))],
+    ids=["cycle3", "cycle7", "tetrahedron", "boundary3", "boundary4"])
+def test_read_strata_equal_the_constructed_ones(make):
+    """The reader builds each stratum without the constructor's copy: it
+    must equal, and hash as, the stratum the constructor builds from the
+    same fields, and the poset must not change when the parsed object does."""
+    obj = complex_to_json(make())
+    text = json.dumps(obj)
+    cx, _ = complex_from_json(obj)
+    for lvl in range(cx.max_level + 1):
+        for s in cx.level(lvl):
+            built = Stratum(s.label, list(s.index_set), dict(s.parents))
+            assert s == built and built == s and hash(s) == hash(built)
+            assert type(s.index_set) is tuple
+            assert type(s.parents) is MappingProxyType
+    for entry in obj["strata"]:
+        entry["indexSet"].append(0)
+        entry["label"] = "moved"
+        entry.get("parents", {}).clear()
+    assert complex_to_json(cx) == json.loads(text)
 
 def unit_strata(m):
     return [Stratum(f"Y{i}", (i,), {}) for i in range(1, m + 1)]
