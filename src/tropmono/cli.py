@@ -292,11 +292,10 @@ def cmd_ss_e2(args, report: RunReport):
         report.add_check(f"restriction_squares_to_zero[p={p}]", square is None,
                          None if square is None
                          else {"composite": square.to_json_obj()})
-    summaries = [dual_complex.e2_p0(complex_, p) for p in range(0, top + 1)]
-    result = {"dims": {str(s.p): s.dim for s in summaries}}
+    reps = [dual_complex.e2_p0(complex_, p) for p in range(0, top + 1)]
+    result = {"dims": {str(p): len(r) for p, r in enumerate(reps)}}
     if args.p is not None:
-        result["representatives"] = [[str(x) for x in v] for v in
-                                     summaries[args.p].representatives]
+        result["representatives"] = [[str(x) for x in v] for v in reps[args.p]]
         result["p"] = args.p
     report.result = result
 
@@ -353,19 +352,20 @@ def cmd_ord(args, report: RunReport):
     if args.ord_cmd == "check" and h2 is not None:
         _require_classes(args.complex, complex_, h2, args.p - 1)
     try:
-        vector = ord_vector(presentations, complex_, args.p)
+        values = ord_vector(presentations, complex_, args.p)
     except ValueError as exc:
         report.add_check("cover_and_agree", False, {"error": str(exc)})
         return
     report.add_check("cover_and_agree", True)
-    values = {label: str(v) for label, v in vector.values.items()}
-    report.result = {"p": args.p, "values": values}
+    shown = {label: str(v) for label, v in values.items()}
+    report.result = {"p": args.p, "values": shown}
     if args.ord_cmd == "check":
         if h2 is None:
             h2 = unit_h2(complex_, level=args.p - 1)
         pull, push = dual_complex.check_vanishing_vector(
-            complex_, h2, args.p, vector.as_sequence(complex_))
-        witness = {"values": values}
+            complex_, h2, args.p,
+            [values[s.label] for s in complex_.level(args.p)])
+        witness = {"values": shown}
         report.add_check("restriction_vanishes", pull,
                          None if pull else witness)
         report.add_check("gysin_pushforward_vanishes", push,
@@ -397,7 +397,7 @@ def cmd_dolbeault(args, report: RunReport):
     report.add_check("tower_closes_on_order", ladder.final_check,
                      None if ladder.final_check else {"mismatches": failing})
     report.result = {
-        "p": ladder.p,
+        "p": args.p,
         "constant": str(ladder.constant),
         "finalCheck": ladder.final_check,
         "ord": {label: str(v) for label, v in ladder.ord_values.items()},

@@ -13,6 +13,8 @@ as sparse rows ({column: nonzero entry} per row) read off the parents of its
 higher level.  Elimination takes these rows as they are, one sparse product
 (_product) multiplies them, and one step (_dense) turns rows into dense
 output: representatives, the corner's matrix, witnesses and JSON blocks.
+e2_p0 returns the representatives themselves; the second page's dimension
+is their number.
 
 The file reader takes a field of the exact JSON type inline and hands any
 other value to _field, which forms every shape message, only on refusal;
@@ -64,10 +66,6 @@ class Stratum:
 
     def __hash__(self):
         return hash((self.label, self.index_set, frozenset(self.parents.items())))
-
-    @property
-    def level(self) -> int:
-        return len(self.index_set) - 1
 
 
 def removal_sign(index_set: IndexSet, removed: int) -> int:
@@ -361,15 +359,6 @@ def relation_composite(complex_: SemistableCombinatorics, h2: H2Model,
     return _witness([first, second], len(complex_.level(p)))
 
 
-@dataclass(frozen=True)
-class E2Summary:
-    """The second page at level p: its dimension and one representative per
-    class, as dense Fraction tuples."""
-    p: int
-    dim: int
-    representatives: tuple[Vector, ...]
-
-
 def _columns(rows: list[dict], n: int) -> list[dict]:
     """The n columns of sparse rows, each as a sparse vector."""
     columns: list[dict] = [{} for _ in range(n)]
@@ -394,16 +383,16 @@ def _second_page(complex_: SemistableCombinatorics, p: int):
     return image, [v for v in ker if echelon.add(v)]
 
 
-def e2_p0(complex_: SemistableCombinatorics, p: int) -> E2Summary:
-    """Kernel of the level-p restriction modulo the image from level p-1,
-    with deterministic representatives (see _second_page)."""
+def e2_p0(complex_: SemistableCombinatorics, p: int) -> tuple[Vector, ...]:
+    """Kernel of the level-p restriction modulo the image from level p-1:
+    one dense representative per class, chosen deterministically (see
+    _second_page); the page's dimension is their number."""
     _, reps = _second_page(complex_, p)
-    return E2Summary(p, len(reps), _dense(reps, len(complex_.level(p))).data)
+    return _dense(reps, len(complex_.level(p))).data
 
 
 @dataclass(frozen=True)
 class CornerMonodromy:
-    p: int
     matrix: QMatrix          # coordinates in the representative basis
     domain_dim: int
     codomain_dim: int
@@ -433,7 +422,6 @@ def corner_monodromy(complex_: SemistableCombinatorics, h2: H2Model, p: int) -> 
     echelon = linalg.Echelon(len(reps))
     r = sum(echelon.add(v) for v in out_cols)
     return CornerMonodromy(
-        p=p,
         matrix=_dense(_columns(out_cols, len(reps)), len(out_cols)),
         domain_dim=len(corner),
         codomain_dim=len(reps),

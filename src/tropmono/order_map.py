@@ -6,7 +6,8 @@ integer matrix per weight, with one row per function of the symbol and one
 column per wall.  The order value along a square flag is the weighted sum
 of determinants; reordering the flag only changes the value by a signed
 permutation factor, which is what lets values from different components be
-compared at all.
+compared at all.  ord_vector returns the normalized values on one level as
+{label: value} in the level's listing order.
 
 The chart-level pullback of such data is a (p,0) form in wall coordinates,
 computed through minors.  The ladder at the bottom of the module replays
@@ -175,18 +176,10 @@ def _flags_by_members(presentations: Sequence[Presentation]
     return covers
 
 
-@dataclass(frozen=True)
-class OrdVector:
-    level: int
-    values: Mapping[str, Fraction]
-
-    def as_sequence(self, complex_: SemistableCombinatorics) -> tuple[Fraction, ...]:
-        return tuple(self.values[s.label] for s in complex_.level(self.level))
-
-
 def ord_vector(presentations: Sequence[Presentation],
-               complex_: SemistableCombinatorics, p: int) -> OrdVector:
-    """Normalized order values on all level-p strata.
+               complex_: SemistableCombinatorics, p: int) -> dict[str, Fraction]:
+    """Normalized order values on all level-p strata, {label: value} in the
+    level's listing order.
 
     Every stratum must be covered by at least one recorded flag; when several
     cover it (from the same or different components), their normalized values
@@ -205,7 +198,7 @@ def ord_vector(presentations: Sequence[Presentation],
         if any(v != found[0] for v in found[1:]):
             raise ValueError(f"presentations disagree on stratum {s.label}")
         values[s.label] = found[0]
-    return OrdVector(p, values)
+    return values
 
 
 def _minors(rows: Sequence[Sequence]) -> dict:
@@ -222,7 +215,6 @@ def _minors(rows: Sequence[Sequence]) -> dict:
 
 @dataclass(frozen=True)
 class LadderResult:
-    p: int
     constant: Fraction
     final_check: bool
     ord_values: Mapping[str, Fraction]
@@ -230,23 +222,18 @@ class LadderResult:
 
 
 def require_simplicial(complex_: SemistableCombinatorics) -> int:
-    """A complex qualifies when index sets are globally unique, every subset
-    of a top-level index set is a stratum, and every stratum sits under some
-    top stratum.  Returns the top level."""
+    """A complex qualifies when index sets are globally unique and every
+    stratum sits under some top stratum.  Returns the top level.  Every
+    subset of a top-level index set is a stratum of any poset: each stratum
+    has one parent per removed component, with that index set."""
     n_top = complex_.max_level
     if n_top < 1:
         raise ValueError("need strata beyond level 0")
     if not complex_.index_sets_unique():
         raise ValueError("index sets must determine strata uniquely")
-    tops = complex_.level(n_top)
-    covered = set()
-    for z in tops:
-        for size in range(1, n_top + 2):
-            for sub in itertools.combinations(z.index_set, size):
-                if complex_.stratum_by_index_set(sub) is None:
-                    raise ValueError(f"missing stratum for subset {sub} of "
-                                     f"{z.label}")
-                covered.add(sub)
+    covered = {sub for z in complex_.level(n_top)
+               for size in range(1, n_top + 2)
+               for sub in itertools.combinations(z.index_set, size)}
     for lvl in range(n_top + 1):
         for s in complex_.level(lvl):
             if s.index_set not in covered:
@@ -325,6 +312,6 @@ def dolbeault_ladder(presentations: Sequence[Presentation],
         if any(v != values[0] for v in values[1:]):
             raise ValueError(f"inconsistent order data at stratum {s.label}")
         ord_values[s.label] = values[0]
-    return LadderResult(p=p, constant=constant,
+    return LadderResult(constant=constant,
                         final_check=all(ok for *_, ok in comparisons),
                         ord_values=ord_values, comparisons=tuple(comparisons))

@@ -137,9 +137,10 @@ class SimplexForm(_Terms):
                                       zero[:i] + (1,) + zero[i + 1:] + (1,): 1})
                         for i, b in enumerate(base_vals)]
             g = f.eval_poly(subs) * Poly(n1 + 1, {zero + (r - 1,): 1})
+            g = g.integrate_last_unit()  # each x_ik - base_ik is free of t
             for k, ik in enumerate(indices):
-                linear = Poly.variable(n1 + 1, ik) - Poly.const(n1 + 1, base_vals[ik])
-                piece = (g * linear).integrate_last_unit()
+                piece = g * Poly.affine(n1, zero[:ik] + (1,) + zero[ik + 1:],
+                                        -base_vals[ik])
                 if k % 2:
                     piece = -piece
                 _accumulate(acc, indices[:k] + indices[k + 1:], piece)

@@ -121,8 +121,7 @@ def test_reordered_flags_transform_by_epsilon():
             for sigma, pr in pres.items():
                 flag = next(iter(pr.flags))
                 assert pr.ord_value(flag) == sort_sign(sigma) * base_val
-            vec = ord_vector(list(pres.values()), cx, p)
-            assert vec.values[top] == base_val
+            assert ord_vector(list(pres.values()), cx, p)[top] == base_val
 
 
 def test_ord_vector_rejects_disagreeing_data():
@@ -132,7 +131,7 @@ def test_ord_vector_rejects_disagreeing_data():
     tensor = [((0, 1, 3), (0, -3, -2))]
     good = [presentation_from_tensor(tensor, weights, s)
             for s in itertools.permutations(range(p + 1))]
-    assert ord_vector(good, cx, p).values["S1_2_3"] == 7
+    assert ord_vector(good, cx, p)["S1_2_3"] == 7
     bad = Presentation(component=1, weights=weights,
                        flags={(1, 2, 3): (((1, 3), (-3, -1)),)})
     with pytest.raises(ValueError, match="disagree"):
@@ -215,12 +214,13 @@ def test_ladder_names_the_first_failing_top_in_level_order():
 def test_cycle_order_vector_frozen_and_in_both_kernels():
     for m in range(3, 8):
         cx = cycle_complex(m)
-        vec = ord_vector(cycle_orientation_presentations(m), cx, 1)
-        assert check_vanishing_vector(cx, unit_h2(cx), 1,
-                                      vec.as_sequence(cx)) == (True, True)
-    vec5 = ord_vector(cycle_orientation_presentations(5), cycle_complex(5), 1)
-    assert vec5.values == {"E1_2": 1, "E2_3": 1, "E3_4": 1, "E4_5": 1,
-                           "E1_5": -1}
+        values = ord_vector(cycle_orientation_presentations(m), cx, 1)
+        vec = [values[s.label] for s in cx.level(1)]
+        assert check_vanishing_vector(cx, unit_h2(cx), 1, vec) == (True, True)
+    values5 = ord_vector(cycle_orientation_presentations(5), cycle_complex(5), 1)
+    # in the level's listing order, the 5-cycle's closing edge E1_5 last
+    assert list(values5.items()) == [("E1_2", 1), ("E2_3", 1), ("E3_4", 1),
+                                     ("E4_5", 1), ("E1_5", -1)]
 
 
 def tau_pullback(rows, ncols=None):
@@ -348,7 +348,7 @@ def test_ladder_on_cycles():
         assert result.constant == -1
         assert result.final_check
         assert all(ok for *_, ok in result.comparisons)
-        assert result.ord_values == ord_vector(pres, cx, 1).values
+        assert result.ord_values == ord_vector(pres, cx, 1)
 
 
 def test_ladder_with_shared_tensor_cover():
