@@ -10,11 +10,14 @@ H2 model assigns each stratum a finite dimension together with Gysin vectors
 The alternating-sign rule is the standard one: dropping the j-th smallest
 element of an index set costs (-1)^j.  Each map between levels is built once,
 as sparse rows ({column: nonzero entry} per row) read off the parents of its
-higher level.  Elimination takes these rows as they are, one sparse product
-(_product) multiplies them, and one step (_dense) turns rows into dense
-output: representatives, the corner's matrix, witnesses and JSON blocks.
-e2_p0 returns the representatives themselves; the second page's dimension
-is their number.
+higher level; the Gysin map keeps only the rows its stored vectors back, as
+{row index: row}.  Elimination takes these rows as they are, one sparse
+product (_product) multiplies them, and one step (_dense) turns rows into
+dense output: representatives, the corner's matrix, witnesses and JSON
+blocks.  The second page and the corner read the restriction kernel off its
+free columns (_second_page), so no kernel vector is eliminated twice and
+nothing is solved against an augmented system.  e2_p0 returns the
+representatives themselves; the second page's dimension is their number.
 
 The file reader takes a field of the exact JSON type inline and hands any
 other value to _field, which forms every shape message, only on refusal;
@@ -278,16 +281,20 @@ def _h2_offsets(complex_: SemistableCombinatorics, h2: H2Model,
     return offsets, total
 
 
-def _gysin_rows(complex_: SemistableCombinatorics, h2: H2Model, p: int) -> list[dict]:
-    offsets, total = _h2_offsets(complex_, h2, p - 1)
-    rows: list[dict] = [{} for _ in range(total)]
+def _gysin_rows(complex_: SemistableCombinatorics, h2: H2Model, p: int) -> dict[int, dict]:
+    """The Gysin pushforward from level-p H^0 into the stacked level-(p-1) H2
+    spaces, as {row index: row} in row order for the rows that a stored
+    Gysin vector backs; every other row is empty, however large the
+    declared dimension."""
+    offsets, _ = _h2_offsets(complex_, h2, p - 1)
+    rows: dict[int, dict] = {}
     for c, z in enumerate(complex_.level(p)):
         for i, w in z.parents.items():
             sign = removal_sign(z.index_set, i)
-            for k, val in enumerate(h2.gysin_vector(w, z.label)):
+            for k, val in enumerate(h2.gysin.get((w, z.label), ())):
                 if val:
-                    rows[offsets[w] + k][c] = sign * val
-    return rows
+                    rows.setdefault(offsets[w] + k, {})[c] = sign * val
+    return dict(sorted(rows.items()))
 
 
 def _h2_restriction_rows(complex_: SemistableCombinatorics, h2: H2Model,
@@ -313,14 +320,18 @@ def _h2_restriction_rows(complex_: SemistableCombinatorics, h2: H2Model,
 
 
 def _product(pairs) -> list[dict]:
-    """Rows of the sum of left @ right over the (left, right) pairs of
-    sparse rows, touching only nonzero entries; zero sums are dropped."""
+    """Rows of the sum of left @ right over the (left, right) pairs of sparse
+    rows, one per row of the first left, touching only nonzero entries; zero
+    sums are dropped.  Rows come as a list or as a {row index: row} map
+    (_gysin_rows), where a missing row reads as empty."""
+    pairs = [[rows if type(rows) is dict else dict(enumerate(rows)) for rows in pair]
+             for pair in pairs]
     out = []
-    for i in range(len(pairs[0][0])):
+    for i in pairs[0][0]:
         acc: dict = {}
         for left, right in pairs:
-            for k, a in left[i].items():
-                for j, b in right[k].items():
+            for k, a in left.get(i, {}).items():
+                for j, b in right.get(k, {}).items():
                     acc[j] = acc.get(j, 0) + a * b
         out.append({j: v for j, v in acc.items() if v})
     return out
@@ -369,18 +380,21 @@ def _columns(rows: list[dict], n: int) -> list[dict]:
 
 
 def _second_page(complex_: SemistableCombinatorics, p: int):
-    """(image, representatives) at level p as sparse vectors: the image
-    columns, then the kernel vectors of the level-p restriction, pass in
-    order through one echelon, and the first independent ones in scan order
-    are kept."""
-    ncols = len(complex_.level(p))
-    ker = linalg.kernel_basis(_restriction_rows(complex_, p), ncols)
-    echelon = linalg.Echelon(ncols)
-    image = [] if p == 0 else [
-        v for v in _columns(_restriction_rows(complex_, p - 1),
-                            len(complex_.level(p - 1)))
-        if echelon.add(v)]
-    return image, [v for v in ker if echelon.add(v)]
+    """(reduced image, representatives) at level p.  A kernel vector of the
+    level-p restriction is its own entries at the free columns F, summed
+    against the kernel basis (one vector v_f per f, whose largest column is
+    f), and the image from level p-1 lies in that kernel; so the image
+    columns, read at F, are reduced once, each row pivoting on its last free
+    column (keys -f), as {-pivot: {-f: entry}}.  v_f is kept, in increasing
+    order, when f is no pivot: the first independent kernel vectors in scan
+    order after the image."""
+    ker = linalg.kernel_basis(_restriction_rows(complex_, p), len(complex_.level(p)))
+    free = {max(v) for v in ker}
+    image = {} if p == 0 else linalg._rref(
+        {-j: x for j, x in col.items() if j in free}
+        for col in _columns(_restriction_rows(complex_, p - 1),
+                            len(complex_.level(p - 1))))
+    return image, [v for v in ker if -max(v) not in image]
 
 
 def e2_p0(complex_: SemistableCombinatorics, p: int) -> tuple[Vector, ...]:
@@ -406,21 +420,29 @@ class CornerMonodromy:
 
 def corner_monodromy(complex_: SemistableCombinatorics, h2: H2Model, p: int) -> CornerMonodromy:
     """The identity-induced comparison from the joint kernel of the level-p
-    restriction and the Gysin pushforward into the restriction quotient: each
-    kernel vector is expressed in the image basis plus quotient
-    representatives, and only the representative coordinates survive."""
+    restriction and the Gysin pushforward into the restriction quotient.  A
+    corner vector u, once checked to lie in the restriction kernel, has its
+    coordinates on the representatives at their free columns: its F-entries
+    minus u_l times the reduced image row of each image pivot l."""
     ncols = len(complex_.level(p))
+    restriction = _restriction_rows(complex_, p)
     corner = linalg.kernel_basis(
-        _restriction_rows(complex_, p) + _gysin_rows(complex_, h2, p), ncols)
+        restriction + list(_gysin_rows(complex_, h2, p).values()), ncols)
+    if any(_product([(restriction, _columns(corner, ncols))])):
+        raise RuntimeError("corner kernel does not lie in the restriction kernel")
     image, reps = _second_page(complex_, p)
-    mixed = image + reps
+    kept = {max(v): k for k, v in enumerate(reps)}
     out_cols = []
-    for coords in linalg.solve_many(_columns(mixed, ncols), len(mixed), corner):
-        if coords is None:
-            raise RuntimeError("corner kernel does not lie in the restriction kernel")
-        out_cols.append({k - len(image): x for k, x in coords.items() if k >= len(image)})
-    echelon = linalg.Echelon(len(reps))
-    r = sum(echelon.add(v) for v in out_cols)
+    for u in corner:
+        coords: dict = {}
+        for j, x in u.items():
+            if -j in image:
+                for f, y in image[-j].items():
+                    coords[-f] = coords.get(-f, 0) - x * y
+            elif j in kept:
+                coords[j] = coords.get(j, 0) + x
+        out_cols.append({kept[f]: x for f, x in coords.items() if x})
+    r = len(linalg._rref(out_cols))
     return CornerMonodromy(
         matrix=_dense(_columns(out_cols, len(reps)), len(out_cols)),
         domain_dim=len(corner),

@@ -2,7 +2,8 @@
 
 These are the small fixtures the command line suite and the tests run
 against: a single smooth component, two components meeting once, cycles,
-and the boundary of a tetrahedron.
+the boundary of a tetrahedron, the 7-vertex torus, the 6-vertex real
+projective plane and the join of two simplicial complexes.
 """
 
 from __future__ import annotations
@@ -52,6 +53,50 @@ def tetrahedron_complex() -> SemistableCombinatorics:
         parents = {a: f"E{b}_{c}", b: f"E{a}_{c}", c: f"E{a}_{b}"}
         strata.append(Stratum(f"V{a}_{b}_{c}", (a, b, c), parents))
     return SemistableCombinatorics([f"Y{i}" for i in range(1, 5)], strata)
+
+
+def _label(index_set) -> str:
+    """Y1 for a component, Z1_2, Z1_2_3, ... for the strata above it."""
+    return ("Y" if len(index_set) == 1 else "Z") + "_".join(map(str, index_set))
+
+
+def _simplicial(m: int, faces) -> SemistableCombinatorics:
+    """The complex on components 1..m with one stratum per nonempty subset
+    of a given face, listed by level, then by index set."""
+    closed = {sub for face in faces for size in range(1, len(face) + 1)
+              for sub in itertools.combinations(sorted(face), size)}
+    strata = [Stratum(_label(s), s, {v: _label(tuple(w for w in s if w != v))
+                                     for v in s} if len(s) > 1 else {})
+              for s in sorted(closed, key=lambda s: (len(s), s))]
+    return SemistableCombinatorics([f"Y{i}" for i in range(1, m + 1)], strata)
+
+
+def torus_complex() -> SemistableCombinatorics:
+    """The 7-vertex torus: triangles {i, i+1, i+3} and {i, i+2, i+3} mod 7,
+    on 21 edges; its E2 dimensions are (1, 2, 1)."""
+    return _simplicial(7, [{i % 7 + 1, (i + a) % 7 + 1, (i + 3) % 7 + 1}
+                           for i in range(7) for a in (1, 2)])
+
+
+def rp2_complex() -> SemistableCombinatorics:
+    """The 6-vertex real projective plane (half an icosahedron): 10
+    triangles on 15 edges; over the rationals its E2 dimensions are
+    (1, 0, 0)."""
+    return _simplicial(6, [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+                           (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6)])
+
+
+def join(a: SemistableCombinatorics, b: SemistableCombinatorics) -> SemistableCombinatorics:
+    """The join of two complexes with one stratum per index set: a stratum
+    per union of an index set of a, or none, with one of b, or none, b's
+    components numbered after a's."""
+    if not (a.index_sets_unique() and b.index_sets_unique()):
+        raise ValueError("a join needs one stratum per index set")
+    m = len(a.components)
+    sets = [[()] + [s.index_set for lvl in range(cx.max_level + 1) for s in cx.level(lvl)]
+            for cx in (a, b)]
+    return _simplicial(m + len(b.components),
+                       [x + tuple(m + i for i in y) for x in sets[0] for y in sets[1]])
 
 
 def cycle_validation_h2(m: int) -> H2Model:

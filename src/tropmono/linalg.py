@@ -1,16 +1,15 @@
 """Exact rational linear algebra and ordered-index bookkeeping.
 
 Everything here runs over Fraction and int; no floats anywhere.  One
-elimination routine serves det, kernel_basis, solve_many and ``Echelon``:
-rows are sparse ``{column: nonzero}`` maps, cleared of denominators and
-pushed, in the order they arrive, through the integer-preserving step of
-Bareiss (Math. Comp. 1968), each kept row pivoting on its first nonzero
-column; every step touches nonzero entries only.  kernel_basis and
-solve_many back-substitute the echelon to the reduced row echelon form,
-which the row space fixes, so the sparse vectors they return do not depend
-on the order of elimination.  ``Echelon.add`` keeps a sparse vector only
-when it raises the rank, so feeding candidates in scan order selects the
-first independent ones and repeated runs yield byte-identical bases.  det
+elimination routine serves det and kernel_basis: rows are sparse
+``{column: nonzero}`` maps, cleared of denominators and pushed, in the
+order they arrive, through the integer-preserving step of Bareiss (Math.
+Comp. 1968), each kept row pivoting on its first nonzero column; every step
+touches nonzero entries only.  _rref back-substitutes the echelon to the
+reduced row echelon form, which the row space fixes, so the sparse vectors
+kernel_basis returns do not depend on the order of elimination.  A reduced
+entry stays an int where its pivot divides it, as _rational reads input, and
+is a Fraction only otherwise; a kernel vector is 1 at its free column.  det
 alone takes a dense ``QMatrix``, and feeds its rows through the same
 routine.  The value types here and in poly, forms and simplex refuse
 assignment and deletion through one private base, ``_Frozen``.
@@ -206,16 +205,17 @@ def _push(stored: list[Pivot], row: dict[int, int]) -> bool:
     return bool(row)
 
 
-def _rref(rows: Iterable[Mapping]) -> dict[int, dict[int, Fraction]]:
+def _rref(rows: Iterable[Mapping]) -> dict[int, dict]:
     """Reduced row echelon form of sparse rows, as {pivot column: the row's
-    entries in the free columns}; each row is 1 at its pivot column and 0 at
-    the others.  Back substitution runs from the last pivot column up, each
-    echelon row subtracting the reduced rows of the later pivot columns it
-    meets, so no row is cleared above its pivot during the forward pass."""
+    entries in the free columns after it}, each an int where integral, else
+    a Fraction; each row is 1 at its pivot column and 0 at the others.  Back
+    substitution runs from the last pivot column up, each echelon row
+    subtracting the reduced rows of the later pivot columns it meets, so no
+    row is cleared above its pivot during the forward pass."""
     stored: list[Pivot] = []
     for row in rows:
         _push(stored, _clear(row)[1])
-    reduced: dict[int, dict[int, Fraction]] = {}
+    reduced: dict[int, dict] = {}
     for c, p, row in sorted(stored, key=lambda piv: -piv[0]):
         out: dict = {}
         for j, x in row.items():
@@ -225,7 +225,8 @@ def _rref(rows: Iterable[Mapping]) -> dict[int, dict[int, Fraction]]:
                     out[k] = out.get(k, 0) - x * y
             elif j != c:
                 out[j] = out.get(j, 0) + x
-        reduced[c] = {k: Fraction(v, p) for k, v in out.items() if v}
+        reduced[c] = {k: Fraction(v, p) if v % p else v // p
+                      for k, v in out.items() if v}
     return reduced
 
 
@@ -233,20 +234,6 @@ def _in_range(rows: Iterable[Mapping], ncols: int) -> None:
     """Refuse sparse rows with a column outside range(ncols)."""
     if any(not 0 <= j < ncols for row in rows for j in row):
         raise ValueError("index out of range")
-
-
-class Echelon:
-    """Incremental fraction-free echelon over vectors of the given length:
-    ``add(v)`` keeps the sparse vector v, and returns True, only when its
-    remainder is nonzero, that is, when v raises the rank."""
-
-    def __init__(self, length: int):
-        self.length = length
-        self._stored: list[Pivot] = []
-
-    def add(self, v: Mapping) -> bool:
-        _in_range((v,), self.length)
-        return _push(self._stored, _clear(v)[1])
 
 
 def det(m: QMatrix) -> Fraction:
@@ -265,38 +252,15 @@ def det(m: QMatrix) -> Fraction:
     return Fraction(perm_sign([c for c, _, _ in stored]) * stored[-1][1], scale)
 
 
-def kernel_basis(rows: Sequence[Mapping], ncols: int) -> list[dict[int, Fraction]]:
+def kernel_basis(rows: Sequence[Mapping], ncols: int) -> list[dict]:
     """Basis of the right kernel of the matrix with the given sparse rows and
     ncols columns, as sparse vectors; one per free column, 1 at the free
-    position, in increasing column order."""
+    position and nonzero elsewhere only at pivot columns before it (so the
+    free column is the vector's largest), in increasing column order."""
     _in_range(rows, ncols)
     reduced = _rref(rows)
-    basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in reduced}
+    basis = {f: {f: 1} for f in range(ncols) if f not in reduced}
     for c, row in reduced.items():
         for f, x in row.items():
             basis[f][c] = -x
     return list(basis.values())
-
-
-def solve_many(rows: Sequence[Mapping], ncols: int,
-               rhs: Sequence[Mapping]) -> list[Optional[dict[int, Fraction]]]:
-    """For each sparse b in rhs, one exact solution of m x = b with free
-    variables set to 0, as a sparse vector, or None, where m has the given
-    sparse rows and ncols columns.  m is reduced once, augmented by every b
-    in the columns after its own."""
-    _in_range(rows, ncols)
-    _in_range(rhs, len(rows))
-    aug = [dict(row) for row in rows]
-    for t, b in enumerate(rhs):
-        for i, x in b.items():
-            aug[i][ncols + t] = x
-    reduced = _rref(aug)
-    # a reduced row pivoting past m reads 0 = (its entries in b's columns)
-    inconsistent = set()
-    for c, row in reduced.items():
-        if c >= ncols:
-            inconsistent.add(c)
-            inconsistent.update(row)
-    return [None if col in inconsistent else
-            {c: row[col] for c, row in reduced.items() if c < ncols and col in row}
-            for col in range(ncols, ncols + len(rhs))]

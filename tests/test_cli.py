@@ -989,29 +989,60 @@ def test_single_node_mutations_exit_without_raising(tmp_path):
     assert runs == 3 * (932 + 236)  # mutations of the complex, presentations
 
 
-def test_validate_refuses_a_huge_dim_under_a_memory_limit(tmp_path):
-    # before, ss validate allocated one row per declared class of E1_2
-    # before it checked the shape of E1_2's restriction blocks, and died
-    # with a MemoryError traceback under this limit (without one, the rows
-    # grew until the machine's memory ran out); the CLI runs in a child
-    # process under a 1.5 GiB address-space limit, so that a regression
-    # fails at once
-    obj = complex_to_json(cycle_complex(4), cycle_validation_h2(4))
-    obj["h2"]["E1_2"]["dim"] = 100_000_000_000
-    path = write_json(tmp_path / "huge.json", obj)
+def run_under_a_memory_limit(argv):
+    """The CLI on argv in a child process under a 1.5 GiB address-space
+    limit, so that a run that allocates per declared class fails at once."""
     limit = 1536 * 2 ** 20
     child = ("import resource, sys\n"
              f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
              "from tropmono.cli import main\n"
              "sys.exit(main(sys.argv[1:]))\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    done = subprocess.run(
-        [sys.executable, "-c", child, "ss", "validate", "--input", path],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": src})
+    return subprocess.run([sys.executable, "-c", child, *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
+def test_validate_refuses_a_huge_dim_under_a_memory_limit(tmp_path):
+    # before, ss validate allocated one row per declared class of E1_2
+    # before it checked the shape of E1_2's restriction blocks, and died
+    # with a MemoryError traceback under this limit (without one, the rows
+    # grew until the machine's memory ran out)
+    obj = complex_to_json(cycle_complex(4), cycle_validation_h2(4))
+    obj["h2"]["E1_2"]["dim"] = 100_000_000_000
+    path = write_json(tmp_path / "huge.json", obj)
+    done = run_under_a_memory_limit(["ss", "validate", "--input", path])
     assert done.returncode == 2, done.stderr
     assert done.stderr == (f"error: {path}: incomplete h2 data: "
                            "restriction Y2 -> E1_2 has wrong shape\n")
+
+
+def test_huge_dim_that_no_block_touches_under_a_memory_limit(tmp_path):
+    # Y1 declares 10^11 classes, but its edges E1_2 and E1_4 carry none, so
+    # no Gysin vector or restriction block touches them; before, both
+    # commands allocated one Gysin row per declared class and died with a
+    # MemoryError traceback under this limit
+    obj = complex_to_json(cycle_complex(4), cycle_validation_h2(4))
+    obj["h2"]["Y1"] = {"dim": 100_000_000_000}
+    for label in ("E1_2", "E1_4"):
+        obj["h2"][label]["dim"] = 0
+    for entry in obj["h2"].values():
+        for kind in ("gysin", "restrict"):
+            for label in ("E1_2", "E1_4"):
+                entry.get(kind, {}).pop(label, None)
+    path = write_json(tmp_path / "huge.json", obj)
+    # the cycle model cancels at the classes of E2_3 and E3_4: exit 0
+    done = run_under_a_memory_limit(["ss", "validate", "--input", path])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["checks"] == [
+        {"name": "cancellation[p=1]", "status": "pass"}]
+    # the corner is spanned by E1_2 and E1_4, which no Gysin vector reaches,
+    # and maps onto H^1 of the 4-cycle with rank 1: exit 0, not injective
+    done = run_under_a_memory_limit(["ss", "monodromy", "--input", path, "--p", "1"])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["result"] == {
+        "p": 1, "domainDim": 2, "codomainDim": 1, "injective": False,
+        "surjective": True, "isomorphism": False, "matrix": [["1", "-1"]]}
 
 
 def test_missing_arguments_exit_2():

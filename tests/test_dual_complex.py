@@ -22,8 +22,8 @@ from tropmono.dual_complex import (H2Model, SemistableCombinatorics, Stratum,
                                    relabel_components, relation_composite,
                                    removal_sign, restriction_square, unit_h2)
 from tropmono.library import (all_ones_h2, chain_complex, cycle_complex,
-                              cycle_validation_h2, point_complex,
-                              tetrahedron_complex)
+                              cycle_validation_h2, join, point_complex,
+                              rp2_complex, tetrahedron_complex, torus_complex)
 from tropmono.linalg import QMatrix
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
@@ -228,8 +228,9 @@ def test_relabeling_components_changes_nothing():
 def test_pushforward_frozen_on_the_chain():
     cx = chain_complex()
     h2 = unit_h2(cx)
-    assert dual_complex._gysin_rows(cx, h2, 1) == [{0: -1}, {0: 1}]
-    assert dual_complex._gysin_rows(cx, h2, 0) == []
+    # rows as {row index: row}, only those a stored Gysin vector backs
+    assert dual_complex._gysin_rows(cx, h2, 1) == {0: {0: -1}, 1: {0: 1}}
+    assert dual_complex._gysin_rows(cx, h2, 0) == {}
     mat = dense_pushforward(cx, h2, 1)
     assert (mat.nrows, mat.ncols) == (2, 1)
     assert [mat[0, 0], mat[1, 0]] == [-1, 1]
@@ -401,8 +402,11 @@ def test_sparse_products_match_the_dense_oracle():
             ncols = len(cx.level(p))
             assert dual_complex._dense(dual_complex._restriction_rows(cx, p), ncols) \
                 == dense_pullback(cx, p)
-            assert dual_complex._dense(dual_complex._gysin_rows(cx, h2, p), ncols) \
-                == dense_pushforward(cx, h2, p)
+            pushforward = dense_pushforward(cx, h2, p)
+            gysin = dual_complex._gysin_rows(cx, h2, p)
+            assert list(gysin) == sorted(gysin)  # row order: the cheaper push
+            assert dual_complex._dense([gysin.get(i, {}) for i in range(pushforward.nrows)],
+                                       ncols) == pushforward
             want = matmul(dense_pullback(cx, p + 1), dense_pullback(cx, p))
             assert restriction_square(cx, p) is None and is_zero(want)
             got = outcome(relation_composite, cx, h2, p)
@@ -440,6 +444,77 @@ def test_sparse_products_match_the_dense_oracle():
     assert seen["iso"] > 150 and seen["not injective"] > 25
     assert seen["not surjective"] > 40
     assert seen["-0"] > 100 and seen["spelled"] > 600
+
+
+# The zoo: complexes with second-page classes at a middle level, whose
+# dimensions a test-side oracle reads off the join formula.
+
+def join_dims(a, b):
+    """E2 dimensions of the join of complexes with dimensions a and b: the
+    reduced Betti numbers of A * B in degree k + 1 are the sums of products
+    of those of A in degree i and of B in degree k - i (over a field)."""
+    reduced_a, reduced_b = [a[0] - 1, *a[1:]], [b[0] - 1, *b[1:]]
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(reduced_a):
+        for j, y in enumerate(reduced_b):
+            out[i + j + 1] += x * y
+    out[0] += 1
+    return out
+
+
+def e2_dims(cx):
+    return [len(e2_p0(cx, p)) for p in range(cx.max_level + 1)]
+
+
+def test_zoo_e2_dims_match_the_join_formula():
+    rng = random.Random(32)
+    torus, rp2 = torus_complex(), rp2_complex()
+    for cx, want in ((torus, [1, 2, 1]), (rp2, [1, 0, 0])):
+        index_sets = [s.index_set for lvl in range(cx.max_level + 1)
+                      for s in cx.level(lvl)]
+        assert nerve_cohomology_dims(index_sets) == want
+        assert e2_dims(fixtures.shuffled(cx, rng)) == want
+    assert join_dims([1, 2, 1], [1, 2, 1]) == [1, 0, 0, 4, 4, 1]
+    assert join_dims([2], [2]) == [1, 1]  # two points joined: a 4-cycle
+    joined = fixtures.shuffled(join(torus, torus), rng)
+    assert [len(joined.level(p)) for p in range(6)] == [14, 91, 322, 637, 588, 196]
+    assert e2_dims(joined) == join_dims([1, 2, 1], [1, 2, 1])
+    assert e2_dims(join(two_points_complex(), two_points_complex())) == [1, 1]
+    assert e2_dims(join(rp2, chain_complex())) == join_dims([1, 0, 0], [1, 0])
+    # two components meeting twice: a circle that no index set names
+    twice = SemistableCombinatorics(["A", "B"], [
+        Stratum("A", (1,), {}), Stratum("B", (2,), {}),
+        Stratum("E", (1, 2), {1: "B", 2: "A"}), Stratum("F", (1, 2), {1: "B", 2: "A"})])
+    with pytest.raises(ValueError, match="^a join needs one stratum per index set$"):
+        join(torus, twice)
+
+
+def rank2_h2(cx, p, rng):
+    """Two-dimensional classes at level p-1, one-dimensional ones at level p,
+    and a random Gysin vector, now and then zero, for every pair."""
+    dims = {s.label: 2 for s in cx.level(p - 1)}
+    dims.update({s.label: 1 for s in cx.level(p)})
+    return H2Model(dims, {(w, z.label): (rng.choice(RATIONALS), rng.choice(RATIONALS))
+                          for z in cx.level(p) for w in z.parents.values()})
+
+
+def test_zoo_matches_the_scan_order_path():
+    rng = random.Random(33)
+    seen = Counter()
+    complexes = [fixtures.shuffled(cx, rng)
+                 for cx in (torus_complex(), rp2_complex()) for _ in range(3)]
+    for cx in complexes + [random_complex(rng) for _ in range(20)]:
+        for p in range(1, cx.max_level + 1):
+            kernel, image, reps = dense_e2(cx, p)
+            assert e2_p0(cx, p) == reps
+            for h2 in (unit_h2(cx, p - 1), rank2_h2(cx, p, rng)):
+                corner = corner_monodromy(cx, h2, p)
+                assert (corner.matrix, corner.injective, corner.surjective) == \
+                    dense_corner(cx, h2, p, image, reps)
+                seen["middle class" if reps and p < cx.max_level else
+                     "class" if reps else "none"] += 1
+                seen["iso" if corner.isomorphism else "not iso"] += 1
+    assert min(seen.values()) >= 5 and len(seen) == 5, seen
 
 
 def typed(restrict):

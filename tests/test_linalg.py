@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (dense, det_cofactor, kernel_gauss, matmul, matvec,
-                      rank_gauss, select_by_ranks, solve_rref, sort_sign, sparse,
+                      rank_gauss, select_by_ranks, sort_sign, sparse,
                       sparse_rows, transpose)
 from tropmono import linalg
 from tropmono.linalg import QMatrix, as_fraction
@@ -157,10 +157,9 @@ def test_det_multiplicative_and_transpose_invariant():
         assert linalg.det(transpose(a)) == linalg.det(a)
 
 
-def echelon_rank(m):
-    """The number of rows of m that one Echelon keeps."""
-    echelon = linalg.Echelon(m.ncols)
-    return sum(echelon.add(row) for row in sparse_rows(m))
+def rref_rank(m):
+    """The number of pivot rows in the reduced form of m."""
+    return len(linalg._rref(sparse_rows(m)))
 
 
 def test_rank_matches_independent_elimination():
@@ -169,10 +168,10 @@ def test_rank_matches_independent_elimination():
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
         m = rand_matrix(rng, nr, nc)
         want = rank_gauss([list(r) for r in m.data])
-        assert echelon_rank(m) == want
+        assert rref_rank(m) == want
         assert len(linalg.kernel_basis(sparse_rows(m), nc)) == nc - want
-    assert echelon_rank(QMatrix([[0] * 4] * 3)) == 0
-    assert echelon_rank(QMatrix([[int(i == j) for j in range(5)]
+    assert rref_rank(QMatrix([[0] * 4] * 3)) == 0
+    assert rref_rank(QMatrix([[int(i == j) for j in range(5)]
                                  for i in range(5)])) == 5
 
 
@@ -194,45 +193,58 @@ def test_kernel_frozen_and_property():
 
 
 def test_solve_recovers_solutions_and_detects_inconsistency():
+    """A kernel vector's coordinates on the kernel basis are its own entries
+    at the free columns (the largest column of each basis vector), the
+    reading the corner comparison solves by; a vector off the kernel shows
+    as a nonzero product."""
     rng = random.Random(8)
     for _ in range(60):
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
         m = rand_matrix(rng, nr, nc)
-        x0 = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-              for _ in range(nc)]
-        b = matvec(m, x0)
-        x = linalg.solve_many(sparse_rows(m), nc, [sparse(b)])[0]
-        assert x is not None
-        assert matvec(m, dense(x, nc)) == tuple(b)
-    # 0 = 1 has no solution
-    assert linalg.solve_many([{}], 1, [{0: 1}]) == [None]
-    assert linalg.solve_many([{0: 1, 1: 1}, {0: 1, 1: 1}], 2, [{1: 1}]) == [None]
+        basis = linalg.kernel_basis(sparse_rows(m), nc)
+        coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in basis]
+        u = [sum((c * v.get(j, 0) for c, v in zip(coeffs, basis)), Fraction(0))
+             for j in range(nc)]
+        assert all(x == 0 for x in matvec(m, u))
+        assert [u[max(v)] for v in basis] == coeffs
+        if len(basis) < nc:
+            pivot = next(j for j in range(nc) if j not in map(max, basis))
+            assert any(matvec(m, [int(j == pivot) for j in range(nc)]))
+    # x + y = 0 has kernel (-1, 1); the unit (1, 0) leaves it
+    assert linalg.kernel_basis([{0: 1, 1: 1}], 2) == [{0: -1, 1: 1}]
 
 
 def test_rref_reports_pivots():
     # the reduced form of both rows is (0, 1, 1/2): pivot column 1, so the
     # kernel is spanned by the free columns 0 and 2
-    assert linalg.kernel_basis([{1: 2, 2: 1}, {1: 4, 2: 2}], 3) == [
-        {0: 1}, {1: Fraction(-1, 2), 2: 1}]
+    ker = linalg.kernel_basis([{1: 2, 2: 1}, {1: 4, 2: 2}], 3)
+    assert ker == [{0: 1}, {1: Fraction(-1, 2), 2: 1}]
+    # integral entries stay ints, the others are Fractions
+    assert [type(v[j]) for v in ker for j in sorted(v)] == [int, Fraction, int]
+    assert linalg._rref([{0: 2, 1: 4, 2: 3}]) == {0: {1: 2, 2: Fraction(3, 2)}}
+    assert type(linalg._rref([{0: -3, 1: 6}])[0][1]) is int
 
 
-def echelon_selection(sub, vectors, length):
-    """The vectors that raise the rank of one Echelon fed sub, then vectors,
-    in scan order: the rule e2_p0 picks its representatives by."""
-    echelon = linalg.Echelon(length)
-    for v in sub:
-        echelon.add(sparse(v))
-    return [tuple(Fraction(x) for x in v) for v in vectors if echelon.add(sparse(v))]
+def units(length):
+    return [tuple(Fraction(int(i == j)) for i in range(length)) for j in range(length)]
+
+
+def free_column_selection(sub, length):
+    """The unit vectors at the columns where no row of sub pivots, sub
+    reduced with each row pivoting on its last nonzero column (keys -j):
+    the rule e2_p0 picks its representatives by, in free coordinates."""
+    pivots = linalg._rref({-j: x for j, x in sparse(v).items()} for v in sub)
+    return [u for j, u in enumerate(units(length)) if -j not in pivots]
 
 
 def test_extend_basis_builds_a_transversal():
-    sub = [(1, 0, 0, 0)]
-    vecs = [(1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
-    reps = echelon_selection(sub, vecs, 4)
-    assert len(reps) == 2
-    assert rank_gauss([list(v) for v in sub + reps]) == 3
-    # deterministic: first independent candidates win
-    assert reps[0] == (Fraction(1), Fraction(1), Fraction(0), Fraction(0))
+    sub = [(1, 1, 0, 0), (2, 2, 0, 0)]
+    reps = free_column_selection(sub, 4)
+    assert len(reps) == 3
+    assert rank_gauss([list(v) for v in sub + reps]) == 4
+    # deterministic: the first unit is kept, and the second, which sub and
+    # the first span, is not
+    assert reps == [units(4)[0], units(4)[2], units(4)[3]]
 
 
 def rand_vectors(rng, count, length):
@@ -260,69 +272,17 @@ def test_extend_basis_matches_repeated_rank_reference():
     rng = random.Random(9)
     for _ in range(150):
         length = rng.randint(1, 6)
-        pool = rand_vectors(rng, rng.randint(0, 10), length)
-        cut = rng.randint(0, len(pool))
-        sub, vectors = pool[:cut], pool[cut:]
-        got = echelon_selection(sub, vectors, length)
-        assert got == select_by_ranks(sub, vectors)
-
-
-def test_echelon_add_reports_rank_increase():
-    rng = random.Random(10)
-    for _ in range(80):
-        length = rng.randint(1, 6)
-        echelon = linalg.Echelon(length)
-        kept = []
-        for v in rand_vectors(rng, rng.randint(1, 10), length):
-            raised = rank_gauss(kept + [list(v)]) > rank_gauss(kept)
-            assert echelon.add(sparse(v)) == raised
-            if raised:
-                kept.append(list(v))
-    with pytest.raises(ValueError):
-        linalg.Echelon(2).add({2: 3})
-
-
-def test_solve_many_matches_per_vector_solve():
-    rng = random.Random(11)
-    for _ in range(60):
-        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
-        m = rand_matrix(rng, nr, nc)
-        rhs = []
-        for _ in range(rng.randint(0, 4)):
-            if rng.random() < 0.5:
-                x0 = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                      for _ in range(nc)]
-                rhs.append(matvec(m, x0))
-            else:
-                rhs.append(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                                 for _ in range(nr)))
-        rows = sparse_rows(m)
-        got = linalg.solve_many(rows, nc, [sparse(b) for b in rhs])
-        assert got == [linalg.solve_many(rows, nc, [sparse(b)])[0] for b in rhs]
-        for b, x in zip(rhs, got):
-            aug = [list(row) + [b[i]] for i, row in enumerate(m.data)]
-            consistent = rank_gauss(aug) == rank_gauss([list(r) for r in m.data])
-            assert (x is not None) == consistent
-            if x is not None:
-                assert matvec(m, dense(x, nc)) == tuple(b)
-    # one consistent and one inconsistent right-hand side in the same call
-    rows = [{0: 1, 1: 1}, {0: 1, 1: 1}]
-    assert linalg.solve_many(rows, 2, [{0: 2, 1: 2}, {1: 1}]) == [{0: 2}, None]
-    with pytest.raises(ValueError):
-        linalg.solve_many(rows, 2, [{2: 3}])
+        sub = rand_vectors(rng, rng.randint(0, 10), length)
+        got = free_column_selection(sub, length)
+        assert got == select_by_ranks(sub, units(length))
 
 
 @pytest.mark.parametrize("call", [
-    # the right-hand side would overwrite the row's column 1
-    lambda: linalg.solve_many([{0: 1, 1: 1}], 1, [{0: 2}]),
     lambda: linalg.kernel_basis([{0: 1, 5: 1}], 3),
     # a row whose only column is out of range was read as a zero row
     lambda: linalg.kernel_basis([{5: 1}], 3),
     lambda: linalg.kernel_basis([{-1: 1}], 3),
-    lambda: linalg.solve_many([{0: 1}], 1, [{-1: 1}]),
-    lambda: linalg.Echelon(3).add({-1: 1}),
-], ids=["solve_many-row", "kernel-row-and-outside", "kernel-outside-only",
-        "kernel-negative", "solve_many-rhs", "echelon"])
+], ids=["kernel-row-and-outside", "kernel-outside-only", "kernel-negative"])
 def test_columns_outside_the_matrix_are_refused(call):
     with pytest.raises(ValueError, match="^index out of range$"):
         call()
@@ -360,7 +320,7 @@ def rand_system(rng):
 def test_sparse_elimination_matches_the_gauss_oracles():
     rng = random.Random(12)
     seen = {"singular": 0, "regular": 0, "zero row": 0, "duplicate": 0,
-            "inconsistent": 0, "solved": 0}
+            "int": 0, "fraction": 0}
     for _ in range(400):
         rows, nc = rand_system(rng)
         sparse_m = [sparse(r) for r in rows]
@@ -370,20 +330,13 @@ def test_sparse_elimination_matches_the_gauss_oracles():
         assert [dense(v, nc) for v in kernel] == kernel_gauss(rows, nc)
         # the reduced form, not the order of elimination, fixes the basis
         assert linalg.kernel_basis(rng.sample(sparse_m, len(sparse_m)), nc) == kernel
-        rhs = []
-        for _ in range(rng.randint(0, 3)):
-            x0 = [rng.choice((0, 1, -2, Fraction(1, 3))) for _ in range(nc)]
-            b = [sum((a * x for a, x in zip(r, x0)), Fraction(0)) for r in rows]
-            if rows and rng.random() < 0.5:
-                b[rng.randrange(len(b))] += Fraction(rng.randint(1, 4), rng.randint(1, 3))
-            rhs.append(b)
-        got = linalg.solve_many(sparse_m, nc, [sparse(b) for b in rhs])
-        assert [None if x is None else dense(x, nc) for x in got] == \
-            [solve_rref(rows, nc, b) for b in rhs]
-        seen["inconsistent"] += got.count(None)
-        seen["solved"] += len(got) - got.count(None)
-        echelon = linalg.Echelon(nc)
-        assert [r for r in rows if echelon.add(sparse(r))] == select_by_ranks([], rows)
+        # an entry is an int where integral, else a Fraction
+        entries = [x for v in kernel for x in v.values()]
+        assert all(type(x) is int or x.denominator != 1 for x in entries)
+        seen["int"] += sum(type(x) is int for x in entries)
+        seen["fraction"] += sum(type(x) is not int for x in entries)
+        # the pivot rows number the rank
+        assert len(linalg._rref(sparse_m)) == rank_gauss(rows)
         if len(rows) == nc:
             want = det_cofactor([list(r) for r in rows])
             assert linalg.det(QMatrix(rows, ncols=nc)) == want

@@ -123,11 +123,13 @@ def test_cli_refuses_an_input_that_is_not_utf8(tmp_path):
 
 def test_corner_refuses_a_kernel_outside_the_restriction_kernel(tmp_path,
                                                                 monkeypatch):
-    # no corner vector is solvable in the image and representatives
-    monkeypatch.setattr(linalg, "solve_many",
-                        lambda rows, ncols, rhs: [None for _ in rhs])
-    path = tmp_path / "c5.json"
-    path.write_text(json.dumps(complex_to_json(cycle_complex(5))))
+    # every kernel gains the unit vector of the first stratum, which the
+    # level-1 restriction of the tetrahedron does not kill
+    real = linalg.kernel_basis
+    monkeypatch.setattr(linalg, "kernel_basis",
+                        lambda rows, ncols: real(rows, ncols) + [{0: 1}])
+    path = tmp_path / "tetra.json"
+    path.write_text(json.dumps(complex_to_json(tetrahedron_complex())))
     code, text = run(["ss", "monodromy", "--input", str(path), "--p", "1"])
     assert code == 1
     obj = json.loads(text)
