@@ -9,13 +9,13 @@ H2 model assigns each stratum a finite dimension together with Gysin vectors
 
 The alternating-sign rule is the standard one: dropping the j-th smallest
 element of an index set costs (-1)^j.  Each map between levels is built once,
-as sparse rows ({column: nonzero entry} per row) read off the parents of its
-higher level; the Gysin map keeps only the rows its stored vectors back, as
-{row index: row}.  Elimination takes these rows as they are, one sparse
-product (_product) multiplies them, and one step (_dense) turns rows into
-dense output: representatives, the corner's matrix, witnesses and JSON
-blocks.  The second page and the corner read the restriction kernel off its
-free columns (_second_page), so no kernel vector is eliminated twice and
+off the parents of its higher level, as a row map {row index: {column:
+nonzero entry}} of the nonzero rows its data backs, so no map allocates by a
+declared dimension.  Elimination takes these rows as they are, one sparse
+product (_product) multiplies row maps into one, and one step (_dense) turns
+rows into dense output: representatives, the corner's matrix, witnesses and
+JSON blocks.  The second page and the corner read the restriction kernel off
+its free columns (_second_page), so no kernel vector is eliminated twice and
 nothing is solved against an augmented system.  e2_p0 returns the
 representatives themselves; the second page's dimension is their number.
 
@@ -266,10 +266,10 @@ def unit_h2(complex_: SemistableCombinatorics, level: int = 0) -> H2Model:
     return H2Model(dims, gysin)
 
 
-def _restriction_rows(complex_: SemistableCombinatorics, p: int) -> list[dict]:
+def _restriction_rows(complex_: SemistableCombinatorics, p: int) -> dict[int, dict]:
     col = {s.label: k for k, s in enumerate(complex_.level(p))}
-    return [{col[w]: removal_sign(z.index_set, i) for i, w in z.parents.items()}
-            for z in complex_.level(p + 1)]
+    return {r: {col[w]: removal_sign(z.index_set, i) for i, w in z.parents.items()}
+            for r, z in enumerate(complex_.level(p + 1))}
 
 
 def _h2_offsets(complex_: SemistableCombinatorics, h2: H2Model,
@@ -298,42 +298,42 @@ def _gysin_rows(complex_: SemistableCombinatorics, h2: H2Model, p: int) -> dict[
 
 
 def _h2_restriction_rows(complex_: SemistableCombinatorics, h2: H2Model,
-                         p: int) -> list[dict]:
+                         p: int) -> dict[int, dict]:
     """Alternating restriction on the H2 level, stacked level-p blocks to
-    stacked level-(p+1) blocks.  Restriction data is required for every
-    pair of positive dimensions, zero Gysin vector or not.  Parents go by
-    removed component, the order the file lists them in, so a complex and
-    its JSON round trip name the same missing or misshapen block.  Blocks
-    are checked before any row is allocated."""
+    stacked level-(p+1) blocks, as {row index: row} for the rows that a
+    stored block backs.  Restriction data is required for every pair of
+    positive dimensions, zero Gysin vector or not.  Parents go by removed
+    component, the order the file lists them in, so a complex and its JSON
+    round trip name the same missing or misshapen block."""
     offsets, _ = _h2_offsets(complex_, h2, p)
-    rows: list[dict] = []
+    starts, _ = _h2_offsets(complex_, h2, p + 1)
+    rows: dict[int, dict] = {}
     for z in complex_.level(p + 1):
         dim = h2.dim(z.label)
         parts = [(offsets[w], removal_sign(z.index_set, i), h2._rows(w, z.label))
                  for i, w in sorted(z.parents.items()) if dim and h2.dim(w)]
-        block: list[dict] = [{} for _ in range(dim)]
         for offset, sign, part in parts:
-            for out, row in zip(block, part):
-                out.update((offset + j, sign * v) for j, v in row.items())
-        rows += block
+            for k, row in enumerate(part, starts[z.label]):
+                if row:
+                    rows.setdefault(k, {}).update(
+                        (offset + j, sign * v) for j, v in row.items())
     return rows
 
 
-def _product(pairs) -> list[dict]:
-    """Rows of the sum of left @ right over the (left, right) pairs of sparse
-    rows, one per row of the first left, touching only nonzero entries; zero
-    sums are dropped.  Rows come as a list or as a {row index: row} map
-    (_gysin_rows), where a missing row reads as empty."""
-    pairs = [[rows if type(rows) is dict else dict(enumerate(rows)) for rows in pair]
-             for pair in pairs]
-    out = []
-    for i in pairs[0][0]:
+def _product(pairs) -> dict[int, dict]:
+    """The sum of left @ right over the (left, right) pairs of row maps, a
+    missing row reading as empty: a row map with the nonzero rows only, read
+    at the row indices of every left, touching only nonzero entries."""
+    out = {}
+    for i in set().union(*(left for left, _ in pairs)):
         acc: dict = {}
         for left, right in pairs:
             for k, a in left.get(i, {}).items():
                 for j, b in right.get(k, {}).items():
                     acc[j] = acc.get(j, 0) + a * b
-        out.append({j: v for j, v in acc.items() if v})
+        row = {j: v for j, v in acc.items() if v}
+        if row:
+            out[i] = row
     return out
 
 
@@ -343,17 +343,18 @@ def _dense(rows: list[dict], ncols: int) -> QMatrix:
                    ncols=ncols)
 
 
-def _witness(pairs, ncols: int) -> Optional[QMatrix]:
-    """None when the summed product of the pairs vanishes, else it, dense."""
+def _witness(pairs, nrows: int, ncols: int) -> Optional[QMatrix]:
+    """None when the summed product of the pairs vanishes, else its nrows rows, dense."""
     rows = _product(pairs)
-    return _dense(rows, ncols) if any(rows) else None
+    return _dense([rows.get(i, {}) for i in range(nrows)], ncols) if rows else None
 
 
 def restriction_square(complex_: SemistableCombinatorics, p: int) -> Optional[QMatrix]:
     """The level-(p+1) restriction after the level-p one, which vanishes on
     every complex: None when it does, else the composite as a witness."""
     return _witness([(_restriction_rows(complex_, p + 1),
-                      _restriction_rows(complex_, p))], len(complex_.level(p)))
+                      _restriction_rows(complex_, p))],
+                    len(complex_.level(p + 2)), len(complex_.level(p)))
 
 
 def relation_composite(complex_: SemistableCombinatorics, h2: H2Model,
@@ -367,15 +368,16 @@ def relation_composite(complex_: SemistableCombinatorics, h2: H2Model,
         raise ValueError("the relation pairs levels p-1 and p+1; need p >= 1")
     first = (_h2_restriction_rows(complex_, h2, p - 1), _gysin_rows(complex_, h2, p))
     second = (_gysin_rows(complex_, h2, p + 1), _restriction_rows(complex_, p))
-    return _witness([first, second], len(complex_.level(p)))
+    return _witness([first, second], _h2_offsets(complex_, h2, p)[1],
+                    len(complex_.level(p)))
 
 
-def _columns(rows: list[dict], n: int) -> list[dict]:
-    """The n columns of sparse rows, each as a sparse vector."""
-    columns: list[dict] = [{} for _ in range(n)]
-    for i, row in enumerate(rows):
+def _columns(rows: Iterable[tuple[int, dict]]) -> dict[int, dict]:
+    """The nonzero columns of (row index, row) pairs, as a row map."""
+    columns: dict[int, dict] = {}
+    for i, row in rows:
         for j, v in row.items():
-            columns[j][i] = v
+            columns.setdefault(j, {})[i] = v
     return columns
 
 
@@ -388,12 +390,12 @@ def _second_page(complex_: SemistableCombinatorics, p: int):
     column (keys -f), as {-pivot: {-f: entry}}.  v_f is kept, in increasing
     order, when f is no pivot: the first independent kernel vectors in scan
     order after the image."""
-    ker = linalg.kernel_basis(_restriction_rows(complex_, p), len(complex_.level(p)))
+    ker = linalg.kernel_basis(_restriction_rows(complex_, p).values(),
+                              len(complex_.level(p)))
     free = {max(v) for v in ker}
     image = {} if p == 0 else linalg._rref(
         {-j: x for j, x in col.items() if j in free}
-        for col in _columns(_restriction_rows(complex_, p - 1),
-                            len(complex_.level(p - 1))))
+        for col in _columns(_restriction_rows(complex_, p - 1).items()).values())
     return image, [v for v in ker if -max(v) not in image]
 
 
@@ -427,8 +429,8 @@ def corner_monodromy(complex_: SemistableCombinatorics, h2: H2Model, p: int) -> 
     ncols = len(complex_.level(p))
     restriction = _restriction_rows(complex_, p)
     corner = linalg.kernel_basis(
-        restriction + list(_gysin_rows(complex_, h2, p).values()), ncols)
-    if any(_product([(restriction, _columns(corner, ncols))])):
+        [*restriction.values(), *_gysin_rows(complex_, h2, p).values()], ncols)
+    if _product([(restriction, _columns(enumerate(corner)))]):
         raise RuntimeError("corner kernel does not lie in the restriction kernel")
     image, reps = _second_page(complex_, p)
     kept = {max(v): k for k, v in enumerate(reps)}
@@ -443,8 +445,9 @@ def corner_monodromy(complex_: SemistableCombinatorics, h2: H2Model, p: int) -> 
                 coords[j] = coords.get(j, 0) + x
         out_cols.append({kept[f]: x for f, x in coords.items() if x})
     r = len(linalg._rref(out_cols))
+    matrix = _columns(enumerate(out_cols))
     return CornerMonodromy(
-        matrix=_dense(_columns(out_cols, len(reps)), len(out_cols)),
+        matrix=_dense([matrix.get(k, {}) for k in range(len(reps))], len(out_cols)),
         domain_dim=len(corner),
         codomain_dim=len(reps),
         injective=(r == len(corner)),
@@ -455,10 +458,10 @@ def corner_monodromy(complex_: SemistableCombinatorics, h2: H2Model, p: int) -> 
 def check_vanishing_vector(complex_: SemistableCombinatorics, h2: H2Model, p: int,
                            vector: Sequence) -> tuple[bool, bool]:
     """(pullback vanishes, pushforward vanishes) for a level-p vector."""
-    column = [{0: x} if x else {} for x in map(as_fraction, vector)]
-    if len(column) != len(complex_.level(p)):
+    column = {i: {0: x} for i, x in enumerate(map(as_fraction, vector)) if x}
+    if len(vector) != len(complex_.level(p)):
         raise ValueError("length mismatch")
-    return tuple(not any(_product([(rows, column)]))
+    return tuple(not _product([(rows, column)])
                  for rows in (_restriction_rows(complex_, p),
                               _gysin_rows(complex_, h2, p)))
 

@@ -1045,6 +1045,37 @@ def test_huge_dim_that_no_block_touches_under_a_memory_limit(tmp_path):
         "surjective": True, "isomorphism": False, "matrix": [["1", "-1"]]}
 
 
+def test_huge_dim_under_parents_without_classes_under_a_memory_limit(tmp_path):
+    # E1_2 declares 10^11 classes, but its parents Y1 and Y2 carry none, so
+    # no restriction block or Gysin vector touches them; before, ss validate
+    # allocated one H2 restriction row per declared class of E1_2 and died
+    # with a MemoryError traceback under this limit
+    obj = complex_to_json(cycle_complex(4), cycle_validation_h2(4))
+    obj["h2"]["E1_2"]["dim"] = 100_000_000_000
+    obj["h2"]["Y1"] = obj["h2"]["Y2"] = {"dim": 0}
+    path = write_json(tmp_path / "huge.json", obj)
+    pres = [p.to_json_obj() for p in cycle_orientation_presentations(4)]
+    pres_path = write_json(tmp_path / "pres.json", pres)
+    # the cycle model cancels at the classes of E2_3, E3_4 and E1_4, and no
+    # row reaches those of E1_2: exit 0
+    done = run_under_a_memory_limit(["ss", "validate", "--input", path])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["checks"] == [
+        {"name": "cancellation[p=1]", "status": "pass"}]
+    # the corner is spanned by E1_2, which no Gysin vector reaches, and one
+    # more kernel vector, and maps onto H^1 of the 4-cycle: exit 0, rank 1
+    done = run_under_a_memory_limit(["ss", "monodromy", "--input", path, "--p", "1"])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["result"] == {
+        "p": 1, "domainDim": 2, "codomainDim": 1, "injective": False,
+        "surjective": True, "isomorphism": False, "matrix": [["1", "-3"]]}
+    # the orientation values are closed and pushed forward to zero: exit 0
+    done = run_under_a_memory_limit(["ord", "check", "--complex", path,
+                                     "--pres", pres_path, "--p", "1"])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert [c["status"] for c in json.loads(done.stdout)["checks"]] == ["pass"] * 3
+
+
 def test_missing_arguments_exit_2():
     with pytest.raises(SystemExit) as err:
         run(["check", "superform"])

@@ -52,7 +52,7 @@ def test_removal_sign_frozen():
 
 def test_chain_restriction_signs_frozen():
     # value on the double stratum is (value on Y2) - (value on Y1)
-    assert dual_complex._restriction_rows(chain_complex(), 0) == [{0: -1, 1: 1}]
+    assert dual_complex._restriction_rows(chain_complex(), 0) == {0: {0: -1, 1: 1}}
     mat = dense_pullback(chain_complex(), 0)
     assert (mat.nrows, mat.ncols) == (1, 2)
     assert [mat[0, 0], mat[0, 1]] == [-1, 1]
@@ -373,7 +373,7 @@ def test_sparse_products_match_the_dense_oracle():
     rng = random.Random(1010)
     seen = {"equal": 0, "nonzero": 0, "missing": 0, "shape": 0, "vectors": 0,
             "image": 0, "iso": 0, "not injective": 0, "not surjective": 0,
-            "-0": 0, "spelled": 0}
+            "-0": 0, "spelled": 0, "h2 rows": 0}
     for _ in range(120):
         cx = random_complex(rng)
         h2, blocks, literals = random_h2(cx, rng)
@@ -400,13 +400,24 @@ def test_sparse_products_match_the_dense_oracle():
         cx_read, h2_read = complex_from_json(complex_to_json(cx, h2))
         for p in range(cx.max_level + 1):
             ncols = len(cx.level(p))
-            assert dual_complex._dense(dual_complex._restriction_rows(cx, p), ncols) \
+            # every level map is a row map holding only nonzero rows, which
+            # made dense at the declared rows is the dense oracle
+            restriction = dual_complex._restriction_rows(cx, p)
+            assert all(restriction.values())
+            assert dense_rows(restriction, len(cx.level(p + 1)), ncols) \
                 == dense_pullback(cx, p)
             pushforward = dense_pushforward(cx, h2, p)
             gysin = dual_complex._gysin_rows(cx, h2, p)
             assert list(gysin) == sorted(gysin)  # row order: the cheaper push
-            assert dual_complex._dense([gysin.get(i, {}) for i in range(pushforward.nrows)],
-                                       ncols) == pushforward
+            assert all(gysin.values())
+            assert dense_rows(gysin, pushforward.nrows, ncols) == pushforward
+            src, dst = h2_offsets(cx, h2, p)[1], h2_offsets(cx, h2, p + 1)[1]
+            h2_rows = outcome(dual_complex._h2_restriction_rows, cx, h2, p)
+            if isinstance(h2_rows, dict):
+                assert all(h2_rows.values())
+                h2_rows = dense_rows(h2_rows, dst, src)
+                seen["h2 rows"] += bool(src and dst)
+            assert h2_rows == outcome(h2_pullback, cx, h2, p)
             want = matmul(dense_pullback(cx, p + 1), dense_pullback(cx, p))
             assert restriction_square(cx, p) is None and is_zero(want)
             got = outcome(relation_composite, cx, h2, p)
@@ -443,7 +454,7 @@ def test_sparse_products_match_the_dense_oracle():
     assert seen["vectors"] > 800 and seen["image"] > 150
     assert seen["iso"] > 150 and seen["not injective"] > 25
     assert seen["not surjective"] > 40
-    assert seen["-0"] > 100 and seen["spelled"] > 600
+    assert seen["-0"] > 100 and seen["spelled"] > 600 and seen["h2 rows"] > 80
 
 
 # The zoo: complexes with second-page classes at a middle level, whose
@@ -515,6 +526,11 @@ def test_zoo_matches_the_scan_order_path():
                      "class" if reps else "none"] += 1
                 seen["iso" if corner.isomorphism else "not iso"] += 1
     assert min(seen.values()) >= 5 and len(seen) == 5, seen
+
+
+def dense_rows(rows, nrows, ncols):
+    """A row map as a QMatrix with nrows rows, a missing row reading as zero."""
+    return dual_complex._dense([rows.get(i, {}) for i in range(nrows)], ncols)
 
 
 def typed(restrict):
