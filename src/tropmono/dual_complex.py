@@ -2,7 +2,8 @@
 
 A complex records the components 1..m and, for each level p, the strata cut
 out by p+1 of them.  Every stratum points at its p+1 parents one level down
-(remove one component from its index set).  On top of the combinatorics an
+(remove one component from its index set); these are the poset's only
+incidence, and children() reads them.  On top of the combinatorics an
 H2 model assigns each stratum a finite dimension together with Gysin vectors
 (child class inside the parent's space) and optional restriction matrices
 (parent space to child space).
@@ -129,8 +130,6 @@ class SemistableCombinatorics:
         levels = sorted(by_level)
         if levels and levels != list(range(levels[-1] + 1)):
             raise ValueError("levels must be contiguous from 0")
-        # children in listing order
-        self._children: dict[str, list[Stratum]] = {label: [] for label in labels}
         for s in strata:
             idx = s.index_set
             if len(idx) == 1:
@@ -147,15 +146,12 @@ class SemistableCombinatorics:
                 if parent.index_set != idx[:j] + idx[j + 1:]:
                     raise ValueError(f"stratum {s.label}: parent {parent_label} "
                                      "has the wrong index set")
-                self._children[parent_label].append(s)
         # two-step consistency: removing i then j must meet removing j then i
         for s in strata:
             if len(s.index_set) < 3:
                 continue
             for i, j in itertools.combinations(s.index_set, 2):
-                via_i = by_label[by_label[s.parents[i]].parents[j]]
-                via_j = by_label[by_label[s.parents[j]].parents[i]]
-                if via_i.label != via_j.label:
+                if by_label[s.parents[i]].parents[j] != by_label[s.parents[j]].parents[i]:
                     raise ValueError(f"stratum {s.label}: parent squares do not close")
         self._by_level = {lvl: tuple(group) for lvl, group in by_level.items()}
         self._by_label = by_label
@@ -168,7 +164,9 @@ class SemistableCombinatorics:
         return self._by_level.get(p, ())
 
     def children(self, label: str) -> list[Stratum]:
-        return list(self._children[label])
+        """The strata one level up whose parents name label, in listing order."""
+        up = len(self._by_label[label].index_set)
+        return [z for z in self.level(up) if label in z.parents.values()]
 
     def index_sets_unique(self) -> bool:
         return len(self._by_index_set) == len(self._by_label)
@@ -259,11 +257,8 @@ def unit_h2(complex_: SemistableCombinatorics, level: int = 0) -> H2Model:
     all other strata get dimension 0.  This matches curve strata inside a
     one-parameter surface degeneration."""
     dims = {s.label: 1 for s in complex_.level(level)}
-    gysin = {}
-    for parent in complex_.level(level):
-        for child in complex_.children(parent.label):
-            gysin[(parent.label, child.label)] = (1,)
-    return H2Model(dims, gysin)
+    return H2Model(dims, {(w, z.label): (1,) for z in complex_.level(level + 1)
+                          for w in z.parents.values()})
 
 
 def _restriction_rows(complex_: SemistableCombinatorics, p: int) -> dict[int, dict]:

@@ -113,29 +113,20 @@ def cycle_validation_h2(m: int) -> H2Model:
     complex_ = cycle_complex(m)
     dims = {s.label: 2 for s in complex_.level(0)}
     dims.update({s.label: 1 for s in complex_.level(1)})
-    gysin = {}
-    restrict = {}
-    for parent in complex_.level(0):
-        for child in complex_.children(parent.label):
-            gysin[(parent.label, child.label)] = (Fraction(1), Fraction(1))
-            restrict[(parent.label, child.label)] = QMatrix([[1, -1]])
-    return H2Model(dims, gysin, restrict)
+    pairs = [(w, z.label) for z in complex_.level(1) for w in z.parents.values()]
+    return H2Model(dims, dict.fromkeys(pairs, (Fraction(1), Fraction(1))),
+                   dict.fromkeys(pairs, QMatrix([[1, -1]])))
 
 
 def all_ones_h2(complex_: SemistableCombinatorics) -> H2Model:
     """Naive model: every stratum one-dimensional, every Gysin vector and
     restriction entry equal to 1.  Useful as a negative control; it is not
     expected to satisfy the cancellation relation."""
-    dims = {}
-    gysin = {}
-    restrict = {}
-    for lvl in range(complex_.max_level + 1):
-        for s in complex_.level(lvl):
-            dims[s.label] = 1
-            for child in complex_.children(s.label):
-                gysin[(s.label, child.label)] = (Fraction(1),)
-                restrict[(s.label, child.label)] = QMatrix([[1]])
-    return H2Model(dims, gysin, restrict)
+    strata = [s for lvl in range(complex_.max_level + 1) for s in complex_.level(lvl)]
+    pairs = [(w, z.label) for z in strata for w in z.parents.values()]
+    return H2Model({s.label: 1 for s in strata},
+                   dict.fromkeys(pairs, (Fraction(1),)),
+                   dict.fromkeys(pairs, QMatrix([[1]])))
 
 
 def cycle_orientation_presentations(m: int) -> list[Presentation]:

@@ -223,20 +223,20 @@ class LadderResult:
 
 def require_simplicial(complex_: SemistableCombinatorics) -> int:
     """A complex qualifies when index sets are globally unique and every
-    stratum sits under some top stratum.  Returns the top level.  Every
-    subset of a top-level index set is a stratum of any poset: each stratum
-    has one parent per removed component, with that index set."""
+    stratum sits under some top stratum.  Returns the top level.  The faces
+    of the tops are what their parents reach, level by level down."""
     n_top = complex_.max_level
     if n_top < 1:
         raise ValueError("need strata beyond level 0")
     if not complex_.index_sets_unique():
         raise ValueError("index sets must determine strata uniquely")
-    covered = {sub for z in complex_.level(n_top)
-               for size in range(1, n_top + 2)
-               for sub in itertools.combinations(z.index_set, size)}
-    for lvl in range(n_top + 1):
+    faces = {z.label for z in complex_.level(n_top)}
+    for lvl in range(n_top, 0, -1):
+        faces.update(w for s in complex_.level(lvl) if s.label in faces
+                     for w in s.parents.values())
+    for lvl in range(n_top):
         for s in complex_.level(lvl):
-            if s.index_set not in covered:
+            if s.label not in faces:
                 raise ValueError(f"stratum {s.label} is not a face of any "
                                  "top stratum")
     return n_top

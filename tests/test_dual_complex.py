@@ -854,6 +854,29 @@ def test_strata_are_normalized_hashable_and_frozen():
     assert lists.stratum_by_index_set([1, 2]).parents == {1: "B", 2: "A"}
 
 
+def test_children_are_read_off_the_parents():
+    # every stratum's children equal a scan of all strata for the ones whose
+    # parents name it, on each level, also where two strata share an index
+    # set; the bundled model's Gysin pairs are exactly these incidences
+    dup = SemistableCombinatorics(
+        ["A", "B"],
+        [Stratum("Y1", (1,), {}), Stratum("Y2", (2,), {}),
+         Stratum("E", (1, 2), {1: "Y2", 2: "Y1"}),
+         Stratum("F", (1, 2), {1: "Y2", 2: "Y1"})])
+    relabelled = relabel_components(tetrahedron_complex(), {1: 3, 2: 1, 3: 4, 4: 2})
+    for cx in (tetrahedron_complex(), join(torus_complex(), rp2_complex()),
+               relabelled, dup):
+        strata = [s for lvl in range(cx.max_level + 1) for s in cx.level(lvl)]
+        for s in strata:
+            assert cx.children(s.label) == [z for z in strata
+                                            if s.label in z.parents.values()]
+        assert set(all_ones_h2(cx).gysin) == {
+            (s.label, z.label) for s in strata for z in cx.children(s.label)}
+    assert [z.label for z in dup.children("Y1")] == ["E", "F"]
+    with pytest.raises(KeyError):
+        dup.children("G")
+
+
 def test_relabel_components_refuses_a_non_permutation():
     # before, these raised KeyError: 3, were refused for an index set that
     # is not increasing, and were accepted

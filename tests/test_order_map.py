@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import cycle_presentations, det_cofactor, json_digest, sort_sign
-from tropmono import linalg
+from tropmono import library, linalg
 from tropmono.dual_complex import (SemistableCombinatorics, Stratum,
                                    check_vanishing_vector, unit_h2)
 from tropmono.forms import Superform
@@ -702,6 +702,12 @@ def test_require_simplicial():
          Stratum("E", (1, 2), {1: "Y2", 2: "Y1"})])
     with pytest.raises(ValueError, match="not a face"):
         require_simplicial(orphan)
+    # Y5's only child is the edge Z4_5, itself under no top: the first
+    # stratum under no top, in level order, is Y5
+    dangling = library._simplicial(5, [(1, 2, 3), (1, 2, 4), (4, 5)])
+    with pytest.raises(ValueError) as err:
+        require_simplicial(dangling)
+    assert str(err.value) == "stratum Y5 is not a face of any top stratum"
 
 
 def test_ladder_input_validation():
