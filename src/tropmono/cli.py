@@ -292,10 +292,11 @@ def cmd_ss_e2(args, report: RunReport):
         report.add_check(f"restriction_squares_to_zero[p={p}]", square is None,
                          None if square is None
                          else {"composite": square.to_json_obj()})
-    reps = [dual_complex.e2_p0(complex_, p) for p in range(0, top + 1)]
-    result = {"dims": {str(p): len(r) for p, r in enumerate(reps)}}
+    dims = dual_complex.e2_dims(complex_)
+    result = {"dims": {str(p): d for p, d in enumerate(dims)}}
     if args.p is not None:
-        result["representatives"] = [[str(x) for x in v] for v in reps[args.p]]
+        result["representatives"] = [[str(x) for x in v]
+                                     for v in dual_complex.e2_p0(complex_, args.p)]
         result["p"] = args.p
     report.result = result
 

@@ -19,6 +19,8 @@ JSON blocks.  The second page and the corner read the restriction kernel off
 its free columns (_second_page), so no kernel vector is eliminated twice and
 nothing is solved against an augmented system.  e2_p0 returns the
 representatives themselves; the second page's dimension is their number.
+e2_dims reads every level's dimension off ranks instead, one forward pass
+per restriction map and no representative built.
 
 The file reader takes a field of the exact JSON type inline and hands any
 other value to _field, which forms every shape message, only on refusal;
@@ -392,6 +394,16 @@ def _second_page(complex_: SemistableCombinatorics, p: int):
         {-j: x for j, x in col.items() if j in free}
         for col in _columns(_restriction_rows(complex_, p - 1).items()).values())
     return image, [v for v in ker if -max(v) not in image]
+
+
+def e2_dims(complex_: SemistableCombinatorics) -> list[int]:
+    """The second page's dimension at every level, n_p - rank R_p - rank
+    R_{p-1} by rank-nullity, since the image lies in the kernel (the poset's
+    squares close); each rank is one forward pass, shared by two levels."""
+    ranks = [linalg._rank(_restriction_rows(complex_, p).values())
+             for p in range(complex_.max_level + 1)]
+    return [len(complex_.level(p)) - r - (ranks[p - 1] if p else 0)
+            for p, r in enumerate(ranks)]
 
 
 def e2_p0(complex_: SemistableCombinatorics, p: int) -> tuple[Vector, ...]:

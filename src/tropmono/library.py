@@ -3,7 +3,8 @@
 These are the small fixtures the command line suite and the tests run
 against: a single smooth component, two components meeting once, cycles,
 the boundary of a tetrahedron, the 7-vertex torus, the 6-vertex real
-projective plane and the join of two simplicial complexes.
+projective plane, and the join and the disjoint union of two simplicial
+complexes.
 """
 
 from __future__ import annotations
@@ -86,17 +87,31 @@ def rp2_complex() -> SemistableCombinatorics:
                            (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6)])
 
 
+def _faces(complex_: SemistableCombinatorics, shift: int, what: str) -> list[tuple]:
+    """The index sets of a complex with one stratum per index set, its
+    components numbered from shift + 1; what names the refused construction."""
+    if not complex_.index_sets_unique():
+        raise ValueError(f"{what} needs one stratum per index set")
+    return [tuple(shift + i for i in s.index_set)
+            for lvl in range(complex_.max_level + 1) for s in complex_.level(lvl)]
+
+
 def join(a: SemistableCombinatorics, b: SemistableCombinatorics) -> SemistableCombinatorics:
     """The join of two complexes with one stratum per index set: a stratum
     per union of an index set of a, or none, with one of b, or none, b's
     components numbered after a's."""
-    if not (a.index_sets_unique() and b.index_sets_unique()):
-        raise ValueError("a join needs one stratum per index set")
     m = len(a.components)
-    sets = [[()] + [s.index_set for lvl in range(cx.max_level + 1) for s in cx.level(lvl)]
-            for cx in (a, b)]
+    sets = [[()] + _faces(a, 0, "a join"), [()] + _faces(b, m, "a join")]
+    return _simplicial(m + len(b.components), [x + y for x in sets[0] for y in sets[1]])
+
+
+def disjoint_union(a: SemistableCombinatorics,
+                   b: SemistableCombinatorics) -> SemistableCombinatorics:
+    """The disjoint union of two complexes with one stratum per index set:
+    the strata of a, then those of b, b's components numbered after a's."""
+    m = len(a.components)
     return _simplicial(m + len(b.components),
-                       [x + tuple(m + i for i in y) for x in sets[0] for y in sets[1]])
+                       _faces(a, 0, "a disjoint union") + _faces(b, m, "a disjoint union"))
 
 
 def cycle_validation_h2(m: int) -> H2Model:

@@ -5,7 +5,8 @@ elimination routine serves det and kernel_basis: rows are sparse
 ``{column: nonzero}`` maps, cleared of denominators and pushed, in the
 order they arrive, through the integer-preserving step of Bareiss (Math.
 Comp. 1968), each kept row pivoting on its first nonzero column; every step
-touches nonzero entries only.  _rref back-substitutes the echelon to the
+touches nonzero entries only.  The forward pass alone gives a rank (_rank,
+the number of rows kept).  _rref back-substitutes the echelon to the
 reduced row echelon form, which the row space fixes, so the sparse vectors
 kernel_basis returns do not depend on the order of elimination.  A reduced
 entry stays an int where its pivot divides it, as _rational reads input, and
@@ -203,6 +204,13 @@ def _push(stored: list[Pivot], row: dict[int, int]) -> bool:
         c = min(row)
         stored.append((c, row[c], row))
     return bool(row)
+
+
+def _rank(rows: Iterable[Mapping]) -> int:
+    """Rank of sparse rows: the number of pivots the forward pass keeps,
+    with no back substitution."""
+    stored: list[Pivot] = []
+    return sum(_push(stored, _clear(row)[1]) for row in rows)
 
 
 def _rref(rows: Iterable[Mapping]) -> dict[int, dict]:

@@ -430,11 +430,32 @@ def test_ss_e2_refuses_p_out_of_range_before_any_work(tmp_path, monkeypatch, p):
     # before, every squares check and every E2 level ran first
     path = write_json(tmp_path / "c14.json", complex_to_json(cycle_complex(14)))
     calls = []
-    for name in ("restriction_square", "e2_p0"):
+    for name in ("restriction_square", "e2_dims", "e2_p0"):
         monkeypatch.setattr(dual_complex, name,
                             lambda *args, name=name: calls.append(name))
     code, text = run(["ss", "e2", "--input", path, "--p", p])
     assert (code, text, calls) == (2, "error: --p must lie between 0 and 1\n", [])
+
+
+@pytest.mark.parametrize("p", [None, 0, 1, 2])
+def test_ss_e2_builds_representatives_only_at_the_level_asked(tmp_path, monkeypatch, p):
+    # before, e2_p0 ran at every level and the dims were the counts of its
+    # representatives; now they come from e2_dims's ranks
+    path = write_json(tmp_path / "tetra.json", complex_to_json(tetrahedron_complex()))
+    levels = []
+    e2_p0 = dual_complex.e2_p0
+
+    def counted(complex_, level):
+        levels.append(level)
+        return e2_p0(complex_, level)
+
+    monkeypatch.setattr(dual_complex, "e2_p0", counted)
+    code, text = run(["ss", "e2", "--input", path] + ([] if p is None else ["--p", str(p)]))
+    result = json.loads(text)["result"]
+    assert code == 0 and result["dims"] == {"0": 1, "1": 0, "2": 1}
+    assert levels == ([] if p is None else [p])
+    if p is not None:
+        assert len(result["representatives"]) == result["dims"][str(p)]
 
 
 @pytest.mark.parametrize("sub", ["validate", "ord_check"])

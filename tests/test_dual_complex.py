@@ -18,11 +18,13 @@ from conftest import (dense_pullback, dense_pushforward, h2_offsets,
 from tropmono import dual_complex
 from tropmono.dual_complex import (H2Model, SemistableCombinatorics, Stratum,
                                    check_vanishing_vector, complex_from_json,
-                                   complex_to_json, corner_monodromy, e2_p0,
+                                   complex_to_json, corner_monodromy, e2_dims,
+                                   e2_p0,
                                    relabel_components, relation_composite,
                                    removal_sign, restriction_square, unit_h2)
 from tropmono.library import (all_ones_h2, chain_complex, cycle_complex,
-                              cycle_validation_h2, join, point_complex,
+                              cycle_validation_h2, disjoint_union, join,
+                              point_complex,
                               rp2_complex, tetrahedron_complex, torus_complex)
 from tropmono.linalg import QMatrix
 
@@ -36,6 +38,10 @@ def bundled():
     out = [point_complex(), chain_complex(), tetrahedron_complex()]
     out += [cycle_complex(m) for m in range(3, 8)]
     return out
+
+
+def index_sets(cx):
+    return [s.index_set for lvl in range(cx.max_level + 1) for s in cx.level(lvl)]
 
 
 def two_points_complex():
@@ -66,13 +72,22 @@ def test_restriction_squares_to_zero():
 
 
 def test_e2_dims_match_brute_force():
-    for cx in bundled() + [two_points_complex()]:
-        index_sets = [s.index_set
-                      for lvl in range(cx.max_level + 1)
-                      for s in cx.level(lvl)]
-        want = nerve_cohomology_dims(index_sets)
-        got = [len(e2_p0(cx, p)) for p in range(cx.max_level + 1)]
-        assert got == want
+    # e2_dims reads ranks only; the representatives and an independent
+    # oracle (the nerve's cohomology, or the join formula for joins) must
+    # agree with it at every level, middle-level classes included
+    rng = random.Random(35)
+    torus, rp2 = torus_complex(), rp2_complex()
+    cases = [(cx, None) for cx in bundled() + [two_points_complex()]]
+    cases += [(fixtures.shuffled(torus, rng), [1, 2, 1]),
+              (fixtures.shuffled(rp2, rng), [1, 0, 0]),
+              (fixtures.shuffled(join(torus, rp2), rng), join_dims([1, 2, 1], [1, 0, 0])),
+              (fixtures.shuffled(join(torus, torus), rng), join_dims([1, 2, 1], [1, 2, 1]))]
+    cases += [(fixtures.shuffled(fixtures.simplex_boundary(n), rng), None)
+              for n in range(2, 8)]
+    cases += [(random_complex(rng), None) for _ in range(100)]
+    for cx, want in cases:
+        want = want or nerve_cohomology_dims(index_sets(cx))
+        assert e2_dims(cx) == rep_counts(cx) == want
 
 
 def test_e2_dims_frozen():
@@ -473,7 +488,8 @@ def join_dims(a, b):
     return out
 
 
-def e2_dims(cx):
+def rep_counts(cx):
+    """The second page's dimensions as e2_p0's representatives count them."""
     return [len(e2_p0(cx, p)) for p in range(cx.max_level + 1)]
 
 
@@ -481,23 +497,38 @@ def test_zoo_e2_dims_match_the_join_formula():
     rng = random.Random(32)
     torus, rp2 = torus_complex(), rp2_complex()
     for cx, want in ((torus, [1, 2, 1]), (rp2, [1, 0, 0])):
-        index_sets = [s.index_set for lvl in range(cx.max_level + 1)
-                      for s in cx.level(lvl)]
-        assert nerve_cohomology_dims(index_sets) == want
-        assert e2_dims(fixtures.shuffled(cx, rng)) == want
+        assert nerve_cohomology_dims(index_sets(cx)) == want
+        assert rep_counts(fixtures.shuffled(cx, rng)) == want
     assert join_dims([1, 2, 1], [1, 2, 1]) == [1, 0, 0, 4, 4, 1]
     assert join_dims([2], [2]) == [1, 1]  # two points joined: a 4-cycle
     joined = fixtures.shuffled(join(torus, torus), rng)
     assert [len(joined.level(p)) for p in range(6)] == [14, 91, 322, 637, 588, 196]
-    assert e2_dims(joined) == join_dims([1, 2, 1], [1, 2, 1])
-    assert e2_dims(join(two_points_complex(), two_points_complex())) == [1, 1]
-    assert e2_dims(join(rp2, chain_complex())) == join_dims([1, 0, 0], [1, 0])
+    assert rep_counts(joined) == join_dims([1, 2, 1], [1, 2, 1])
+    assert rep_counts(join(two_points_complex(), two_points_complex())) == [1, 1]
+    assert rep_counts(join(rp2, chain_complex())) == join_dims([1, 0, 0], [1, 0])
     # two components meeting twice: a circle that no index set names
     twice = SemistableCombinatorics(["A", "B"], [
         Stratum("A", (1,), {}), Stratum("B", (2,), {}),
         Stratum("E", (1, 2), {1: "B", 2: "A"}), Stratum("F", (1, 2), {1: "B", 2: "A"})])
     with pytest.raises(ValueError, match="^a join needs one stratum per index set$"):
         join(torus, twice)
+    with pytest.raises(ValueError, match="^a disjoint union needs one stratum per index set$"):
+        disjoint_union(twice, torus)
+
+
+def test_disjoint_union_adds_the_e2_dims_level_by_level():
+    rng = random.Random(36)
+    torus, rp2 = torus_complex(), rp2_complex()
+    for a, b, want in ((torus, rp2, [2, 2, 1]), (rp2, torus, [2, 2, 1]),
+                       (cycle_complex(4), cycle_complex(5), [2, 2]),
+                       (chain_complex(), torus, [2, 2, 1])):
+        cx = disjoint_union(a, b)
+        m = len(a.components)
+        assert len(cx.components) == m + len(b.components)
+        assert sorted(index_sets(cx)) == sorted(
+            index_sets(a) + [tuple(m + i for i in s) for s in index_sets(b)])
+        for member in (cx, fixtures.shuffled(cx, rng)):
+            assert e2_dims(member) == rep_counts(member) == want
 
 
 def rank2_h2(cx, p, rng):
