@@ -9,8 +9,8 @@ H2 model assigns each stratum a finite dimension together with Gysin vectors
 (parent space to child space).
 
 The alternating-sign rule is the standard one: dropping the j-th smallest
-element of an index set costs (-1)^j.  Each map between levels is built once,
-off the parents of its higher level, as a row map {row index: {column:
+element of an index set costs (-1)^j.  A map between levels is built by one
+walk over the parents of its higher level, as a row map {row index: {column:
 nonzero entry}} of the nonzero rows its data backs, so no map allocates by a
 declared dimension.  Elimination takes these rows as they are, one sparse
 product (_product) multiplies row maps into one, and one step (_dense) turns

@@ -3,24 +3,23 @@
 Everything here runs over Fraction and int; no floats anywhere.  One
 elimination routine serves det and kernel_basis: rows are sparse
 ``{column: nonzero}`` maps, cleared of denominators and pushed, in the
-order they arrive, through the integer-preserving step of Bareiss (Math.
-Comp. 1968), each kept row pivoting on its first nonzero column; every step
-touches nonzero entries only.  The forward pass alone gives a rank (_rank,
-the number of rows kept).  _rref back-substitutes the echelon to the
-reduced row echelon form, which the row space fixes, so the sparse vectors
-kernel_basis returns do not depend on the order of elimination.  A reduced
-entry stays an int where its pivot divides it, as _rational reads input, and
-is a Fraction only otherwise; a kernel vector is 1 at its free column.  det
-alone takes a dense ``QMatrix``, and feeds its rows through the same
-routine.  The value types here and in poly, forms and simplex refuse
-assignment and deletion through one private base, ``_Frozen``.
+order they arrive, through one fraction-free step on nonzero entries only;
+each kept row is primitive (Geddes, Czapor and Labahn 1992, ch. 9), with a
+positive pivot on its first nonzero column.  The forward pass alone gives
+the rank (_rank).  _rref back-substitutes the echelon to the reduced row
+echelon form, which the row space fixes, so the sparse vectors kernel_basis
+returns do not depend on the order of elimination.  A reduced entry stays an
+int where its pivot divides it, as _rational reads input, and is a Fraction
+only otherwise; a kernel vector is 1 at its free column.  det alone takes a
+dense ``QMatrix``.  The value types here and in poly, forms and simplex
+refuse assignment and deletion through one private base, ``_Frozen``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -155,7 +154,7 @@ class QMatrix(_Frozen):
         return [[str(x) for x in row] for row in self.data]
 
 
-Pivot = tuple[int, int, dict]  # (pivot column, pivot value, Bareiss row)
+Pivot = tuple[int, int, dict]  # (pivot column, pivot value > 0, primitive row)
 
 
 def _clear(row: Mapping) -> tuple[int, dict[int, int]]:
@@ -167,50 +166,50 @@ def _clear(row: Mapping) -> tuple[int, dict[int, int]]:
                   for j, x in row.items() if x}
 
 
-def _reduce(row: dict[int, int], stored: Sequence[Pivot]) -> dict[int, int]:
-    """Bareiss steps of every stored pivot row, in order, on nonzero entries
-    only; entries stay integer minors (Sylvester), so each division is
-    exact.  A step on a 0 in its pivot column only scales the row by its
-    pivot over the previous one; such factors telescope, so the row catches
-    up (from pivot ``last`` to ``prev``) just before a step that changes
-    it, and at the end."""
-    last = prev = 1
+def _reduce(row: dict[int, int], stored: Sequence[Pivot]) -> int:
+    """Clear, in place, each stored pivot column the row meets, in order: with
+    a at pivot p and g = gcd(p, a), row = (p/g)·row − (a/g)·srow.  Returns
+    the scale, the product of those p/g."""
+    scale = 1
     for c, p, srow in stored:
         a = row.get(c)
         if a:
-            if prev != last:
-                row = {j: x * prev // last for j, x in row.items()}
-                a = row[c]
-            row = {j: p * x for j, x in row.items()}
+            g = gcd(p, a)
+            s, a = p // g, a // g
+            if s != 1:
+                for j in row:
+                    row[j] *= s
+                scale *= s
             for j, y in srow.items():
                 x = row.get(j, 0) - a * y
                 if x:
                     row[j] = x
                 else:
                     del row[j]
-            if prev != 1:
-                row = {j: x // prev for j, x in row.items()}
-            last = p
-        prev = p
-    if prev != last:
-        row = {j: x * prev // last for j, x in row.items()}
-    return row
+    return scale
 
 
-def _push(stored: list[Pivot], row: dict[int, int]) -> bool:
-    """Keep a nonzero remainder as a pivot row on its first nonzero column."""
-    row = _reduce(row, stored)
-    if row:
-        c = min(row)
-        stored.append((c, row[c], row))
-    return bool(row)
+def _push(stored: list[Pivot], row: dict[int, int]) -> Optional[tuple[int, int]]:
+    """Reduce the row in place and keep a nonzero remainder over its content
+    (its entries' gcd, signed so that the pivot is positive) as a pivot row on
+    its first nonzero column; return (scale, content), or None if zero."""
+    scale = _reduce(row, stored)
+    if not row:
+        return None
+    c = min(row)
+    content = -gcd(*row.values()) if row[c] < 0 else gcd(*row.values())
+    if content != 1:
+        for j in row:
+            row[j] //= content
+    stored.append((c, row[c], row))
+    return scale, content
 
 
 def _rank(rows: Iterable[Mapping]) -> int:
     """Rank of sparse rows: the number of pivots the forward pass keeps,
     with no back substitution."""
     stored: list[Pivot] = []
-    return sum(_push(stored, _clear(row)[1]) for row in rows)
+    return sum(_push(stored, _clear(row)[1]) is not None for row in rows)
 
 
 def _rref(rows: Iterable[Mapping]) -> dict[int, dict]:
@@ -245,19 +244,20 @@ def _in_range(rows: Iterable[Mapping], ncols: int) -> None:
 
 
 def det(m: QMatrix) -> Fraction:
-    """The last Bareiss pivot is det of m with its columns in pivot order."""
+    """The pivots' product, signed by their columns' order, times each row's
+    content over its scale and _clear multiplier."""
     if m.nrows != m.ncols:
         raise ValueError("determinant of a non-square matrix")
     stored: list[Pivot] = []
-    scale = 1
+    num = den = 1
     for row in m.data:
         mult, ints = _clear(dict(enumerate(row)))
-        if not _push(stored, ints):
+        kept = _push(stored, ints)
+        if kept is None:
             return Fraction(0)
-        scale *= mult
-    if not stored:
-        return Fraction(1)
-    return Fraction(perm_sign([c for c, _, _ in stored]) * stored[-1][1], scale)
+        num *= kept[1] * stored[-1][1]
+        den *= kept[0] * mult
+    return Fraction(perm_sign([c for c, _, _ in stored]) * num, den)
 
 
 def kernel_basis(rows: Sequence[Mapping], ncols: int) -> list[dict]:

@@ -15,7 +15,7 @@ from conftest import (dense_pullback, dense_pushforward, h2_offsets,
                       matvec, nerve_cohomology_dims, rank_gauss,
                       select_by_ranks, single_node_mutations, solve_rref,
                       transpose)
-from tropmono import dual_complex
+from tropmono import dual_complex, linalg
 from tropmono.dual_complex import (H2Model, SemistableCombinatorics, Stratum,
                                    check_vanishing_vector, complex_from_json,
                                    complex_to_json, corner_monodromy, e2_dims,
@@ -143,6 +143,35 @@ def test_e2_and_corner_on_a_60_cycle():
     comparison = corner_monodromy(cx, unit_h2(cx, level=0), 1)
     assert comparison.isomorphism
     assert comparison.matrix.to_json_obj() == [["-60"]]
+
+
+def test_corner_monodromy_is_iso_on_torus_join_torus():
+    # the second page of torus * torus has dims (1, 0, 0, 4, 4, 1)
+    cx = join(torus_complex(), torus_complex())
+    for p, dim in ((3, 4), (5, 1)):
+        cm = corner_monodromy(cx, unit_h2(cx, level=p - 1), p)
+        assert (cm.domain_dim, cm.codomain_dim) == (dim, dim)
+        assert cm.isomorphism
+
+
+def test_stored_rows_stay_near_the_boundary_data(monkeypatch):
+    """Every stored row is primitive, so its entries stay near the data: on
+    the shuffled 9-simplex boundary's corner at p = 5, from 0/+-1 entries,
+    they fit in 16 bits (they reach 10)."""
+    widths = []
+    push = linalg._push
+
+    def recording(stored, row):
+        kept = push(stored, row)
+        if kept is not None:
+            widths.extend(abs(x).bit_length() for x in stored[-1][2].values())
+        return kept
+
+    monkeypatch.setattr(linalg, "_push", recording)
+    cx = fixtures.shuffled(fixtures.simplex_boundary(9), random.Random(9))
+    assert corner_monodromy(cx, unit_h2(cx, level=4), 5).isomorphism
+    assert widths and max(widths) <= 16
+
 
 def test_corner_monodromy_zero_gysin_is_not_injective():
     for m in (3, 4):

@@ -1,5 +1,7 @@
+import copy
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -317,28 +319,76 @@ def rand_system(rng):
     return rows, nc
 
 
+def scale_rows(rng, rows):
+    """rows with about half of them multiplied by a factor 2 to 12 of either
+    sign, so that a row's content is not 1 and its leading entry may be
+    negative."""
+    return [tuple(rng.choice((-1, 1)) * rng.randint(2, 12) * x for x in row)
+            if rng.random() < 0.5 else row for row in rows]
+
+
+def test_stored_rows_are_primitive_with_positive_pivots():
+    rng = random.Random(36)
+    seen = {"kept": 0, "scaled": 0, "negative lead": 0}
+    for _ in range(300):
+        rows, _ = rand_system(rng)
+        for draw in (rows, scale_rows(rng, rows), [tuple(-x for x in r) for r in rows]):
+            stored = []
+            for row in draw:
+                ints = linalg._clear(sparse(row))[1]
+                seen["scaled"] += bool(ints) and gcd(*ints.values()) > 1
+                seen["negative lead"] += bool(ints) and ints[min(ints)] < 0
+                linalg._push(stored, ints)
+            for c, p, row in stored:
+                assert c == min(row) and p == row[c] > 0
+                assert gcd(*row.values()) == 1
+            seen["kept"] += len(stored)
+    assert min(seen.values()) > 200, seen
+
+
+def test_elimination_leaves_the_rows_it_is_given_unchanged():
+    rng = random.Random(37)
+    for _ in range(100):
+        rows, nc = rand_system(rng)
+        # ints where integral, as the file reader gives them
+        sparse_m = [{j: linalg._rational(x) for j, x in sparse(r).items()}
+                    for r in scale_rows(rng, rows)]
+        before = copy.deepcopy(sparse_m)
+        linalg.kernel_basis(sparse_m, nc)
+        linalg._rank(sparse_m)
+        linalg._rref(sparse_m)
+        assert sparse_m == before
+        if len(rows) == nc:
+            m = QMatrix(rows, ncols=nc)
+            linalg.det(m)
+            assert m.data == tuple(rows)
+
+
 def test_sparse_elimination_matches_the_gauss_oracles():
     rng = random.Random(12)
     seen = {"singular": 0, "regular": 0, "zero row": 0, "duplicate": 0,
             "int": 0, "fraction": 0}
     for _ in range(400):
-        rows, nc = rand_system(rng)
-        sparse_m = [sparse(r) for r in rows]
-        seen["zero row"] += {} in sparse_m
-        seen["duplicate"] += len(set(rows)) < len(rows)
-        kernel = linalg.kernel_basis(sparse_m, nc)
-        assert [dense(v, nc) for v in kernel] == kernel_gauss(rows, nc)
-        # the reduced form, not the order of elimination, fixes the basis
-        assert linalg.kernel_basis(rng.sample(sparse_m, len(sparse_m)), nc) == kernel
-        # an entry is an int where integral, else a Fraction
-        entries = [x for v in kernel for x in v.values()]
-        assert all(type(x) is int or x.denominator != 1 for x in entries)
-        seen["int"] += sum(type(x) is int for x in entries)
-        seen["fraction"] += sum(type(x) is not int for x in entries)
-        # the pivot rows number the rank
-        assert len(linalg._rref(sparse_m)) == rank_gauss(rows)
-        if len(rows) == nc:
-            want = det_cofactor([list(r) for r in rows])
-            assert linalg.det(QMatrix(rows, ncols=nc)) == want
-            seen["singular" if want == 0 else "regular"] += 1
+        system, nc = rand_system(rng)
+        # the system as drawn, and with rows whose content is not 1, so that
+        # det divides out nontrivial contents and scale factors
+        for rows in (system, scale_rows(rng, system)):
+            sparse_m = [sparse(r) for r in rows]
+            seen["zero row"] += {} in sparse_m
+            seen["duplicate"] += len(set(rows)) < len(rows)
+            kernel = linalg.kernel_basis(sparse_m, nc)
+            assert [dense(v, nc) for v in kernel] == kernel_gauss(rows, nc)
+            # the reduced form, not the order of elimination, fixes the basis
+            assert linalg.kernel_basis(rng.sample(sparse_m, len(sparse_m)), nc) == kernel
+            # an entry is an int where integral, else a Fraction
+            entries = [x for v in kernel for x in v.values()]
+            assert all(type(x) is int or x.denominator != 1 for x in entries)
+            seen["int"] += sum(type(x) is int for x in entries)
+            seen["fraction"] += sum(type(x) is not int for x in entries)
+            # the pivot rows number the rank
+            assert len(linalg._rref(sparse_m)) == rank_gauss(rows)
+            if len(rows) == nc:
+                want = det_cofactor([list(r) for r in rows])
+                assert linalg.det(QMatrix(rows, ncols=nc)) == want
+                seen["singular" if want == 0 else "regular"] += 1
     assert min(seen.values()) > 40, seen
