@@ -12,15 +12,16 @@ The alternating-sign rule is the standard one: dropping the j-th smallest
 element of an index set costs (-1)^j.  A map between levels is built by one
 walk over the parents of its higher level, as a row map {row index: {column:
 nonzero entry}} of the nonzero rows its data backs, so no map allocates by a
-declared dimension.  Elimination takes these rows as they are, one sparse
-product (_product) multiplies row maps into one, and one step (_dense) turns
-rows into dense output: representatives, the corner's matrix, witnesses and
-JSON blocks.  The second page and the corner read the restriction kernel off
-its free columns (_second_page), so no kernel vector is eliminated twice and
-nothing is solved against an augmented system.  e2_p0 returns the
-representatives themselves; the second page's dimension is their number.
-e2_dims reads every level's dimension off ranks instead, one forward pass
-per restriction map and no representative built.
+declared dimension; a restriction map R_p is kept on the poset, one walk per
+command.  Elimination takes these rows as they are, one sparse product
+(_product) multiplies row maps into one, and one step (_dense) turns rows
+into dense output: representatives, the corner's matrix, witnesses and JSON
+blocks.  The second page and the corner read the restriction kernel off its
+free columns (_second_page), and the corner hands R_p's echelon to it, so no
+kernel vector is eliminated twice and nothing is solved against an augmented
+system.  e2_p0 returns the representatives themselves; the second page's
+dimension is their number.  e2_dims reads every level's dimension off ranks
+instead, one forward pass per restriction map and no representative built.
 
 The file reader takes a field of the exact JSON type inline and hands any
 other value to _field, which forms every shape message, only on refusal;
@@ -157,6 +158,7 @@ class SemistableCombinatorics:
                     raise ValueError(f"stratum {s.label}: parent squares do not close")
         self._by_level = {lvl: tuple(group) for lvl, group in by_level.items()}
         self._by_label = by_label
+        self._maps: dict[int, dict[int, dict]] = {}  # see _restriction_rows
 
     @property
     def max_level(self) -> int:
@@ -264,9 +266,15 @@ def unit_h2(complex_: SemistableCombinatorics, level: int = 0) -> H2Model:
 
 
 def _restriction_rows(complex_: SemistableCombinatorics, p: int) -> dict[int, dict]:
-    col = {s.label: k for k, s in enumerate(complex_.level(p))}
-    return {r: {col[w]: removal_sign(z.index_set, i) for i, w in z.parents.items()}
+    """R_p, level p to level p+1: built by one walk on first use and then
+    kept on the poset, which cannot change, for its readers to share."""
+    rows = complex_._maps.get(p)
+    if rows is None:
+        col = {s.label: k for k, s in enumerate(complex_.level(p))}
+        rows = complex_._maps[p] = {
+            r: {col[w]: removal_sign(z.index_set, i) for i, w in z.parents.items()}
             for r, z in enumerate(complex_.level(p + 1))}
+    return rows
 
 
 def _h2_offsets(complex_: SemistableCombinatorics, h2: H2Model,
@@ -378,29 +386,29 @@ def _columns(rows: Iterable[tuple[int, dict]]) -> dict[int, dict]:
     return columns
 
 
-def _second_page(complex_: SemistableCombinatorics, p: int):
-    """(reduced image, representatives) at level p.  A kernel vector of the
-    level-p restriction is its own entries at the free columns F, summed
-    against the kernel basis (one vector v_f per f, whose largest column is
-    f), and the image from level p-1 lies in that kernel; so the image
-    columns, read at F, are reduced once, each row pivoting on its last free
-    column (keys -f), as {-pivot: {-f: entry}}.  v_f is kept, in increasing
-    order, when f is no pivot: the first independent kernel vectors in scan
-    order after the image."""
-    ker = linalg.kernel_basis(_restriction_rows(complex_, p).values(),
-                              len(complex_.level(p)))
+def _second_page(complex_: SemistableCombinatorics, p: int, echelon):
+    """(reduced image, representatives) at level p, from the echelon of the
+    level-p restriction.  A kernel vector of that restriction is its own
+    entries at the free columns F, summed against the kernel basis (one
+    vector v_f per f, whose largest column is f), and the image from level
+    p-1 lies in that kernel; so the image columns, read at F, are reduced
+    once, each row pivoting on its last free column (keys -f), as {-pivot:
+    {-f: entry}}.  v_f is kept, in increasing order, when f is no pivot: the
+    first independent kernel vectors in scan order after the image."""
+    ker = linalg._kernel(echelon, len(complex_.level(p)))
     free = {max(v) for v in ker}
-    image = {} if p == 0 else linalg._rref(
+    image = {} if p == 0 else linalg._rref(linalg._echelon(
         {-j: x for j, x in col.items() if j in free}
-        for col in _columns(_restriction_rows(complex_, p - 1).items()).values())
+        for col in _columns(_restriction_rows(complex_, p - 1).items()).values()))
     return image, [v for v in ker if -max(v) not in image]
 
 
 def e2_dims(complex_: SemistableCombinatorics) -> list[int]:
     """The second page's dimension at every level, n_p - rank R_p - rank
     R_{p-1} by rank-nullity, since the image lies in the kernel (the poset's
-    squares close); each rank is one forward pass, shared by two levels."""
-    ranks = [linalg._rank(_restriction_rows(complex_, p).values())
+    squares close); each rank is the length of one forward pass over the
+    kept map, shared by two levels."""
+    ranks = [len(linalg._echelon(_restriction_rows(complex_, p).values()))
              for p in range(complex_.max_level + 1)]
     return [len(complex_.level(p)) - r - (ranks[p - 1] if p else 0)
             for p, r in enumerate(ranks)]
@@ -410,7 +418,8 @@ def e2_p0(complex_: SemistableCombinatorics, p: int) -> tuple[Vector, ...]:
     """Kernel of the level-p restriction modulo the image from level p-1:
     one dense representative per class, chosen deterministically (see
     _second_page); the page's dimension is their number."""
-    _, reps = _second_page(complex_, p)
+    _, reps = _second_page(
+        complex_, p, linalg._echelon(_restriction_rows(complex_, p).values()))
     return _dense(reps, len(complex_.level(p))).data
 
 
@@ -433,13 +442,13 @@ def corner_monodromy(complex_: SemistableCombinatorics, h2: H2Model, p: int) -> 
     corner vector u, once checked to lie in the restriction kernel, has its
     coordinates on the representatives at their free columns: its F-entries
     minus u_l times the reduced image row of each image pivot l."""
-    ncols = len(complex_.level(p))
     restriction = _restriction_rows(complex_, p)
-    corner = linalg.kernel_basis(
-        [*restriction.values(), *_gysin_rows(complex_, h2, p).values()], ncols)
+    echelon = linalg._echelon(restriction.values())
+    corner = linalg._kernel(linalg._echelon(
+        _gysin_rows(complex_, h2, p).values(), echelon), len(complex_.level(p)))
     if _product([(restriction, _columns(enumerate(corner)))]):
         raise RuntimeError("corner kernel does not lie in the restriction kernel")
-    image, reps = _second_page(complex_, p)
+    image, reps = _second_page(complex_, p, echelon)
     kept = {max(v): k for k, v in enumerate(reps)}
     out_cols = []
     for u in corner:
@@ -451,7 +460,7 @@ def corner_monodromy(complex_: SemistableCombinatorics, h2: H2Model, p: int) -> 
             elif j in kept:
                 coords[j] = coords.get(j, 0) + x
         out_cols.append({kept[f]: x for f, x in coords.items() if x})
-    r = len(linalg._rref(out_cols))
+    r = len(linalg._echelon(out_cols))
     matrix = _columns(enumerate(out_cols))
     return CornerMonodromy(
         matrix=_dense([matrix.get(k, {}) for k in range(len(reps))], len(out_cols)),

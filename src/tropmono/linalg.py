@@ -5,14 +5,15 @@ elimination routine serves det and kernel_basis: rows are sparse
 ``{column: nonzero}`` maps, cleared of denominators and pushed, in the
 order they arrive, through one fraction-free step on nonzero entries only;
 each kept row is primitive (Geddes, Czapor and Labahn 1992, ch. 9), with a
-positive pivot on its first nonzero column.  The forward pass alone gives
-the rank (_rank).  _rref back-substitutes the echelon to the reduced row
-echelon form, which the row space fixes, so the sparse vectors kernel_basis
-returns do not depend on the order of elimination.  A reduced entry stays an
-int where its pivot divides it, as _rational reads input, and is a Fraction
-only otherwise; a kernel vector is 1 at its free column.  det alone takes a
-dense ``QMatrix``.  The value types here and in poly, forms and simplex
-refuse assignment and deletion through one private base, ``_Frozen``.
+positive pivot on its first nonzero column.  There is one forward pass,
+_echelon, which may start from an echelon already built; the rank is its
+length.  _rref back-substitutes an echelon to the reduced row echelon form,
+which the row space fixes, so the sparse vectors kernel_basis returns do not
+depend on the order of elimination.  A reduced entry stays an int where its
+pivot divides it, as _rational reads input, and is a Fraction only
+otherwise; a kernel vector is 1 at its free column.  det alone takes a dense
+``QMatrix``.  The value types here and in poly, forms and simplex refuse
+assignment and deletion through one private base, ``_Frozen``.
 """
 
 from __future__ import annotations
@@ -205,25 +206,24 @@ def _push(stored: list[Pivot], row: dict[int, int]) -> Optional[tuple[int, int]]
     return scale, content
 
 
-def _rank(rows: Iterable[Mapping]) -> int:
-    """Rank of sparse rows: the number of pivots the forward pass keeps,
-    with no back substitution."""
-    stored: list[Pivot] = []
-    return sum(_push(stored, _clear(row)[1]) is not None for row in rows)
+def _echelon(rows: Iterable[Mapping], stored: Sequence[Pivot] = ()) -> list[Pivot]:
+    """The forward pass: a new list, the pivot rows of stored followed by
+    those that rows add, so its length is the rank; stored is left as is."""
+    echelon = list(stored)
+    for row in rows:
+        _push(echelon, _clear(row)[1])
+    return echelon
 
 
-def _rref(rows: Iterable[Mapping]) -> dict[int, dict]:
-    """Reduced row echelon form of sparse rows, as {pivot column: the row's
-    entries in the free columns after it}, each an int where integral, else
-    a Fraction; each row is 1 at its pivot column and 0 at the others.  Back
-    substitution runs from the last pivot column up, each echelon row
+def _rref(echelon: Sequence[Pivot]) -> dict[int, dict]:
+    """Reduced row echelon form of an echelon's rows, as {pivot column: the
+    row's entries in the free columns after it}, each an int where integral,
+    else a Fraction; each row is 1 at its pivot column and 0 at the others.
+    Back substitution runs from the last pivot column up, each echelon row
     subtracting the reduced rows of the later pivot columns it meets, so no
     row is cleared above its pivot during the forward pass."""
-    stored: list[Pivot] = []
-    for row in rows:
-        _push(stored, _clear(row)[1])
     reduced: dict[int, dict] = {}
-    for c, p, row in sorted(stored, key=lambda piv: -piv[0]):
+    for c, p, row in sorted(echelon, key=lambda piv: -piv[0]):
         out: dict = {}
         for j, x in row.items():
             below = reduced.get(j)
@@ -235,12 +235,6 @@ def _rref(rows: Iterable[Mapping]) -> dict[int, dict]:
         reduced[c] = {k: Fraction(v, p) if v % p else v // p
                       for k, v in out.items() if v}
     return reduced
-
-
-def _in_range(rows: Iterable[Mapping], ncols: int) -> None:
-    """Refuse sparse rows with a column outside range(ncols)."""
-    if any(not 0 <= j < ncols for row in rows for j in row):
-        raise ValueError("index out of range")
 
 
 def det(m: QMatrix) -> Fraction:
@@ -265,8 +259,14 @@ def kernel_basis(rows: Sequence[Mapping], ncols: int) -> list[dict]:
     ncols columns, as sparse vectors; one per free column, 1 at the free
     position and nonzero elsewhere only at pivot columns before it (so the
     free column is the vector's largest), in increasing column order."""
-    _in_range(rows, ncols)
-    reduced = _rref(rows)
+    if any(not 0 <= j < ncols for row in rows for j in row):
+        raise ValueError("index out of range")
+    return _kernel(_echelon(rows), ncols)
+
+
+def _kernel(echelon: Sequence[Pivot], ncols: int) -> list[dict]:
+    """kernel_basis of the rows that an echelon of ncols columns holds."""
+    reduced = _rref(echelon)
     basis = {f: {f: 1} for f in range(ncols) if f not in reduced}
     for c, row in reduced.items():
         for f, x in row.items():

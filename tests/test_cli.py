@@ -12,7 +12,7 @@ import pytest
 
 from conftest import (cycle_presentations, json_digest, replay,
                       single_node_mutations, tsv_field)
-from tropmono import cli, dual_complex, order_map
+from tropmono import cli, dual_complex, linalg, order_map
 from tropmono.cli import build_parser, main, run
 from tropmono.dual_complex import (SemistableCombinatorics, Stratum,
                                    complex_to_json, relabel_components,
@@ -20,9 +20,9 @@ from tropmono.dual_complex import (SemistableCombinatorics, Stratum,
 from tropmono.forms import AffineMap, Superform
 from tropmono.library import (all_ones_h2, cycle_complex,
                               cycle_orientation_presentations,
-                              cycle_validation_h2, point_complex,
+                              cycle_validation_h2, join, point_complex,
                               simplicial_presentations_from_tensors,
-                              tetrahedron_complex)
+                              tetrahedron_complex, torus_complex)
 from tropmono.linalg import QMatrix
 from tropmono.poly import Poly
 from tropmono.simplex import SimplexCochain, SimplexForm, star_closed_form
@@ -456,6 +456,94 @@ def test_ss_e2_builds_representatives_only_at_the_level_asked(tmp_path, monkeypa
     assert levels == ([] if p is None else [p])
     if p is not None:
         assert len(result["representatives"]) == result["dims"][str(p)]
+
+
+def record_walks(monkeypatch):
+    """(walks, passes) for the commands run from here on: each (level, map)
+    whose restriction map a poset walks, a fill of its kept maps and not a
+    lookup, and the rows of each forward pass."""
+    walks, passes = [], []
+    init, echelon = SemistableCombinatorics.__init__, linalg._echelon
+
+    class Kept(dict):
+        def __setitem__(self, p, rows):
+            walks.append((p, rows))
+            super().__setitem__(p, rows)
+
+    def recording_init(self, *args):
+        init(self, *args)
+        self._maps = Kept()
+
+    def recording_echelon(rows, stored=()):
+        rows = list(rows)
+        passes.append(rows)
+        return echelon(rows, stored)
+
+    monkeypatch.setattr(SemistableCombinatorics, "__init__", recording_init)
+    monkeypatch.setattr(linalg, "_echelon", recording_echelon)
+    return walks, passes
+
+
+def passes_over(passes, rows: dict) -> int:
+    """The number of forward passes over the very rows of a kept map."""
+    return sum(len(rows_) == len(rows) and all(
+        a is b for a, b in zip(rows_, rows.values())) for rows_ in passes)
+
+
+@pytest.fixture(scope="module")
+def level_files(tmp_path_factory):
+    """name -> (complex path, complex-with-h2 path, presentations path, top
+    level) for the tetrahedron and torus * torus, each written once; the
+    presentations cover the top level from one tensor per top stratum."""
+    files = {}
+    for name, cx in (("tetra", tetrahedron_complex()),
+                     ("torus2", join(torus_complex(), torus_complex()))):
+        where, top = tmp_path_factory.mktemp(name), cx.max_level
+        tensors = {z.label: [tuple(tuple((k + 1) * v % 3 for v in range(top + 1))
+                                   for k in range(top))] for z in cx.level(top)}
+        pres = simplicial_presentations_from_tensors(cx, (1,), tensors)
+        files[name] = (
+            write_json(where / "cx.json", complex_to_json(cx)),
+            write_json(where / "h2.json", complex_to_json(cx, all_ones_h2(cx))),
+            write_json(where / "pres.json",
+                       {"presentations": [q.to_json_obj() for q in pres]}),
+            top)
+    return files
+
+
+@pytest.mark.parametrize("name,command", [
+    (name, command) for name in ("tetra", "torus2")
+    for command in ("e2", "e2 --p", "monodromy", "validate", "ord check")])
+def test_each_level_map_is_walked_once_per_command(level_files, monkeypatch,
+                                                   name, command):
+    # before, each reader rebuilt the maps it needed: `ss e2` walked the
+    # poset 2 * top + top + 1 times for top + 1 maps (16 for 6 on
+    # torus * torus), and `ss monodromy` forward-passed R_p twice
+    path, h2_path, pres_path, top = level_files[name]
+    k = 1 if name == "tetra" else 2  # below the top, so that R_k has rows
+    argv, levels = {
+        "e2": (["ss", "e2", "--input", path], range(top + 1)),
+        "e2 --p": (["ss", "e2", "--input", path, "--p", str(k)], range(top + 1)),
+        "monodromy": (["ss", "monodromy", "--input", path, "--p", str(k)],
+                      [k - 1, k]),
+        "validate": (["ss", "validate", "--input", h2_path, "--p", str(k)], [k]),
+        "ord check": (["ord", "check", "--complex", path, "--pres", pres_path,
+                       "--p", str(top)], [top]),
+    }[command]
+    walks, passes = record_walks(monkeypatch)
+    code, text = run(argv)
+    assert code in (0, 1) and "result" in json.loads(text)
+    assert sorted(p for p, _ in walks) == list(levels)
+    maps = dict(walks)
+    if command == "e2":
+        assert [passes_over(passes, maps[p]) for p in levels] == [1] * (top + 1)
+    elif command == "e2 --p":
+        # e2_dims and e2_p0 each run R_k's forward pass: its echelon is
+        # not kept on the poset
+        assert [passes_over(passes, maps[p]) for p in levels] == [
+            1 + (p == k) for p in levels]
+    elif command == "monodromy":
+        assert passes_over(passes, maps[k]) == 1
 
 
 @pytest.mark.parametrize("sub", ["validate", "ord_check"])

@@ -1,9 +1,12 @@
+import copy
+import gc
 import itertools
 import json
 import os
 import random
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
 from fractions import Fraction
 from types import MappingProxyType
@@ -996,3 +999,88 @@ def test_h2_model_validation():
     with pytest.raises(ValueError, match="missing restriction"):
         h2.restriction("Y1", "F")
     assert h2.gysin_vector("Y1", "other") == (Fraction(0), Fraction(0))
+
+
+def level_consumers(cx, h2):
+    """(name, thunk) for every reader of the kept restriction maps at every
+    level it is defined at."""
+    top = cx.max_level
+    calls = [("e2_dims", lambda: e2_dims(cx))]
+    for p in range(top + 1):
+        vector = [(-1) ** k * (k % 3) for k in range(len(cx.level(p)))]
+        calls += [
+            (("e2_p0", p), lambda p=p: e2_p0(cx, p)),
+            (("vanishing", p), lambda p=p, v=vector: check_vanishing_vector(
+                cx, h2, p, v))]
+        if p < top:
+            calls.append((("square", p), lambda p=p: restriction_square(cx, p)))
+        if p >= 1:
+            calls += [
+                (("relation", p), lambda p=p: relation_composite(cx, h2, p)),
+                (("corner", p), lambda p=p: corner_monodromy(cx, h2, p))]
+    return calls
+
+
+def test_kept_maps_are_neither_shared_nor_changed_by_their_readers():
+    # every reader runs twice, in two shuffled orders, on one poset; each
+    # answer equals the one a fresh poset read from the same JSON gives,
+    # and the maps the poset keeps are as the first pass left them
+    rng = random.Random(37)
+    for cx, h2 in [(torus_complex(), all_ones_h2(torus_complex())),
+                   (tetrahedron_complex(), unit_h2(tetrahedron_complex())),
+                   (cycle_complex(5), cycle_validation_h2(5))]:
+        fresh, fresh_h2 = complex_from_json(complex_to_json(cx, h2))
+        want = {name: call() for name, call in level_consumers(fresh, fresh_h2)}
+
+        def run_all():
+            calls = level_consumers(cx, h2)
+            rng.shuffle(calls)
+            for name, call in calls:
+                assert call() == want[name], name
+
+        run_all()
+        kept = copy.deepcopy(cx._maps)
+        run_all()
+        assert cx._maps == kept == fresh._maps
+        assert sorted(kept) == list(range(cx.max_level + 1))
+        # the corner's codomain is the second page, read off R_p alone
+        for p in range(1, cx.max_level + 1):
+            assert want["corner", p].codomain_dim == len(want["e2_p0", p])
+
+
+def test_a_poset_frees_its_kept_maps():
+    # the maps live on the poset, not in a cache that outlives the command
+    cx = join(torus_complex(), rp2_complex())
+    e2_dims(cx)
+    corner_monodromy(cx, unit_h2(cx, 1), 2)
+    assert cx._maps
+    ref = weakref.ref(cx)
+    del cx
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("member", ["torus2", "torus_rp2", "union"])
+def test_relabelled_members_keep_their_second_page(member):
+    # the original's maps are kept before any relabelled poset is built, so
+    # a relabelled poset that read them would show here
+    cx = {"torus2": lambda: join(torus_complex(), torus_complex()),
+          "torus_rp2": lambda: join(torus_complex(), rp2_complex()),
+          "union": lambda: disjoint_union(torus_complex(), rp2_complex())}[member]()
+    levels = range(cx.max_level + 1)
+
+    def page(c):
+        """e2_dims, the representative counts, and the corner's shape at
+        level 1, where it is quick on every member."""
+        corner = corner_monodromy(c, unit_h2(c, 0), 1)
+        return (e2_dims(c), [len(e2_p0(c, p)) for p in levels],
+                (corner.domain_dim, corner.codomain_dim, corner.isomorphism))
+
+    want = page(cx)
+    assert want[0] == want[1]
+    rng = random.Random(12)
+    m = len(cx.components)
+    for _ in range(3):
+        images = list(range(1, m + 1))
+        rng.shuffle(images)
+        assert page(relabel_components(cx, dict(zip(range(1, m + 1), images)))) == want

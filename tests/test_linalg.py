@@ -161,7 +161,7 @@ def test_det_multiplicative_and_transpose_invariant():
 
 def rref_rank(m):
     """The number of pivot rows in the reduced form of m."""
-    return len(linalg._rref(sparse_rows(m)))
+    return len(linalg._rref(linalg._echelon(sparse_rows(m))))
 
 
 def test_rank_matches_independent_elimination():
@@ -223,8 +223,9 @@ def test_rref_reports_pivots():
     assert ker == [{0: 1}, {1: Fraction(-1, 2), 2: 1}]
     # integral entries stay ints, the others are Fractions
     assert [type(v[j]) for v in ker for j in sorted(v)] == [int, Fraction, int]
-    assert linalg._rref([{0: 2, 1: 4, 2: 3}]) == {0: {1: 2, 2: Fraction(3, 2)}}
-    assert type(linalg._rref([{0: -3, 1: 6}])[0][1]) is int
+    assert linalg._rref(linalg._echelon([{0: 2, 1: 4, 2: 3}])) == {
+        0: {1: 2, 2: Fraction(3, 2)}}
+    assert type(linalg._rref(linalg._echelon([{0: -3, 1: 6}]))[0][1]) is int
 
 
 def units(length):
@@ -235,7 +236,8 @@ def free_column_selection(sub, length):
     """The unit vectors at the columns where no row of sub pivots, sub
     reduced with each row pivoting on its last nonzero column (keys -j):
     the rule e2_p0 picks its representatives by, in free coordinates."""
-    pivots = linalg._rref({-j: x for j, x in sparse(v).items()} for v in sub)
+    pivots = linalg._rref(linalg._echelon(
+        {-j: x for j, x in sparse(v).items()} for v in sub))
     return [u for j, u in enumerate(units(length)) if -j not in pivots]
 
 
@@ -355,13 +357,32 @@ def test_elimination_leaves_the_rows_it_is_given_unchanged():
                     for r in scale_rows(rng, rows)]
         before = copy.deepcopy(sparse_m)
         linalg.kernel_basis(sparse_m, nc)
-        linalg._rank(sparse_m)
-        linalg._rref(sparse_m)
+        linalg._rref(linalg._echelon(sparse_m))
         assert sparse_m == before
         if len(rows) == nc:
             m = QMatrix(rows, ncols=nc)
             linalg.det(m)
             assert m.data == tuple(rows)
+
+
+def test_one_forward_pass_extends_a_starting_echelon():
+    # _echelon(b, _echelon(a)) is the forward pass over a + b, its length
+    # the rank, and it leaves the echelon it starts from as it was
+    rng = random.Random(38)
+    seen = {"grown": 0, "kept": 0}
+    for _ in range(300):
+        rows, _ = rand_system(rng)
+        rows = scale_rows(rng, rows)
+        cut = rng.randint(0, len(rows))
+        a, b = [sparse(r) for r in rows[:cut]], [sparse(r) for r in rows[cut:]]
+        start = linalg._echelon(a)
+        before = copy.deepcopy(start)
+        both = linalg._echelon(b, start)
+        assert both == linalg._echelon(a + b)
+        assert start == before
+        assert len(both) == rank_gauss([list(r) for r in rows])
+        seen["grown" if len(both) > len(start) else "kept"] += 1
+    assert min(seen.values()) > 40, seen
 
 
 def test_sparse_elimination_matches_the_gauss_oracles():
@@ -386,7 +407,7 @@ def test_sparse_elimination_matches_the_gauss_oracles():
             seen["int"] += sum(type(x) is int for x in entries)
             seen["fraction"] += sum(type(x) is not int for x in entries)
             # the pivot rows number the rank
-            assert len(linalg._rref(sparse_m)) == rank_gauss(rows)
+            assert len(linalg._rref(linalg._echelon(sparse_m))) == rank_gauss(rows)
             if len(rows) == nc:
                 want = det_cofactor([list(r) for r in rows])
                 assert linalg.det(QMatrix(rows, ncols=nc)) == want

@@ -123,11 +123,11 @@ def test_cli_refuses_an_input_that_is_not_utf8(tmp_path):
 
 def test_corner_refuses_a_kernel_outside_the_restriction_kernel(tmp_path,
                                                                 monkeypatch):
-    # every kernel gains the unit vector of the first stratum, which the
-    # level-1 restriction of the tetrahedron does not kill
-    real = linalg.kernel_basis
-    monkeypatch.setattr(linalg, "kernel_basis",
-                        lambda rows, ncols: real(rows, ncols) + [{0: 1}])
+    # every kernel read off an echelon gains the unit vector of the first
+    # stratum, which the level-1 restriction of the tetrahedron does not kill
+    real = linalg._kernel
+    monkeypatch.setattr(linalg, "_kernel",
+                        lambda echelon, ncols: real(echelon, ncols) + [{0: 1}])
     path = tmp_path / "tetra.json"
     path.write_text(json.dumps(complex_to_json(tetrahedron_complex())))
     code, text = run(["ss", "monodromy", "--input", str(path), "--p", "1"])
